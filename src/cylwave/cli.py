@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,15 +139,16 @@ def parse_config(argv) -> RunConfig:
             raise UsageError("--sweep only applies to the scatter command")
         try:
             lo, hi, cnt = float(sweep_raw[0]), float(sweep_raw[1]), int(sweep_raw[2])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise UsageError("--sweep expects MIN MAX N") from None
-        if not (0 < lo <= hi) or cnt < 1:
-            raise UsageError("--sweep bounds must be positive, N >= 1")
+        if not (0 < lo <= hi < math.inf) or cnt < 1:
+            raise UsageError(
+                "--sweep bounds must be positive and finite, N >= 1")
         sweep = (lo, hi, cnt)
     if ka is None and sweep is None:
         raise UsageError("--ka (or --sweep for scatter) is required")
-    if ka is not None and ka <= 0:
-        raise UsageError("--ka must be positive")
+    if ka is not None and not 0 < ka < math.inf:
+        raise UsageError("--ka must be positive and finite")
 
     scheme = _pick(ns.scheme, run_defaults, "scheme", "lp4")
     try:
@@ -162,11 +163,13 @@ def parse_config(argv) -> RunConfig:
     if n < 0:
         raise UsageError("--n must be >= 0")
     kz = float(_pick(ns.kz, run_defaults, "kz", 0.0))
+    if not math.isfinite(kz):
+        raise UsageError("--kz must be finite")
 
     lo, hi = profile.support
     r0 = float(_pick(ns.r0, run_defaults, "r0", lo))
     r1 = float(_pick(ns.r1, run_defaults, "r1", hi))
-    if not (lo - 1e-12 <= r0 < r1 <= hi + 1e-12):
+    if not (lo - 1e-12 <= r0 < r1 <= hi + 1e-12 < math.inf):
         raise UsageError(
             f"need support min <= r0 < r1 <= support max, "
             f"got r0={r0}, r1={r1}, support [{lo}, {hi}]")
@@ -179,7 +182,7 @@ def parse_config(argv) -> RunConfig:
                     os.environ.get("CYLWAVE_THREADS", 1))
     try:
         threads = int(threads)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError("--threads must be an integer") from None
     if threads < 1:
         raise UsageError("--threads must be >= 1")
@@ -272,19 +275,14 @@ def _run_scatter(cfg: RunConfig) -> list:
     else:
         kas = list(np.linspace(cfg.sweep[0], cfg.sweep[1], cfg.sweep[2]))
 
-    def one(ka: float):
+    lines = []
+    for ka in kas:
         res = solve_scattering(ScatteringConfig(
             layers=layers, ka=ka, scheme=cfg.scheme, steps=cfg.steps,
             method=cfg.method))
         f_pi = res.f_samples[-1][1]
-        return ka, res.sigma_tot, abs(f_pi)
-
-    if cfg.threads > 1 and len(kas) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one, kas))
-    else:
-        results = [one(ka) for ka in kas]
-    return [f"{_g17(ka)},{_g17(sig)},{_g17(bf)}" for (ka, sig, bf) in results]
+        lines.append(f"{_g17(ka)},{_g17(res.sigma_tot)},{_g17(abs(f_pi))}")
+    return lines
 
 
 def _run_field(cfg: RunConfig) -> list:

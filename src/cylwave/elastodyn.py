@@ -13,6 +13,7 @@ the fluid density, speeds by the fluid sound speed, moduli by rho_w*c_w^2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -164,8 +165,10 @@ class WaveContext:
     m: int = 3
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
+        if not math.isfinite(self.kz):
+            raise ValueError("kz must be finite")
         if self.n < 0 or int(self.n) != self.n:
             raise ValueError("n must be a nonnegative integer")
         if self.m not in (1, 2, 3):

@@ -1,22 +1,26 @@
 """Single-step propagator approximations and global matricant composition.
 
-Nine fixed-step schemes are provided, named by family:
+Nine fixed-step schemes sample Q at nodes x_j of the step [r, r + h] and
+combine the samples with one of three kernels; one private table gives each
+tag its kernel and nodes.  The nodes are the midpoints (2j+1)/(2K) of K
+equal sub-steps, except for ts1 (left end) and mg4 (the two Gauss nodes).
 
-* ts1, ts2   -- truncated Taylor expansions of the propagator
-* lp2, lp3, lp4 -- Lagrange-polynomial collocation series (2, 3, 4 points)
-* exp2a, exp2b, exp2c -- products of matrix exponentials (1, 2, 4 factors)
-* mg4       -- two-point Gauss Magnus integrator
+* dyson  -- ts1 (p = 1), ts2 (K = 1, p = 2), lp2, lp3, lp4 (K = p)
+* exp    -- exp2a, exp2b, exp2c: exp((h/K) Q(r + x_j h)), K = 1, 2, 4,
+            left-multiplied in node order
+* magnus -- mg4, the two-point Gauss Magnus integrator
 
-The lp schemes interpolate Q through K equispaced interior nodes x_j of the
-step and sum the Dyson series of that interpolant up to total order p, the
-nominal order (K = p). With B_d = h sum_j c_dj Q(r + x_j h), where c_dj is
-the x^d coefficient of the Lagrange basis L_j on [0, 1], the step is
-M = S_0 + ... + S_p with S_0 = I and S_e = (1/e) sum_(d<e) B_d S_(e-d-1);
-for constant Q it is the exponential series truncated after (hQ)^p / p!.
+The dyson kernel sums the Dyson series of the Lagrange interpolant of Q
+through the nodes up to total order p, the nominal order.  With
+B_d = h sum_j c_dj Q(r + x_j h), where c_dj is the x^d coefficient of the
+basis L_j on [0, 1] and B_d = 0 for d >= K, the step is M = S_0 + ... + S_p
+with S_0 = I and S_e = (1/e) sum_(d<e) B_d S_(e-d-1).  So ts1 is I + hQ(r),
+ts2 is I + hQ + (hQ)^2 / 2 at the midpoint, and for constant Q an lp step is
+the exponential series truncated after (hQ)^p / p!.
 
-No scheme needs derivatives of Q. ts1 samples Q at the left end of the step,
-so on a piecewise profile a step that starts on an interface sees the inner
-layer; every other scheme samples only interior abscissae of the step.
+No scheme needs derivatives of Q.  On a piecewise profile a ts1 step that
+starts on an interface sees the inner layer; the other schemes sample only
+interior abscissae of the step.
 """
 from __future__ import annotations
 
@@ -54,12 +58,6 @@ SCHEMES = {
 }
 
 SCHEME_NAMES = tuple(SCHEMES)
-
-_LP_POINTS = {
-    "lp2": (Fraction(1, 4), Fraction(3, 4)),
-    "lp3": (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)),
-    "lp4": (Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)),
-}
 
 
 def get_scheme(name: str | Scheme) -> Scheme:
@@ -162,21 +160,63 @@ def lagrange_weights(points, k: int):
 
 
 @lru_cache(maxsize=None)
-def _lp_coefficients(tag: str) -> np.ndarray:
-    """c[d, j]: x^d coefficient of the Lagrange basis L_j on the lp nodes."""
-    basis = _lagrange_basis(_LP_POINTS[tag])
-    return np.array([[float(cs[d]) for cs in basis]
-                     for d in range(len(basis))])
+def _dyson_coefficients(nodes: tuple, p: int) -> np.ndarray:
+    """c[d, j]: x^d coefficient of the Lagrange basis L_j, d < p (0 past K)."""
+    basis = _lagrange_basis(nodes)
+    return np.array([[float(cs[d]) if d < len(cs) else 0.0 for cs in basis]
+                     for d in range(p)])
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# single steps: three kernels over the samples qs[j] = Q(r + x_j h)
 
 
-def _sampler(profile, ctx):
-    def q_at(r: float) -> np.ndarray:
-        return q_matrix(profile, ctx, r).q
-    return q_at
+def _dyson(h: float, qs: list, nodes: tuple, p: int) -> np.ndarray:
+    # s[i] holds S_(i+1); the d = e-1 term B_(e-1) S_0 needs no product
+    qs = np.stack(qs)
+    b = ((h * _dyson_coefficients(nodes, p)) @ qs.reshape(len(qs), -1)
+         ).reshape((p,) + qs.shape[1:])
+    s = [b[0]]
+    m = np.eye(qs.shape[1], dtype=complex) + b[0]
+    for e in range(2, p + 1):
+        se = b[e - 1].copy()
+        for d in range(e - 1):
+            se += b[d] @ s[e - d - 2]
+        se /= e
+        s.append(se)
+        m += se
+    return m
+
+
+def _exp(h: float, qs: list, nodes: tuple, p: int) -> np.ndarray:
+    m = mat_exp(h / len(qs) * qs[0])
+    for q in qs[1:]:
+        m = mat_exp(h / len(qs) * q) @ m
+    return m
+
+
+def _magnus(h: float, qs: list, nodes: tuple, p: int) -> np.ndarray:
+    qa, qb = qs
+    return mat_exp((0.5 * h) * (qa + qb)
+                   + (_SQ3 * h * h / 12.0) * (qb @ qa - qa @ qb))
+
+
+def _midpoints(k: int) -> tuple:
+    return tuple((2 * j + 1) / (2 * k) for j in range(k))
+
+
+# tag -> (kernel, sample nodes as fractions of the step)
+_STEPS = {
+    "ts1": (_dyson, (0.0,)),
+    "ts2": (_dyson, _midpoints(1)),
+    "lp2": (_dyson, _midpoints(2)),
+    "lp3": (_dyson, _midpoints(3)),
+    "lp4": (_dyson, _midpoints(4)),
+    "exp2a": (_exp, _midpoints(1)),
+    "exp2b": (_exp, _midpoints(2)),
+    "exp2c": (_exp, _midpoints(4)),
+    "mg4": (_magnus, (0.5 - _SQ3 / 6.0, 0.5 + _SQ3 / 6.0)),
+}
 
 
 def _check_span(profile, r: float, h: float) -> None:
@@ -189,15 +229,17 @@ def _check_span(profile, r: float, h: float) -> None:
 
 
 def _guard(h: float, q: np.ndarray) -> np.ndarray:
-    # spectral norm: the tightest of the standard choices, so legitimate
-    # steps (large-n partial waves on fine grids) are not rejected early;
-    # sqrt(|Q|_1 |Q|_inf) bounds it from above, sparing the SVD on the
-    # overwhelmingly common small-step path
+    # sqrt(|Q|_1 |Q|_inf) bounds |Q|_2 and spares the SVD on the common path.
+    # Past it, take the norm of D^-1 Q D, D = diag(I, sI) balancing the
+    # off-diagonal blocks: at kz = 0 the U/V scaling grows |Q|_2 as n^2 while
+    # the eigenvalues, which D keeps, stay small
     aq = np.abs(q)
-    bound = h * math.sqrt(aq.sum(axis=0).max() * aq.sum(axis=1).max())
-    if bound <= 20.0:
+    if h * math.sqrt(aq.sum(axis=0).max() * aq.sum(axis=1).max()) <= 20.0:
         return q
-    nrm = h * np.linalg.norm(q, 2)
+    k = q.shape[0] // 2
+    q2, q3 = np.linalg.norm(q[:k, k:]), np.linalg.norm(q[k:, :k])
+    d = np.repeat([1.0, math.sqrt(q3 / q2) if q2 > 0 and q3 > 0 else 1.0], k)
+    nrm = h * np.linalg.norm(q * d / d[:, None], 2)
     if nrm > 20.0:
         raise StepTooLarge(
             f"||h*Q|| = {nrm:.3g} exceeds 20 (exp overflow guard); "
@@ -211,51 +253,9 @@ def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
         raise ValueError("step must be positive")
     _check_span(profile, r, h)
     sch = get_scheme(scheme)
-    q_at = _sampler(profile, ctx)
-    tag = sch.tag
-
-    if tag == "ts1":
-        q = _guard(h, q_at(r))
-        m = np.eye(q.shape[0], dtype=complex) + h * q
-    elif tag == "ts2":
-        q = _guard(h, q_at(r + 0.5 * h))
-        m = (np.eye(q.shape[0], dtype=complex) + h * q
-             + (0.5 * h * h) * (q @ q))
-    elif tag == "exp2a":
-        q = _guard(h, q_at(r + 0.5 * h))
-        m = mat_exp(h * q)
-    elif tag == "exp2b":
-        qa = _guard(h, q_at(r + 0.25 * h))
-        qb = _guard(h, q_at(r + 0.75 * h))
-        m = mat_exp(0.5 * h * qb) @ mat_exp(0.5 * h * qa)
-    elif tag == "exp2c":
-        qs = [_guard(h, q_at(r + x * h)) for x in (0.125, 0.375, 0.625, 0.875)]
-        m = mat_exp(0.25 * h * qs[0])
-        for q in qs[1:]:
-            m = mat_exp(0.25 * h * q) @ m
-    elif tag == "mg4":
-        qa = _guard(h, q_at(r + h * (0.5 - _SQ3 / 6.0)))
-        qb = _guard(h, q_at(r + h * (0.5 + _SQ3 / 6.0)))
-        omega = (0.5 * h) * (qa + qb) + (_SQ3 * h * h / 12.0) * (qb @ qa - qa @ qb)
-        m = mat_exp(omega)
-    else:  # lp2 / lp3 / lp4
-        # Dyson series of the interpolant (module docstring); s[i] holds
-        # S_(i+1), and the d = e-1 term B_(e-1) S_0 needs no product
-        qs = np.stack([_guard(h, q_at(r + float(x) * h))
-                       for x in _LP_POINTS[tag]])
-        b = ((h * _lp_coefficients(tag)) @ qs.reshape(len(qs), -1)
-             ).reshape(qs.shape)
-        s = [b[0]]
-        m = np.eye(qs.shape[1], dtype=complex) + b[0]
-        for e in range(2, sch.nominal_order + 1):
-            se = b[e - 1].copy()
-            for d in range(e - 1):
-                se += b[d] @ s[e - d - 2]
-            se /= e
-            s.append(se)
-            m += se
-
-    return Matricant(m, r, r + h)
+    kernel, nodes = _STEPS[sch.tag]
+    qs = [_guard(h, q_matrix(profile, ctx, r + x * h).q) for x in nodes]
+    return Matricant(kernel(h, qs, nodes, sch.nominal_order), r, r + h)
 
 
 def matricant_global(profile, ctx, r0: float, r1: float, steps: int,

@@ -63,8 +63,8 @@ class ScatteringConfig:
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ValueError("need at least one layer")
-        if self.ka <= 0:
-            raise ValueError("ka must be positive")
+        if not 0 < self.ka < math.inf:
+            raise ValueError("ka must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.method not in ("integrate", "recursion"):

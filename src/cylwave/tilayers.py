@@ -222,19 +222,15 @@ _FALLBACK_BASIS = (1, 2)
 def _twopoint_for_basis(layer: LayerTI, ctx: WaveContext,
                         basis: tuple) -> TwoPointImpedance:
     r0, r1 = layer.r_inner, layer.r_outer
+    xs, ys = {}, {}
+    for l in basis:
+        for r in (r0, r1):
+            x = ti_displacement_matrix(l, layer, ctx, r)
+            xs[l, r] = x
+            ys[l, r] = -1j * (ti_conditional_impedance(l, layer, ctx, r).z @ x)
     la, lb = basis
-    xx = np.block([
-        [ti_displacement_matrix(la, layer, ctx, r0),
-         ti_displacement_matrix(lb, layer, ctx, r0)],
-        [ti_displacement_matrix(la, layer, ctx, r1),
-         ti_displacement_matrix(lb, layer, ctx, r1)],
-    ])
-    yy = np.block([
-        [ti_traction_matrix(la, layer, ctx, r0),
-         ti_traction_matrix(lb, layer, ctx, r0)],
-        [-ti_traction_matrix(la, layer, ctx, r1),
-         -ti_traction_matrix(lb, layer, ctx, r1)],
-    ])
+    xx = np.block([[xs[la, r0], xs[lb, r0]], [xs[la, r1], xs[lb, r1]]])
+    yy = np.block([[ys[la, r0], ys[lb, r0]], [-ys[la, r1], -ys[lb, r1]]])
     # the result is invariant under scaling a partial-wave column of both
     # blocks at once; normalizing keeps deeply evanescent columns (tiny J,
     # huge H at large n) from wrecking the conditioning

@@ -132,11 +132,32 @@ class TestParseConfig:
         ["scatter", "--profile", "{p}", "--ka", "1", "--scheme", "rk4"],
         ["impedance-trace", "--profile", "{p}", "--ka", "1",
          "--r0", "0.9", "--r1", "0.6"],
+        ["scatter", "--profile", "{p}", "--ka", "nan"],
+        ["scatter", "--profile", "{p}", "--ka", "inf"],
+        ["scatter", "--profile", "{p}", "--ka", "1", "--kz", "nan"],
+        ["scatter", "--profile", "{p}", "--ka", "1", "--kz", "inf"],
+        ["impedance-trace", "--profile", "{p}", "--ka", "1", "--r0", "nan"],
+        ["impedance-trace", "--profile", "{p}", "--ka", "1", "--r1", "inf"],
+        ["scatter", "--profile", "{p}", "--sweep", "1", "inf", "3"],
+        ["scatter", "--profile", "{p}", "--sweep", "nan", "2", "3"],
     ])
     def test_usage_errors(self, al_json, argv):
         argv = [a.format(p=al_json) if "{p}" in a else a for a in argv]
         with pytest.raises(UsageError):
             cli.parse_config(argv)
+
+    @pytest.mark.parametrize("run", [
+        {"ka": float("nan")}, {"ka": float("inf")},
+        {"ka": 1.0, "kz": float("nan")}, {"ka": 1.0, "r1": float("inf")},
+        {"sweep": [1.0, float("inf"), 3]}, {"sweep": [1.0, 2.0, float("inf")]},
+        {"ka": 1.0, "threads": float("inf")},
+    ])
+    def test_non_finite_run_object(self, tmp_path, run):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"layers": [_iso_layer(0.5, 1.0)],
+                                    "run": dict(run, command="scatter")}))
+        with pytest.raises(UsageError):
+            cli.parse_config(["--profile", str(path)])
 
     def test_schema_errors(self, tmp_path, al_json):
         bad = tmp_path / "bad.json"

@@ -289,6 +289,10 @@ class TestWaveContext:
             cw.WaveContext(omega=1.0, n=-2)
         with pytest.raises(ValueError):
             cw.WaveContext(omega=1.0, m=4)
+        for omega, kz in ((np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan),
+                          (1.0, -np.inf)):
+            with pytest.raises(ValueError):
+                cw.WaveContext(omega=omega, kz=kz)
 
     def test_block_swap(self):
         t = cw.block_swap(3)

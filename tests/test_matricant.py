@@ -300,6 +300,9 @@ def test_step_guard(al_profile):
     # fine grids at high order pass the guard
     ctx = cw.WaveContext(omega=10.0, n=16)
     cw.matricant_step(al_profile, ctx, 0.5, 1e-3, "lp4")
+    # at kz = 0, h*|Q|_2 = 26.6 here while max|eig(hQ)| = 0.04
+    ctx = cw.WaveContext(omega=8.0, n=19, m=2)
+    cw.matricant_step(al_profile, ctx, 0.5, 1e-3, "lp4")
 
 
 def test_step_outside_support(al_profile):

@@ -164,6 +164,14 @@ class TestSolve:
                     - np.array(ka5_integrate.b[:n]))
         assert db.max() < 1e-6
 
+    def test_routes_agree_past_the_norm_guard(self, al_layer):
+        # the tail orders at ka = 6 have h*|Q|_2 > 20 at the default steps;
+        # the balanced guard lets the march through them
+        integ = cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=6.0))
+        recur = cw.solve_scattering(cw.ScatteringConfig(
+            (al_layer,), ka=6.0, method="recursion"))
+        assert integ.sigma_tot == pytest.approx(recur.sigma_tot, rel=1e-9)
+
     def test_unitarity_of_solution(self, ka5_recursion):
         for bn in ka5_recursion.b:
             assert abs(abs(1 + 2 * bn) - 1) < 1e-10
@@ -241,6 +249,9 @@ class TestSolve:
             cw.ScatteringConfig(layers=(al_layer,), ka=0.0)
         with pytest.raises(ValueError):
             cw.ScatteringConfig(layers=(al_layer,), ka=1.0, steps=0)
+        for ka in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                cw.ScatteringConfig(layers=(al_layer,), ka=ka)
         with pytest.raises(ValueError):
             cw.ScatteringConfig(layers=(al_layer,), ka=1.0, method="magic")
 

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.special import jn_zeros
 
 import cylwave as cw
+from cylwave import tilayers
 from cylwave.errors import (BasisDegenerate, InterfaceResonance,
                             KzZeroCoupling, ModeResonance)
 from cylwave.tilayers import _twopoint_for_basis
@@ -227,6 +228,22 @@ class TestLayerTwoPoint:
         zz = cw.layer_twopoint(al_layer, ctx)
         assert np.all(np.isfinite(zz.z))
         assert cw.hermitian_residual(zz.z) < 1e-8
+
+    def test_each_basis_function_evaluated_once(self, al_layer, monkeypatch):
+        # 2 kinds x 2 radii, each X and z once: 3 wavenumbers apiece
+        calls = {"f": 0, "fp": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(tilayers, "cyl_f", counted("f", tilayers.cyl_f))
+        monkeypatch.setattr(tilayers, "cyl_f_prime",
+                            counted("fp", tilayers.cyl_f_prime))
+        cw.layer_twopoint(al_layer, cw.WaveContext(omega=5.0, n=1, kz=0.3))
+        assert calls == {"f": 24, "fp": 24}
 
     def test_degenerate_basis_pair_rejected(self, al_layer):
         ctx = cw.WaveContext(omega=5.0, n=1, kz=0.3)
