@@ -106,6 +106,16 @@ def _pick(flag, run_defaults: dict, key: str, fallback):
     return fallback
 
 
+def _whole(value, flag: str) -> int:
+    """An integer setting; a float must be finite and integral."""
+    if isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"{flag} must be an integer")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{flag} must be an integer") from None
+
+
 def parse_config(argv) -> RunConfig:
     ns = _build_parser().parse_args(argv)
 
@@ -156,10 +166,10 @@ def parse_config(argv) -> RunConfig:
     except ValueError as exc:
         raise UsageError(f"--scheme: {exc}") from None
 
-    steps = int(_pick(ns.steps, run_defaults, "steps", 500))
+    steps = _whole(_pick(ns.steps, run_defaults, "steps", 500), "--steps")
     if steps < 1:
         raise UsageError("--steps must be >= 1")
-    n = int(_pick(ns.n, run_defaults, "n", 0))
+    n = _whole(_pick(ns.n, run_defaults, "n", 0), "--n")
     if n < 0:
         raise UsageError("--n must be >= 0")
     kz = float(_pick(ns.kz, run_defaults, "kz", 0.0))

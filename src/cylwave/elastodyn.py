@@ -339,6 +339,23 @@ def has_z_mirror_symmetry(stiff: StiffnessVoigt, tol: float = 1e-12) -> bool:
     return all(abs(stiff[i, j]) <= tol * scale for i, j in _MONOCLINIC_ZERO)
 
 
+def _check_reduction(stiff: StiffnessVoigt, ctx: WaveContext) -> None:
+    """Refuse an m < 3 reduction where the motions do not decouple."""
+    if ctx.kz != 0.0:
+        raise DecouplingError("m<3 reduction requires kz = 0")
+    mirror = getattr(stiff, "_zmirror", None)
+    if mirror is None:
+        mirror = has_z_mirror_symmetry(stiff)
+        object.__setattr__(stiff, "_zmirror", mirror)
+    if not mirror:
+        raise DecouplingError(
+            "m<3 reduction requires z-normal mirror symmetry of the moduli")
+
+
+def _state_index(m: int) -> np.ndarray:
+    return _INPLANE_IDX if m == 2 else _AXIAL_IDX if m == 1 else np.arange(6)
+
+
 def q_matrix(profile, ctx: WaveContext, r: float) -> SystemMatrix:
     """System matrix Q(r) = (i/r) G(r), reduced to 2m x 2m when ctx.m < 3.
 
@@ -359,18 +376,78 @@ def q_matrix(profile, ctx: WaveContext, r: float) -> SystemMatrix:
     q6 = (1j / r) * g
     if ctx.m == 3:
         return SystemMatrix(q=q6, r=float(r))
-
-    if ctx.kz != 0.0:
-        raise DecouplingError("m<3 reduction requires kz = 0")
-    mirror = getattr(mp.stiffness, "_zmirror", None)
-    if mirror is None:
-        mirror = has_z_mirror_symmetry(mp.stiffness)
-        object.__setattr__(mp.stiffness, "_zmirror", mirror)
-    if not mirror:
-        raise DecouplingError(
-            "m<3 reduction requires z-normal mirror symmetry of the moduli")
-    idx = _INPLANE_IDX if ctx.m == 2 else _AXIAL_IDX
+    _check_reduction(mp.stiffness, ctx)
+    idx = _state_index(ctx.m)
     return SystemMatrix(q=q6[np.ix_(idx, idx)], r=float(r))
+
+
+def _q_sampler(profile, ctxs):
+    """Q at many radii for a stack of contexts that share m.
+
+    Returns ``sample(r, toward)``, an array of shape
+    r.shape + (len(ctxs), 2m, 2m) holding Q(r) for every radius and
+    context; the radii must lie in the profile's support.  A radius on an
+    interface of a piecewise profile takes the layer on the side of
+    ``toward`` (same shape as r), so a step that starts or ends on an
+    interface sees the layer it spans.
+
+    On a piecewise profile i G = P0 + kz r P1 + r^2 P2 in each layer, with
+    P0, P1, P2 built once per context from the cached ``_g_parts`` and
+    combined in g_matrix's order, so the samples equal q_matrix's.  Smooth
+    profiles and the ``q_at`` hook go through q_matrix radius by radius.
+    """
+    m = ctxs[0].m
+    if (getattr(profile, "q_at", None) is not None
+            or getattr(profile, "layers", None) is None):
+        def sample(r, toward):
+            r = np.asarray(r, dtype=float)
+            q = np.array([[q_matrix(profile, ctx, x).q for ctx in ctxs]
+                          for x in r.ravel().tolist()])
+            return q.reshape(r.shape + q.shape[1:])
+        return sample
+
+    idx = _state_index(m)
+    sub = np.ix_(idx, idx)
+    kz = np.array([ctx.kz for ctx in ctxs])
+    polys = []
+    for (_, _, mp) in profile.layers:
+        if m < 3:
+            for ctx in ctxs:
+                _check_reduction(mp.stiffness, ctx)
+        g1a, g1b, g2, g3a, g3b, g3c = (np.array(x) for x in zip(
+            *(_g_parts(mp.stiffness, ctx.n, ctx.kz) for ctx in ctxs)))
+        rw2 = np.array([mp.rho * ctx.omega ** 2 for ctx in ctxs])
+        # g_matrix's blocks split by powers of r; products with i are exact,
+        # so summing them in g_matrix's order repeats its rounding
+        p = np.zeros((3, len(ctxs), 6, 6), dtype=complex)
+        p[0, :, :3, :3] = g1a
+        p[0, :, :3, 3:] = 1j * g2
+        p[0, :, 3:, :3] = 1j * g3a
+        p[0, :, 3:, 3:] = -g1a.conj().transpose(0, 2, 1)
+        p[1, :, :3, :3] = -(1j * g1b)
+        p[1, :, 3:, :3] = 1j * (1j * g3b)
+        p[1, :, 3:, 3:] = (1j * g1b).conj().transpose(0, 2, 1)
+        p[2, :, 3:, :3] = 1j * (g3c - rw2[:, None, None] * np.eye(3))
+        polys.append(p[(slice(None), slice(None)) + sub])
+    cuts = np.array([lay[1] for lay in profile.layers[:-1]])
+
+    def sample(r, toward):
+        r = np.asarray(r, dtype=float)
+        # material_at's rule (r <= r_out + 1e-12 is inside), then a radius on
+        # an interface moves to the side of `toward`
+        which = np.searchsorted(cuts + 1e-12, r)
+        if cuts.size:
+            near = cuts[np.minimum(which, cuts.size - 1)]
+            which = which + ((np.abs(r - near) <= 1e-12) & (toward > r))
+        out = np.empty(r.shape + (len(ctxs), 2 * m, 2 * m), dtype=complex)
+        for k, p in enumerate(polys):
+            mask = which == k
+            rk = r[mask][:, None, None, None]
+            ig = p[0] + (kz[:, None, None] * rk) * p[1] + (rk * rk) * p[2]
+            out[mask] = (1j / rk) * (-1j * ig)
+        return out
+
+    return sample
 
 
 # ---------------------------------------------------------------------------

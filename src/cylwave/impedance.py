@@ -9,6 +9,16 @@ equation.  Direct integration of that equation blows up at impedance poles
 the fractional-linear (Moebius) action of short-span matricants, which passes
 through poles projectively.  A deliberately naive Runge-Kutta integrator is
 kept for demonstrating the instability.
+
+The march is sequential in r only.  It advances a stack of entries (the
+partial-wave orders of one solve, or the single one of integrate_impedance)
+together, in blocks of _BLOCK_STEPS steps: the propagators of a block come
+from one batched sampling of Q and one kernel call, and the Moebius update
+runs on the whole stack per step.  An entry that fails (a step past the
+guard, an overflowing exponential or a singular Moebius denominator) leaves
+the stack with its typed error and the others march on; integrate_impedance
+raises it, a scattering solve only when its truncation walk reaches that
+order.
 """
 from __future__ import annotations
 
@@ -16,12 +26,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateSpan, PoleCrossing, ResonantInner,
-                     SingularMatrix)
-from .matricant import Matricant, matricant_step
-from .numkernel import mat_inverse
+from .elastodyn import _q_sampler
+from .errors import (DegenerateSpan, Overflow, PoleCrossing, ResonantInner,
+                     SingularMatrix, StepTooLarge)
+from .matricant import Matricant, _check_span, _step_kernel, _step_samples
+from .numkernel import _norm1, mat_inverse
 
 _POLE_COND = 1e14
+# steps whose propagators are held at once: it bounds the march's memory at
+# (nodes x 10 x orders) sampled matrices
+_BLOCK_STEPS = 10
+# the failures that stop one entry of a stacked march, not the others
+_ENTRY_FAILURES = (StepTooLarge, Overflow, SingularMatrix)
 
 
 @dataclass(frozen=True)
@@ -108,6 +124,16 @@ def admittance_rhs(a, q) -> np.ndarray:
     return -1j * (am @ q3 @ am) - am @ q4 + q1 @ am - 1j * q2
 
 
+def _mobius(z: np.ndarray, m: np.ndarray) -> tuple:
+    """z' = i (M3 - i M4 z)(M1 - i M2 z)^-1 over a stack, and the 1-norm
+    condition number of each denominator."""
+    k = z.shape[-1]
+    den = m[..., :k, :k] - 1j * (m[..., :k, k:] @ z)
+    den_inv = mat_inverse(den)
+    znew = 1j * ((m[..., k:, :k] - 1j * (m[..., k:, k:] @ z)) @ den_inv)
+    return znew, _norm1(den) * _norm1(den_inv)
+
+
 def mobius_step(z: ConditionalImpedance, m: Matricant) -> ConditionalImpedance:
     """Advance z by the fractional-linear action of a matricant:
 
@@ -118,20 +144,72 @@ def mobius_step(z: ConditionalImpedance, m: Matricant) -> ConditionalImpedance:
     the map itself stays finite on either side of the pole, so marching
     continues.
     """
-    zm = _zmat(z)
-    den = m.m1 - 1j * (m.m2 @ zm)
-    den_inv = mat_inverse(den)
+    znew, cond = _mobius(_zmat(z), m.m)
     events = z.events
-    cond = np.linalg.norm(den, 1) * np.linalg.norm(den_inv, 1)
     if cond > _POLE_COND:
         events = events + (PoleCrossing(m.r_to, float(cond)),)
-    znew = 1j * ((m.m3 - 1j * (m.m4 @ zm)) @ den_inv)
     return ConditionalImpedance(znew, m.r_to, events)
 
 
 def impedance_from_matricant(m: Matricant, z0: ConditionalImpedance) -> ConditionalImpedance:
     """Same fractional-linear formula applied with a full-span matricant."""
     return mobius_step(z0, m)
+
+
+def _march_block(sample, z, r, h, propagators, nodes) -> tuple:
+    """Advance the stack z over the steps starting at radii r; returns the
+    new stack and the (entry, PoleCrossing) records of the block."""
+    mats = propagators(h, _step_samples(sample, r, h, nodes))
+    events = []
+    for ri, mi in zip(r, mats):
+        z, cond = _mobius(z, mi)
+        for j in np.flatnonzero(cond > _POLE_COND):
+            events.append((j, PoleCrossing(float(ri + h), float(cond[j]))))
+    return z, events
+
+
+def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int,
+           scheme) -> list:
+    """March every entry (ctxs[j], z0s[j]) from r0 to r1 in equal steps.
+
+    Returns per entry the ConditionalImpedance at r1, or the typed error
+    that stopped it.  A block that fails is retried entry by entry, which
+    finds the failing entries and lets the others go on.
+    """
+    h = (r1 - r0) / steps
+    _check_span(profile, r0, r1 - r0)
+    propagators, nodes = _step_kernel(scheme)
+    z = np.array([_zmat(z0) for z0 in z0s])
+    events = [tuple(getattr(z0, "events", ())) for z0 in z0s]
+    out = [None] * len(ctxs)
+    live = list(range(len(ctxs)))
+    sample = _q_sampler(profile, ctxs)
+    for start in range(0, steps, _BLOCK_STEPS):
+        r = r0 + np.arange(start, min(start + _BLOCK_STEPS, steps)) * h
+        try:
+            z[live], found = _march_block(sample, z[live], r, h,
+                                          propagators, nodes)
+            found = [(live[j], ev) for j, ev in found]
+        except _ENTRY_FAILURES:
+            found = []
+            for j in list(live):
+                try:
+                    z[[j]], ev = _march_block(_q_sampler(profile, [ctxs[j]]),
+                                              z[[j]], r, h, propagators,
+                                              nodes)
+                    found += [(j, e) for _, e in ev]
+                except _ENTRY_FAILURES as err:
+                    out[j] = err
+                    live.remove(j)
+            if not live:
+                break
+            sample = _q_sampler(profile, [ctxs[j] for j in live])
+        for j, ev in found:
+            events[j] += (ev,)
+    r_end = r0 + (steps - 1) * h + h
+    for j in live:
+        out[j] = ConditionalImpedance(z[j], r_end, events[j])
+    return out
 
 
 def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
@@ -141,17 +219,15 @@ def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
     A global matricant is never formed; each step's propagator spans only
     h = (r1-r0)/steps, which is what keeps the growing solutions from
     swamping the result.  PoleCrossing events accumulate on the returned
-    impedance.
+    impedance.  This is the stacked march with a stack of one.
     """
     if not r0 < r1:
         raise ValueError("need r0 < r1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    h = (r1 - r0) / steps
-    z = ConditionalImpedance(_zmat(z0), r0, getattr(z0, "events", ()))
-    for i in range(steps):
-        m = matricant_step(profile, ctx, r0 + i * h, h, scheme)
-        z = mobius_step(z, m)
+    (z,) = _march(profile, [ctx], [z0], r0, r1, steps, scheme)
+    if isinstance(z, Exception):
+        raise z
     return z
 
 

@@ -18,13 +18,18 @@ with S_0 = I and S_e = (1/e) sum_(d<e) B_d S_(e-d-1).  So ts1 is I + hQ(r),
 ts2 is I + hQ + (hQ)^2 / 2 at the midpoint, and for constant Q an lp step is
 the exponential series truncated after (hQ)^p / p!.
 
-No scheme needs derivatives of Q.  On a piecewise profile a ts1 step that
-starts on an interface sees the inner layer; the other schemes sample only
-interior abscissae of the step.
+The kernels and the step guard act on stacks: the samples arrive as one
+array (nodes, *batch, 2m, 2m) and every step of the batch, over steps and
+partial-wave orders alike, is computed in one pass.  matricant_step is a
+batch of one; the impedance march feeds whole blocks of steps.
+
+No scheme needs derivatives of Q.  A node on an interface of a piecewise
+profile takes the layer its step spans, so a ts1 step that starts on an
+interface sees the outer layer; the other schemes sample only interior
+abscissae of the step.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elastodyn import q_matrix
+from .elastodyn import _q_sampler
 from .errors import DuplicatePoints, MatricantOverflow, OutOfSupport, StepTooLarge
 from .numkernel import mat_exp
 
@@ -168,16 +173,16 @@ def _dyson_coefficients(nodes: tuple, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single steps: three kernels over the samples qs[j] = Q(r + x_j h)
+# single steps: three kernels over the samples qs[j] = Q(r + x_j h), each an
+# array (*batch, s, s); the kernels return the propagators (*batch, s, s)
 
 
-def _dyson(h: float, qs: list, nodes: tuple, p: int) -> np.ndarray:
+def _dyson(h: float, qs: np.ndarray, nodes: tuple, p: int) -> np.ndarray:
     # s[i] holds S_(i+1); the d = e-1 term B_(e-1) S_0 needs no product
-    qs = np.stack(qs)
     b = ((h * _dyson_coefficients(nodes, p)) @ qs.reshape(len(qs), -1)
          ).reshape((p,) + qs.shape[1:])
     s = [b[0]]
-    m = np.eye(qs.shape[1], dtype=complex) + b[0]
+    m = np.eye(qs.shape[-1], dtype=complex) + b[0]
     for e in range(2, p + 1):
         se = b[e - 1].copy()
         for d in range(e - 1):
@@ -188,14 +193,15 @@ def _dyson(h: float, qs: list, nodes: tuple, p: int) -> np.ndarray:
     return m
 
 
-def _exp(h: float, qs: list, nodes: tuple, p: int) -> np.ndarray:
-    m = mat_exp(h / len(qs) * qs[0])
-    for q in qs[1:]:
-        m = mat_exp(h / len(qs) * q) @ m
+def _exp(h: float, qs: np.ndarray, nodes: tuple, p: int) -> np.ndarray:
+    es = mat_exp(h / len(qs) * qs)
+    m = es[0]
+    for e in es[1:]:
+        m = e @ m
     return m
 
 
-def _magnus(h: float, qs: list, nodes: tuple, p: int) -> np.ndarray:
+def _magnus(h: float, qs: np.ndarray, nodes: tuple, p: int) -> np.ndarray:
     qa, qb = qs
     return mat_exp((0.5 * h) * (qa + qb)
                    + (_SQ3 * h * h / 12.0) * (qb @ qa - qa @ qb))
@@ -219,6 +225,17 @@ _STEPS = {
 }
 
 
+def _step_kernel(scheme):
+    """propagators(h, qs) of the scheme, and its sample nodes."""
+    sch = get_scheme(scheme)
+    kernel, nodes = _STEPS[sch.tag]
+
+    def propagators(h, qs):
+        return kernel(h, qs, nodes, sch.nominal_order)
+
+    return propagators, nodes
+
+
 def _check_span(profile, r: float, h: float) -> None:
     support = getattr(profile, "support", None)
     if support is not None:
@@ -234,12 +251,20 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
     # off-diagonal blocks: at kz = 0 the U/V scaling grows |Q|_2 as n^2 while
     # the eigenvalues, which D keeps, stay small
     aq = np.abs(q)
-    if h * math.sqrt(aq.sum(axis=0).max() * aq.sum(axis=1).max()) <= 20.0:
+    over = h * np.sqrt(aq.sum(axis=-2).max(axis=-1)
+                       * aq.sum(axis=-1).max(axis=-1)) > 20.0
+    if not over.any():
         return q
-    k = q.shape[0] // 2
-    q2, q3 = np.linalg.norm(q[:k, k:]), np.linalg.norm(q[k:, :k])
-    d = np.repeat([1.0, math.sqrt(q3 / q2) if q2 > 0 and q3 > 0 else 1.0], k)
-    nrm = h * np.linalg.norm(q * d / d[:, None], 2)
+    qo = q[over]
+    k = q.shape[-1] // 2
+    q2 = np.linalg.norm(qo[:, :k, k:], axis=(-2, -1))
+    q3 = np.linalg.norm(qo[:, k:, :k], axis=(-2, -1))
+    both = (q2 > 0) & (q3 > 0)
+    s = np.sqrt(np.divide(q3, q2, out=np.ones_like(q2), where=both))
+    d = np.concatenate([np.ones((len(qo), k)), np.repeat(s[:, None], k, 1)],
+                       axis=1)
+    nrm = (h * np.linalg.norm(qo * d[:, None, :] / d[:, :, None], 2,
+                              axis=(-2, -1))).max()
     if nrm > 20.0:
         raise StepTooLarge(
             f"||h*Q|| = {nrm:.3g} exceeds 20 (exp overflow guard); "
@@ -247,15 +272,21 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _step_samples(sample, r: np.ndarray, h: float, nodes: tuple) -> np.ndarray:
+    """Guarded Q at the nodes of the steps [r, r + h]: an array
+    (nodes, steps, contexts, s, s) from a sampler of elastodyn._q_sampler."""
+    x = r + (np.array(nodes) * h)[:, None]
+    return _guard(h, sample(x, np.broadcast_to(r + 0.5 * h, x.shape)))
+
+
 def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
     """One-step propagator M(r+h, r) for the chosen scheme."""
     if h <= 0:
         raise ValueError("step must be positive")
     _check_span(profile, r, h)
-    sch = get_scheme(scheme)
-    kernel, nodes = _STEPS[sch.tag]
-    qs = [_guard(h, q_matrix(profile, ctx, r + x * h).q) for x in nodes]
-    return Matricant(kernel(h, qs, nodes, sch.nominal_order), r, r + h)
+    propagators, nodes = _step_kernel(scheme)
+    qs = _step_samples(_q_sampler(profile, [ctx]), np.array([r]), h, nodes)
+    return Matricant(propagators(h, qs)[0, 0], r, r + h)
 
 
 def matricant_global(profile, ctx, r0: float, r1: float, steps: int,

@@ -1,7 +1,10 @@
 """Small dense complex linear algebra: inversion, matrix exponential, norms.
 
-Everything here operates on square complex matrices of modest size (3x3 and
-6x6 dominate), so plain LAPACK-backed dense routines are the right tool.
+Everything here operates on square complex matrices of modest size (2x2 to
+6x6), so plain LAPACK-backed dense routines are the right tool.  The inverse
+and the exponential also take a stack of them, with any leading axes, and
+work matrix by matrix: a stack fails with the same typed error as its worst
+member.
 """
 from __future__ import annotations
 
@@ -22,15 +25,14 @@ _PADE6 = np.array([
 
 
 def mat_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square complex matrix via LU with partial pivoting.
+    """Inverse of a square complex matrix, or a stack of them, via LU with
+    partial pivoting.
 
     Raises SingularMatrix (with a condition estimate when one can be formed)
-    if the factorization hits a vanishing pivot or produces non-finite
+    if a factorization hits a vanishing pivot or produces non-finite
     entries.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {a.shape}")
+    a = _square(a)
     try:
         b = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -41,10 +43,22 @@ def mat_inverse(a: np.ndarray) -> np.ndarray:
     return b
 
 
+def _square(a) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    return a
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Matrix 1-norm (largest column sum) of each matrix of a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
 def _cond_estimate(a: np.ndarray) -> float:
     try:
         with np.errstate(all="ignore"):
-            c = float(abs(np.linalg.cond(a, 1)))
+            c = float(np.max(np.abs(np.linalg.cond(a, 1))))
     except np.linalg.LinAlgError:
         return float("inf")
     return c if np.isfinite(c) else float("inf")
@@ -53,26 +67,25 @@ def _cond_estimate(a: np.ndarray) -> float:
 def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Pade [6/6] core.
 
-    The input is scaled until its 1-norm is at most 0.5, which keeps the
-    rational approximation error far below double-precision round-off, then
-    squared back up.
+    Each matrix of the stack is scaled by its own power of two until its
+    1-norm is at most 0.5, which keeps the rational approximation error far
+    below double-precision round-off, then squared back up.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {a.shape}")
+    a = _square(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of non-finite input")
-    nrm = np.linalg.norm(a, 1)
-    s = 0
-    if nrm > 0.5:
-        s = int(np.ceil(np.log2(nrm / 0.5)))
-    x = a / (2.0 ** s)
+    with np.errstate(over="ignore"):
+        s = np.ceil(np.log2(np.maximum(_norm1(a), 0.5) / 0.5))
+    if not np.all(np.isfinite(s)):
+        raise Overflow("matrix exponential input beyond floating-point range")
+    s = s.astype(int)
+    x = a * np.ldexp(1.0, -s)[..., None, None]
 
-    n = a.shape[0]
+    eye = np.eye(a.shape[-1])
     x2 = x @ x
     # numerator/denominator share even and odd parts: D = N(-x)
-    even = _PADE6[0] * np.eye(n) + _PADE6[2] * x2
-    odd = _PADE6[1] * np.eye(n) + _PADE6[3] * x2
+    even = _PADE6[0] * eye + _PADE6[2] * x2
+    odd = _PADE6[1] * eye + _PADE6[3] * x2
     x4 = x2 @ x2
     even = even + _PADE6[4] * x4
     odd = odd + _PADE6[5] * x4
@@ -85,9 +98,10 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise SingularMatrix("Pade denominator singular") from None
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            e = e @ e
-            if not np.all(np.isfinite(e)):
+        for k in range(int(s.max(initial=0))):
+            more = s > k
+            e[more] = e[more] @ e[more]
+            if not np.all(np.isfinite(e[more])):
                 raise Overflow(
                     "matrix exponential overflowed floating-point range")
     if not np.all(np.isfinite(e)):

@@ -7,10 +7,19 @@ convention e^{-i omega t}, outgoing waves carried by H(1).
 The elastic side enters only through the scalar surface impedance z0,
 obtained from the conditional impedance matrix at r = a by eliminating the
 tangential displacement components under zero tangential traction.
+
+One truncation walk over the orders n serves both routes.  The integrate
+route marches every order up to the cap in one stacked Moebius march before
+the walk starts; the recursion route computes each order when the walk
+reaches it.  A typed error of an order (its inner impedance, the step
+guard, an overflowing exponential, a singular Moebius denominator), and any
+warning its inner impedance emitted, surfaces only if the walk reaches that
+order, so orders past the early stop never fail a solve.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +27,10 @@ from scipy import special
 
 from .cylfun import KIND_H1, KIND_J, cyl_f, cyl_f_prime
 from .elastodyn import RadialProfile, WaveContext
-from .errors import InteriorPoint, SingularMatrix, TangentialResonance
-from .impedance import (ConditionalImpedance, conditional_from_twopoint,
-                        integrate_impedance)
+from .errors import (CylwaveError, InteriorPoint, SingularMatrix,
+                     TangentialResonance)
+from .impedance import (ConditionalImpedance, _march,
+                        conditional_from_twopoint)
 from .numkernel import mat_inverse
 from .tilayers import LayerTI, global_twopoint, ti_conditional_impedance
 
@@ -169,6 +179,38 @@ def _inner_impedance_3x3(config: ScatteringConfig,
     raise ValueError("inner_impedance must be a scalar, 2x2 or 3x3 matrix")
 
 
+def _integrated_orders(config: ScatteringConfig, omega: float,
+                       n_cap: int) -> list:
+    """Per order 0..n_cap, z(a) from one stacked march or the typed error
+    of that order (its inner impedance or its march), with the warnings its
+    inner impedance emitted, held back until the walk reaches it."""
+    layers = config.layers
+    profile = RadialProfile.piecewise(
+        [(lay.r_inner, lay.r_outer, lay.material()) for lay in layers])
+    out = []
+    ctxs, z0s, orders = [], [], []
+    for n in range(n_cap + 1):
+        z = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                z_in3 = _inner_impedance_3x3(
+                    config, WaveContext(omega=omega, n=n, kz=0.0, m=3))
+            except CylwaveError as exc:
+                z = exc
+        out.append((z, tuple(caught)))
+        if z is None:
+            ctxs.append(WaveContext(omega=omega, n=n, kz=0.0, m=2))
+            z0s.append(z_in3[:2, :2])
+            orders.append(n)
+    if orders:
+        marched = _march(profile, ctxs, z0s, layers[0].r_inner,
+                         layers[-1].r_outer, config.steps, config.scheme)
+        for n, z in zip(orders, marched):
+            out[n] = (z, out[n][1])
+    return out
+
+
 def solve_scattering(config: ScatteringConfig) -> ScatteringResult:
     """Run the partial-wave pipeline for one frequency.
 
@@ -181,7 +223,8 @@ def solve_scattering(config: ScatteringConfig) -> ScatteringResult:
     sums, which is exact for this geometry.
 
     Truncation: hard cap n_max (default 2*ceil(ka) + 12), early stop once
-    |B_n| < 1e-10 twice in a row.
+    |B_n| < 1e-10 twice in a row; an order's typed error is raised only if
+    the walk reaches it (see the module docstring).
     """
     layers = config.layers
     a = layers[-1].r_outer
@@ -192,24 +235,28 @@ def solve_scattering(config: ScatteringConfig) -> ScatteringResult:
     fluid = FluidHalfSpace(k=config.ka / a)
 
     if config.method == "integrate":
-        profile = RadialProfile.piecewise(
-            [(lay.r_inner, lay.r_outer, lay.material()) for lay in layers])
-        r_in = layers[0].r_inner
+        marched = _integrated_orders(config, omega, n_cap)
+
+        def surface(n: int) -> ConditionalImpedance:
+            z, caught = marched[n]
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename,
+                                       w.lineno)
+            if isinstance(z, Exception):
+                raise z
+            return z
+    else:
+        def surface(n: int) -> ConditionalImpedance:
+            ctx3 = WaveContext(omega=omega, n=n, kz=0.0, m=3)
+            z_in3 = _inner_impedance_3x3(config, ctx3)
+            return conditional_from_twopoint(global_twopoint(layers, ctx3),
+                                             z_in3)
 
     bs = []
     small_run = 0
     for n in range(n_cap + 1):
-        ctx3 = WaveContext(omega=omega, n=n, kz=0.0, m=3)
-        z_in3 = _inner_impedance_3x3(config, ctx3)
-        if config.method == "integrate":
-            ctx2 = WaveContext(omega=omega, n=n, kz=0.0, m=2)
-            za = integrate_impedance(profile, ctx2, z_in3[:2, :2],
-                                     r_in, a, config.steps, config.scheme)
-        else:
-            zg = global_twopoint(layers, ctx3)
-            za = conditional_from_twopoint(zg, z_in3)
-        z0 = scalar_impedance_z0(za)
-        bn = scattering_coefficient(n, config.ka, fluid.K, z0)
+        bn = scattering_coefficient(n, config.ka, fluid.K,
+                                    scalar_impedance_z0(surface(n)))
         bs.append(bn)
         if abs(bn) < _B_TAIL:
             small_run += 1

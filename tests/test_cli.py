@@ -151,6 +151,9 @@ class TestParseConfig:
         {"ka": 1.0, "kz": float("nan")}, {"ka": 1.0, "r1": float("inf")},
         {"sweep": [1.0, float("inf"), 3]}, {"sweep": [1.0, 2.0, float("inf")]},
         {"ka": 1.0, "threads": float("inf")},
+        {"ka": 1.0, "steps": float("inf")}, {"ka": 1.0, "steps": float("nan")},
+        {"ka": 1.0, "steps": 2.5}, {"ka": 1.0, "n": float("nan")},
+        {"ka": 1.0, "n": float("inf")}, {"ka": 1.0, "n": 1.5},
     ])
     def test_non_finite_run_object(self, tmp_path, run):
         path = tmp_path / "run.json"

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cylwave as cw
-from cylwave.elastodyn import has_z_mirror_symmetry, voigt_blocks
+from cylwave.elastodyn import _q_sampler, has_z_mirror_symmetry, voigt_blocks
 from cylwave.errors import DecouplingError, OutOfSupport, SchemaError
 
 AL_C44 = 26.0e9 / cw.MODULUS_SCALE
@@ -221,9 +221,11 @@ class TestQMatrix:
         assert_allclose(axial, full[np.ix_([2, 5], [2, 5])], atol=0)
 
     def test_reduction_needs_kz0(self, al_profile):
+        ctx = cw.WaveContext(omega=5.0, kz=0.4, m=2)
         with pytest.raises(DecouplingError):
-            cw.q_matrix(al_profile,
-                        cw.WaveContext(omega=5.0, kz=0.4, m=2), 0.7)
+            cw.q_matrix(al_profile, ctx, 0.7)
+        with pytest.raises(DecouplingError):
+            _q_sampler(al_profile, [cw.WaveContext(omega=5.0, m=2), ctx])
 
     def test_reduction_needs_mirror_symmetry(self):
         c = np.zeros((6, 6))
@@ -234,6 +236,27 @@ class TestQMatrix:
         assert not has_z_mirror_symmetry(mp.stiffness)
         with pytest.raises(DecouplingError):
             cw.q_matrix(prof, cw.WaveContext(omega=5.0, m=2), 0.7)
+        with pytest.raises(DecouplingError):
+            _q_sampler(prof, [cw.WaveContext(omega=5.0, m=2)])
+
+    @pytest.mark.parametrize("m, kz", [(1, 0.0), (2, 0.0), (3, 0.0), (3, 0.7)])
+    def test_sampler_equals_q_matrix(self, al, m, kz):
+        # the batched sampler is q_matrix at every (radius, order), bit for
+        # bit; a radius on the interface takes the side of `toward`
+        steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
+        prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
+        ctxs = [cw.WaveContext(omega=4.0 + n, n=n, kz=kz, m=m)
+                for n in range(4)]
+        r = np.array([[0.5, 0.61, 0.75], [0.75, 0.9, 1.0]])
+        toward = np.array([[0.6, 0.7, 0.7], [0.8, 0.95, 0.9]])
+        q = _q_sampler(prof, ctxs)(r, toward)
+        assert q.shape == (2, 3, 4, 2 * m, 2 * m)
+        for i, j in np.ndindex(r.shape):
+            layer = cw.RadialProfile.uniform(
+                al if toward[i, j] < 0.75 else steel, 0.5, 1.0)
+            for k, ctx in enumerate(ctxs):
+                assert np.array_equal(
+                    q[i, j, k], cw.q_matrix(layer, ctx, r[i, j]).q)
 
     def test_synthetic_q_at_hook(self):
         class Const:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import cylwave as cw
 from cylwave.errors import DegenerateSpan, PoleCrossing, ResonantInner
+from cylwave.impedance import _march
 
 AL_CTX = cw.WaveContext(omega=5.0, n=0)
 
@@ -192,6 +193,35 @@ class TestIntegrate:
         out = cw.integrate_impedance(al_profile, AL_CTX, z0, 0.5, 0.6, 5,
                                      "exp2a")
         assert out.events[0] is ev
+
+
+    def test_stacked_march_keeps_events_per_entry(self):
+        # Q = [[0, W], [-W, 0]] turns each channel by w h per step; from
+        # z0 = 0 the first channel meets a pole at r = 0.55, while
+        # the second entry starts a quarter turn off and never lands on one
+        class _Turn:
+            support = (0.0, 1.0)
+
+            def q_at(self, r, ctx):
+                return np.block([[np.zeros((2, 2)), np.diag([w, 1.0])],
+                                 [-np.diag([w, 1.0]), np.zeros((2, 2))]])
+
+        w = np.pi / 0.1
+        prof = _Turn()
+        ctx = cw.WaveContext(omega=1.0, m=2)
+        z0s = [np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0])]
+        stacked = _march(prof, [ctx, ctx], z0s, 0.5, 0.62, 12, "exp2a")
+        alone = [cw.integrate_impedance(prof, ctx, z0, 0.5, 0.62, 12, "exp2a")
+                 for z0 in z0s]
+        # the steps onto and off the pole both have a near-singular
+        # denominator
+        assert [e.r for e in alone[0].events] == pytest.approx([0.55, 0.56])
+        assert not alone[1].events
+        for got, want in zip(stacked, alone):
+            assert [(e.r, e.cond) for e in got.events] \
+                == [(e.r, e.cond) for e in want.events]
+            assert_allclose(got.z, want.z, rtol=1e-13, atol=0)
+            assert got.r == want.r
 
 
 class TestTwoPointConversions:

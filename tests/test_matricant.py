@@ -305,6 +305,18 @@ def test_step_guard(al_profile):
     cw.matricant_step(al_profile, ctx, 0.5, 1e-3, "lp4")
 
 
+def test_ts1_step_on_interface_uses_outer_layer(al):
+    # the step [0.75, 0.75 + h] spans the outer layer, so its left-end
+    # sample must come from there, not from the inner layer ending at 0.75
+    steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
+    prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
+    ctx = cw.WaveContext(omega=5.0, n=2)
+    h = 0.01
+    m = cw.matricant_step(prof, ctx, 0.75, h, "ts1").m
+    q = cw.q_matrix(cw.RadialProfile.uniform(steel, 0.5, 1.0), ctx, 0.75).q
+    assert_allclose(m, np.eye(6) + h * q, rtol=0, atol=1e-15)
+
+
 def test_step_outside_support(al_profile):
     ctx = cw.WaveContext(omega=5.0)
     with pytest.raises(OutOfSupport):

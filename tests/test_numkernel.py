@@ -40,6 +40,19 @@ class TestInverse:
         with pytest.raises(ValueError):
             mat_inverse(np.ones((2, 3)))
 
+    def test_stack_equals_loop(self):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((3, 5, 4, 4)) \
+            + 1j * rng.standard_normal((3, 5, 4, 4))
+        got = mat_inverse(a)
+        for i in np.ndindex(a.shape[:2]):
+            assert np.array_equal(got[i], mat_inverse(a[i]))
+
+    def test_stack_with_singular_member_raises(self):
+        a = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])])
+        with pytest.raises(SingularMatrix):
+            mat_inverse(a)
+
 
 class TestExp:
     def test_zero(self):
@@ -93,6 +106,25 @@ class TestExp:
     def test_overflow_raises(self):
         with pytest.raises(Overflow):
             mat_exp(np.diag([800.0, 800.0]))
+        # a 1-norm near the float limit leaves no power of two to scale by
+        with pytest.raises(Overflow):
+            mat_exp(np.diag([1e308, 0.0]))
+
+    def test_stack_equals_loop(self):
+        # each matrix keeps its own scaling: the norms span 1e-3 to 40
+        rng = np.random.default_rng(37)
+        a = rng.standard_normal((4, 6, 4, 4)) \
+            + 1j * rng.standard_normal((4, 6, 4, 4))
+        a *= np.geomspace(1e-3, 40.0, 24).reshape(4, 6, 1, 1) \
+            / np.abs(a).sum(axis=-2).max(axis=-1)[..., None, None]
+        a[0, 0] = 0.0
+        got = mat_exp(a)
+        for i in np.ndindex(a.shape[:2]):
+            assert np.array_equal(got[i], mat_exp(a[i]))
+
+    def test_stack_with_overflowing_member_raises(self):
+        with pytest.raises(Overflow):
+            mat_exp(np.stack([np.eye(2), np.diag([800.0, 800.0])]))
 
     def test_nonfinite_rejected(self):
         a = np.zeros((2, 2))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 import cylwave as cw
-from cylwave.errors import InteriorPoint, TangentialResonance
+from cylwave.errors import (AccuracyLoss, InteriorPoint, ModeResonance,
+                            StepTooLarge, TangentialResonance)
 
 GOLDEN_SIGMA_KA5 = 2.4680822290702498
 
@@ -171,6 +173,67 @@ class TestSolve:
         recur = cw.solve_scattering(cw.ScatteringConfig(
             (al_layer,), ka=6.0, method="recursion"))
         assert integ.sigma_tot == pytest.approx(recur.sigma_tot, rel=1e-9)
+
+    @pytest.mark.parametrize("scheme", ["lp4", "exp2a", "mg4"])
+    @pytest.mark.parametrize("stack", ["solid", "three-layer"])
+    def test_stacked_orders_equal_per_order_marches(self, al_layer, stack,
+                                                    scheme):
+        # the integrate route marches all orders in one stack; each B_n must
+        # be what a march of that order alone gives
+        if stack == "solid":
+            layers, ka = (al_layer,), 5.0
+        else:
+            layers, ka = (
+                cw.LayerTI(0.3, 0.6, al_layer.rho, al_layer.c11,
+                           al_layer.c12, al_layer.c13, al_layer.c33,
+                           al_layer.c44),
+                cw.LayerTI(0.6, 0.8, 1.6, 6.6, 3.2, 2.8, 64.8, 3.2),
+                cw.LayerTI.isotropic(0.8, 1.0, 7.85, 37.0, 37.0)), 2.5
+        res = cw.solve_scattering(cw.ScatteringConfig(layers, ka=ka,
+                                                      scheme=scheme))
+        profile = cw.RadialProfile.piecewise(
+            [(lay.r_inner, lay.r_outer, lay.material()) for lay in layers])
+        for n, bn in enumerate(res.b):
+            z_in = cw.ti_conditional_impedance(
+                1, layers[0], cw.WaveContext(omega=ka, n=n, m=3),
+                layers[0].r_inner).z[:2, :2]
+            za = cw.integrate_impedance(
+                profile, cw.WaveContext(omega=ka, n=n, m=2), z_in,
+                layers[0].r_inner, 1.0, 500, scheme)
+            want = cw.scattering_coefficient(n, ka, 1.0,
+                                             cw.scalar_impedance_z0(za))
+            assert abs(bn - want) <= 1e-13, n
+
+    @pytest.mark.parametrize("steps, n_max, n_bad, error, sigma", [
+        # order 20 on fails the step guard at h = 0.25
+        (2, 60, 20, StepTooLarge, 3.6093494578422787),
+        # J_n(ka r) of the inner impedance underflows from order 103 on,
+        # and orders past 60 warn about the Bessel range
+        (20, 200, 200, ModeResonance, 3.609350637714381),
+    ])
+    def test_orders_past_the_stop_never_fail(self, al_layer, steps, n_max,
+                                             n_bad, error, sigma):
+        # the integrate route marches every order up to n_max, but the walk
+        # stops after n = 8 and must raise and warn for none past it
+        profile = cw.RadialProfile.uniform(al_layer.material(), 0.5, 1.0)
+        with pytest.raises(error), warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyLoss)
+            z_in = cw.ti_conditional_impedance(
+                1, al_layer, cw.WaveContext(omega=1.0, n=n_bad, m=3), 0.5).z
+            cw.integrate_impedance(profile,
+                                   cw.WaveContext(omega=1.0, n=n_bad, m=2),
+                                   z_in[:2, :2], 0.5, 1.0, steps, "lp4")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyLoss)
+            res = cw.solve_scattering(cw.ScatteringConfig(
+                (al_layer,), ka=1.0, steps=steps, n_max=n_max))
+        assert len(res.b) == 9
+        assert res.sigma_tot == pytest.approx(sigma, rel=1e-12)
+
+    def test_failure_of_a_reached_order_is_raised(self, al_layer):
+        with pytest.raises(StepTooLarge):
+            cw.solve_scattering(cw.ScatteringConfig(
+                (al_layer,), ka=100.0, steps=1, n_max=3))
 
     def test_unitarity_of_solution(self, ka5_recursion):
         for bn in ka5_recursion.b:
