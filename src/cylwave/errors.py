@@ -1,5 +1,10 @@
-"""Exception and warning types used across cylwave."""
+"""Exception and warning types used across cylwave, and the record that
+defers them per entry of a stack."""
 from __future__ import annotations
+
+import warnings
+
+import numpy as np
 
 
 class CylwaveError(Exception):
@@ -28,6 +33,41 @@ class DomainError(CylwaveError):
 
 class AccuracyLoss(UserWarning):
     """Requested order/argument lies outside the validated accuracy range."""
+
+
+class EntryFaults:
+    """Per entry of a stack, the first typed error met and the AccuracyLoss
+    messages of the cylinder functions used: stacked kernels record here
+    what a scalar call would raise or warn, and `check` surfaces it."""
+
+    def __init__(self, size: int):
+        self.errors = np.full(size, None, dtype=object)
+        self.notes = [[] for _ in range(size)]
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.equal(self.errors, None)
+
+    def fail(self, rows: np.ndarray, error: CylwaveError) -> None:
+        """Give error to the entries of the mask rows that have none yet."""
+        self.errors[rows & self.ok] = error
+
+    def note(self, notes) -> None:
+        for i, msg in notes:
+            self.notes[i].append(msg)
+
+    def absorb(self, other: "EntryFaults", rows: np.ndarray) -> None:
+        """Take over the record of other for the entries of the mask rows."""
+        take = rows & self.ok
+        self.errors[take] = other.errors[take]
+        for i in np.flatnonzero(rows):
+            self.notes[i] += other.notes[i]
+
+    def check(self, i: int) -> None:
+        for msg in self.notes[i]:
+            warnings.warn(msg, AccuracyLoss, stacklevel=3)
+        if self.errors[i] is not None:
+            raise self.errors[i]
 
 
 # --- material / profile ---

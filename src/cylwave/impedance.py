@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elastodyn import _q_sampler
-from .errors import (DegenerateSpan, Overflow, PoleCrossing, ResonantInner,
-                     SingularMatrix, StepTooLarge)
+from .errors import (DegenerateSpan, EntryFaults, Overflow, PoleCrossing,
+                     ResonantInner, SingularMatrix, StepTooLarge)
 from .matricant import Matricant, _check_span, _step_kernel, _step_samples
-from .numkernel import _norm1, mat_inverse
+from .numkernel import _inverse_each, _norm1, mat_inverse
 
 _POLE_COND = 1e14
 # steps whose propagators are held at once: it bounds the march's memory at
@@ -267,15 +267,23 @@ def matricant_from_twopoint(z: TwoPointImpedance) -> Matricant:
     return Matricant(m, z.r_from, z.r_to)
 
 
+def _conditional_stack(zz: np.ndarray, z0: np.ndarray,
+                       faults: EntryFaults) -> np.ndarray:
+    k = zz.shape[-1] // 2
+    with np.errstate(all="ignore"):
+        inner, singular = _inverse_each(zz[:, :k, :k] - z0)
+        faults.fail(singular, ResonantInner(
+            "Z1 - z0 singular (inner-surface resonance)"))
+        return zz[:, k:, :k] @ inner @ zz[:, :k, k:] - zz[:, k:, k:]
+
+
 def conditional_from_twopoint(z: TwoPointImpedance,
                               z0) -> ConditionalImpedance:
     """z(r_to) = Z3 (Z1 - z0)^-1 Z2 - Z4 given the inner condition z0."""
-    z0m = _zmat(z0)
-    try:
-        inner = mat_inverse(z.z1 - z0m)
-    except SingularMatrix:
-        raise ResonantInner("Z1 - z0 singular (inner-surface resonance)") from None
-    return ConditionalImpedance(z.z3 @ inner @ z.z2 - z.z4, z.r_to)
+    faults = EntryFaults(1)
+    zc = _conditional_stack(z.z[None], _zmat(z0)[None], faults)
+    faults.check(0)
+    return ConditionalImpedance(zc[0], z.r_to)
 
 
 @dataclass(frozen=True)

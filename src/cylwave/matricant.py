@@ -245,14 +245,20 @@ def _check_span(profile, r: float, h: float) -> None:
                 f"step [{r}, {r + h}] outside profile support [{lo}, {hi}]")
 
 
-def _guard(h: float, q: np.ndarray) -> np.ndarray:
-    # sqrt(|Q|_1 |Q|_inf) bounds |Q|_2 and spares the SVD on the common path.
-    # Past it, take the norm of D^-1 Q D, D = diag(I, sI) balancing the
-    # off-diagonal blocks: at kz = 0 the U/V scaling grows |Q|_2 as n^2 while
-    # the eigenvalues, which D keeps, stay small
+def _bound(h: float, q: np.ndarray) -> np.ndarray:
+    """h sqrt(|Q|_1 |Q|_inf) of each matrix, an upper bound on h |Q|_2."""
     aq = np.abs(q)
-    over = h * np.sqrt(aq.sum(axis=-2).max(axis=-1)
-                       * aq.sum(axis=-1).max(axis=-1)) > 20.0
+    return h * np.sqrt(aq.sum(axis=-2).max(axis=-1)
+                       * aq.sum(axis=-1).max(axis=-1))
+
+
+def _guard(h: float, q: np.ndarray) -> np.ndarray:
+    # The guard measures h |D^-1 Q D|_2, D = diag(I, sI) balancing the
+    # off-diagonal blocks: at kz = 0 the U/V scaling grows |Q|_2 as n^2
+    # while the eigenvalues, which D keeps, stay small.  The bound
+    # sqrt(|A|_1 |A|_inf) >= |A|_2, first of Q and then of D^-1 Q D, spares
+    # the SVD wherever it already shows the norm below 20
+    over = _bound(h, q) > 20.0
     if not over.any():
         return q
     qo = q[over]
@@ -263,8 +269,11 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
     s = np.sqrt(np.divide(q3, q2, out=np.ones_like(q2), where=both))
     d = np.concatenate([np.ones((len(qo), k)), np.repeat(s[:, None], k, 1)],
                        axis=1)
-    nrm = (h * np.linalg.norm(qo * d[:, None, :] / d[:, :, None], 2,
-                              axis=(-2, -1))).max()
+    qb = qo * d[:, None, :] / d[:, :, None]
+    qb = qb[_bound(h, qb) > 20.0]
+    if not len(qb):
+        return q
+    nrm = (h * np.linalg.norm(qb, 2, axis=(-2, -1))).max()
     if nrm > 20.0:
         raise StepTooLarge(
             f"||h*Q|| = {nrm:.3g} exceeds 20 (exp overflow guard); "

@@ -32,15 +32,28 @@ def mat_inverse(a: np.ndarray) -> np.ndarray:
     if a factorization hits a vanishing pivot or produces non-finite
     entries.
     """
+    b, singular = _inverse_each(a)
+    if singular.any():
+        raise SingularMatrix(cond=_cond_estimate(_square(a)))
+    return b
+
+
+def _inverse_each(a: np.ndarray) -> tuple:
+    """Inverse of each matrix of a stack, and the mask of the singular ones:
+    those whose factorization hits a vanishing pivot or gives non-finite
+    entries.  Their inverses are not finite; the others are what a call on
+    each matrix alone gives."""
     a = _square(a)
     try:
         b = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        raise SingularMatrix(cond=_cond_estimate(a)) from None
-    if not np.all(np.isfinite(b)):
-        raise SingularMatrix("inverse has non-finite entries",
-                             cond=_cond_estimate(a))
-    return b
+        b = np.full(a.shape, np.nan, dtype=complex)
+        for i in np.ndindex(a.shape[:-2]):
+            try:
+                b[i] = np.linalg.inv(a[i])
+            except np.linalg.LinAlgError:
+                pass
+    return b, ~np.isfinite(b).all(axis=(-2, -1))
 
 
 def _square(a) -> np.ndarray:

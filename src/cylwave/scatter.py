@@ -8,31 +8,31 @@ The elastic side enters only through the scalar surface impedance z0,
 obtained from the conditional impedance matrix at r = a by eliminating the
 tangential displacement components under zero tangential traction.
 
-One truncation walk over the orders n serves both routes.  The integrate
-route marches every order up to the cap in one stacked Moebius march before
-the walk starts; the recursion route computes each order when the walk
-reaches it.  A typed error of an order (its inner impedance, the step
-guard, an overflowing exponential, a singular Moebius denominator), and any
-warning its inner impedance emitted, surfaces only if the walk reaches that
+Both routes compute every order up to the cap before one truncation walk
+over the orders n: the integrate route in one stacked Moebius march, the
+recursion route as array code over the orders (closed-form layers, joins,
+inner impedance), and both then z0 and B_n over the orders.  A typed error
+of an order (a cylinder-function zero or impedance pole, a degenerate
+basis, an interface or inner resonance, the step guard, an overflowing
+exponential, a singular Moebius denominator) and its AccuracyLoss warnings
+are kept in the stack's record and surface only if the walk reaches that
 order, so orders past the early stop never fail a solve.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .cylfun import KIND_H1, KIND_J, cyl_f, cyl_f_prime
+from .cylfun import KIND_H1, KIND_J
 from .elastodyn import RadialProfile, WaveContext
-from .errors import (CylwaveError, InteriorPoint, SingularMatrix,
-                     TangentialResonance)
-from .impedance import (ConditionalImpedance, _march,
-                        conditional_from_twopoint)
-from .numkernel import mat_inverse
-from .tilayers import LayerTI, global_twopoint, ti_conditional_impedance
+from .errors import EntryFaults, InteriorPoint, TangentialResonance
+from .impedance import ConditionalImpedance, _conditional_stack, _march
+from .numkernel import _inverse_each
+from .tilayers import (OrderStack, _global_stack, _impedance,
+                       _wavenumbers)
 
 A_OUTER = 1.0
 _B_TAIL = 1e-10
@@ -81,6 +81,16 @@ class ScatteringConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
 
+def _surface_impedances(z: np.ndarray, faults: EntryFaults) -> np.ndarray:
+    if z.shape[-1] == 1:
+        return z[:, 0, 0]
+    with np.errstate(all="ignore"):
+        tinv, singular = _inverse_each(z[:, 1:, 1:])
+        faults.fail(singular, TangentialResonance(
+            "tangential impedance block singular at the surface"))
+        return z[:, 0, 0] - (z[:, :1, 1:] @ tinv @ z[:, 1:, :1])[:, 0, 0]
+
+
 def scalar_impedance_z0(z2) -> complex:
     """Scalar surface impedance from the 2x2 or 3x3 conditional impedance.
 
@@ -89,26 +99,28 @@ def scalar_impedance_z0(z2) -> complex:
     """
     z = z2.z if isinstance(z2, ConditionalImpedance) else np.asarray(
         z2, dtype=complex)
-    m = z.shape[0]
-    if m == 1:
-        return complex(z[0, 0])
-    try:
-        tinv = mat_inverse(z[1:, 1:])
-    except SingularMatrix:
-        raise TangentialResonance(
-            "tangential impedance block singular at the surface") from None
-    return complex(z[0, 0] - z[0, 1:] @ tinv @ z[1:, 0])
+    faults = EntryFaults(1)
+    z0 = _surface_impedances(z[None], faults)
+    faults.check(0)
+    return complex(z0[0])
+
+
+def _coefficients(stack: OrderStack, ka: float, K: float,
+                  z0: np.ndarray) -> np.ndarray:
+    jn, jnp = stack.table(KIND_J, ka)
+    hn, hnp = stack.table(KIND_H1, ka)
+    with np.errstate(all="ignore"):
+        return -(K * ka * jn - z0 * jnp) / (K * ka * hn - z0 * hnp)
 
 
 def scattering_coefficient(n: int, ka: float, K: float, z0: complex) -> complex:
     """Partial-wave coefficient B_n of the scattered (H1) series."""
     if ka <= 0:
         raise ValueError("ka must be positive")
-    jn = cyl_f(KIND_J, n, ka)
-    jnp = cyl_f_prime(KIND_J, n, ka)
-    hn = cyl_f(KIND_H1, n, ka)
-    hnp = cyl_f_prime(KIND_H1, n, ka)
-    return -(K * ka * jn - z0 * jnp) / (K * ka * hn - z0 * hnp)
+    stack = OrderStack(ka, 0.0, [n])
+    b = _coefficients(stack, ka, K, z0)
+    stack.faults.check(0)
+    return complex(b[0])
 
 
 def form_function(theta, b, ka: float):
@@ -162,65 +174,69 @@ def pressure_field(points, b, ka: float, K: float = 1.0) -> np.ndarray:
 _F_ANGLES = (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi, math.pi)
 
 
-def _inner_impedance_3x3(config: ScatteringConfig,
-                         ctx3: WaveContext) -> np.ndarray:
+def _inner_impedances(config: ScatteringConfig,
+                      stack: OrderStack) -> np.ndarray:
+    """The 3x3 inner impedance of every order of the stack."""
     first = config.layers[0]
     if config.inner_impedance is None:
-        return ti_conditional_impedance(1, first, ctx3, first.r_inner).z
+        return _impedance(1, first, stack, _wavenumbers(
+            first, stack.omega, stack.kz), first.r_inner)
     given = np.asarray(config.inner_impedance, dtype=complex)
     if given.ndim == 0:
-        return complex(given) * np.eye(3)
-    if given.shape == (3, 3):
-        return given
-    if given.shape == (2, 2):
+        z = complex(given) * np.eye(3)
+    elif given.shape == (3, 3):
+        z = given
+    elif given.shape == (2, 2):
         z = np.zeros((3, 3), dtype=complex)
         z[:2, :2] = given
-        return z
-    raise ValueError("inner_impedance must be a scalar, 2x2 or 3x3 matrix")
+    else:
+        raise ValueError("inner_impedance must be a scalar, 2x2 or 3x3 matrix")
+    return np.broadcast_to(z, (len(stack.n), 3, 3))
 
 
-def _integrated_orders(config: ScatteringConfig, omega: float,
-                       n_cap: int) -> list:
-    """Per order 0..n_cap, z(a) from one stacked march or the typed error
-    of that order (its inner impedance or its march), with the warnings its
-    inner impedance emitted, held back until the walk reaches it."""
+def _integrated_orders(config: ScatteringConfig,
+                       stack: OrderStack) -> np.ndarray:
+    """z(a) of every order from one stacked march of the in-plane system;
+    an order whose inner impedance or march fails keeps its error in the
+    stack's record."""
     layers = config.layers
-    profile = RadialProfile.piecewise(
-        [(lay.r_inner, lay.r_outer, lay.material()) for lay in layers])
-    out = []
-    ctxs, z0s, orders = [], [], []
-    for n in range(n_cap + 1):
-        z = None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                z_in3 = _inner_impedance_3x3(
-                    config, WaveContext(omega=omega, n=n, kz=0.0, m=3))
-            except CylwaveError as exc:
-                z = exc
-        out.append((z, tuple(caught)))
-        if z is None:
-            ctxs.append(WaveContext(omega=omega, n=n, kz=0.0, m=2))
-            z0s.append(z_in3[:2, :2])
-            orders.append(n)
-    if orders:
-        marched = _march(profile, ctxs, z0s, layers[0].r_inner,
-                         layers[-1].r_outer, config.steps, config.scheme)
-        for n, z in zip(orders, marched):
-            out[n] = (z, out[n][1])
-    return out
+    z_in = _inner_impedances(config, stack)
+    live = np.flatnonzero(stack.faults.ok)
+    z = np.zeros((len(stack.n), 2, 2), dtype=complex)
+    if len(live):
+        profile = RadialProfile.piecewise(
+            [(lay.r_inner, lay.r_outer, lay.material()) for lay in layers])
+        ctxs = [WaveContext(omega=stack.omega, n=int(n), kz=0.0, m=2)
+                for n in stack.n[live]]
+        marched = _march(profile, ctxs, list(z_in[live, :2, :2]),
+                         layers[0].r_inner, layers[-1].r_outer, config.steps,
+                         config.scheme)
+        for j, zj in zip(live, marched):
+            if isinstance(zj, Exception):
+                stack.faults.errors[j] = zj
+            else:
+                z[j] = zj.z
+    return z
+
+
+def _recursion_orders(config: ScatteringConfig,
+                      stack: OrderStack) -> np.ndarray:
+    """z(a) of every order from the closed-form layers joined recursively."""
+    z_in = _inner_impedances(config, stack)
+    return _conditional_stack(_global_stack(config.layers, stack), z_in,
+                              stack.faults)
 
 
 def solve_scattering(config: ScatteringConfig) -> ScatteringResult:
     """Run the partial-wave pipeline for one frequency.
 
-    Per retained order n the surface impedance z(a) is produced either by
-    Moebius integration of the in-plane (m=2) system from the inner radius
-    outward ("integrate") or from the closed-form layer impedances joined
-    recursively ("recursion").  The inner condition is the exact solid-core
-    impedance of the innermost material unless one is supplied.  Only n >= 0
-    is evaluated; negative orders are folded into the eps_n cos(n theta)
-    sums, which is exact for this geometry.
+    The surface impedance z(a) of every order up to the cap is produced
+    either by Moebius integration of the in-plane (m=2) system from the
+    inner radius outward ("integrate") or from the closed-form layer
+    impedances joined recursively ("recursion").  The inner condition is
+    the exact solid-core impedance of the innermost material unless one is
+    supplied.  Only n >= 0 is evaluated; negative orders are folded into the
+    eps_n cos(n theta) sums, which is exact for this geometry.
 
     Truncation: hard cap n_max (default 2*ceil(ka) + 12), early stop once
     |B_n| < 1e-10 twice in a row; an order's typed error is raised only if
@@ -228,35 +244,23 @@ def solve_scattering(config: ScatteringConfig) -> ScatteringResult:
     """
     layers = config.layers
     a = layers[-1].r_outer
-    omega = config.ka / a
     n_cap = config.n_max
     if n_cap is None:
         n_cap = 2 * math.ceil(config.ka) + 12
     fluid = FluidHalfSpace(k=config.ka / a)
-
+    stack = OrderStack(config.ka / a, 0.0, np.arange(n_cap + 1))
     if config.method == "integrate":
-        marched = _integrated_orders(config, omega, n_cap)
-
-        def surface(n: int) -> ConditionalImpedance:
-            z, caught = marched[n]
-            for w in caught:
-                warnings.warn_explicit(w.message, w.category, w.filename,
-                                       w.lineno)
-            if isinstance(z, Exception):
-                raise z
-            return z
+        z = _integrated_orders(config, stack)
     else:
-        def surface(n: int) -> ConditionalImpedance:
-            ctx3 = WaveContext(omega=omega, n=n, kz=0.0, m=3)
-            z_in3 = _inner_impedance_3x3(config, ctx3)
-            return conditional_from_twopoint(global_twopoint(layers, ctx3),
-                                             z_in3)
+        z = _recursion_orders(config, stack)
+    b_all = _coefficients(stack, config.ka, fluid.K,
+                          _surface_impedances(z, stack.faults))
 
     bs = []
     small_run = 0
     for n in range(n_cap + 1):
-        bn = scattering_coefficient(n, config.ka, fluid.K,
-                                    scalar_impedance_z0(surface(n)))
+        stack.faults.check(n)
+        bn = complex(b_all[n])
         bs.append(bn)
         if abs(bn) < _B_TAIL:
             small_run += 1

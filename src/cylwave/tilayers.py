@@ -7,6 +7,12 @@ and the conditional impedance of a solid cylinder or of a single layer has a
 closed form in cylinder functions.  Stacking layers is done by joining
 two-point impedances across interfaces, which stays well-conditioned no
 matter how many layers are folded in (unlike transfer-matrix products).
+
+Every kernel runs on a stack of partial-wave orders at once, each on
+(orders, 3, 3) or (orders, 6, 6) arrays built from one cylinder-function
+table per (kind, argument); a failing order leaves its typed error in the
+stack's record and the others go on.  The public functions are stacks of
+one order.
 """
 from __future__ import annotations
 
@@ -14,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylfun import cyl_f, cyl_f_prime
+from .cylfun import Tables
 from .elastodyn import MaterialPoint, WaveContext, ti_stiffness
-from .errors import (BasisDegenerate, InterfaceResonance, KzZeroCoupling,
-                     ModeResonance, SingularMatrix)
+from .errors import (BasisDegenerate, EntryFaults, InterfaceResonance,
+                     KzZeroCoupling, ModeResonance)
 from .impedance import ConditionalImpedance, TwoPointImpedance
-from .numkernel import mat_inverse
+from .numkernel import _inverse_each, _norm1
 
 
 @dataclass(frozen=True)
@@ -95,15 +101,19 @@ def _wavenumbers(layer, omega: float, kz: float):
     w2 = rho * omega * omega
     a = (c11 + c44) * w2 + (c13 * c13 + 2 * c13 * c44 - c11 * c33) * kz * kz
     b = 4 * c11 * c44 * (w2 - c33 * kz * kz) * (w2 - c44 * kz * kz)
+    k3s = (w2 - c44 * kz * kz) / c66
+    if kz == 0.0:
+        # the kz = 0 paths need k1 in-plane and k2 axial; the roots of the
+        # quadratic come ordered by size instead, which swaps them when
+        # c44 > c11
+        return (_sqrt_branch(w2 / c11), _sqrt_branch(w2 / c44),
+                _sqrt_branch(k3s), None, None, a, b)
     disc = _sqrt_branch(a * a - b)
     k1s = (a - disc) / (2 * c11 * c44)
     k2s = (a + disc) / (2 * c11 * c44)
-    k3s = (w2 - c44 * kz * kz) / c66
     k1 = _sqrt_branch(k1s)
     k2 = _sqrt_branch(k2s)
     k3 = _sqrt_branch(k3s)
-    if kz == 0.0:
-        return k1, k2, k3, None, None, a, b
     den = (c13 + c44) * kz
     kap1 = (c66 * k3s - c11 * k1s) / den
     kap2 = (c66 * k3s - c11 * k2s) / den
@@ -124,8 +134,57 @@ def ti_wavenumbers(layer, omega: float, kz: float) -> TIWavenumbers:
     return TIWavenumbers(k1, k2, k3, kap1, kap2, a, b)
 
 
-def _fval(l: int, n: int, x: complex):
-    return cyl_f(l, n, x), cyl_f_prime(l, n, x)
+class OrderStack:
+    """The partial-wave orders of one (omega, kz), evaluated together: their
+    cylinder-function tables, and the record into which the stacked kernels
+    put per order what a scalar call would raise or warn."""
+
+    def __init__(self, omega: float, kz: float, orders, tables=None):
+        self.omega, self.kz = omega, kz
+        self.tables = Tables(orders) if tables is None else tables
+        self.n = self.tables.n
+        self.faults = EntryFaults(len(self.n))
+
+    def fresh(self) -> "OrderStack":
+        """The same orders and tables with an empty record."""
+        return OrderStack(self.omega, self.kz, self.n, self.tables)
+
+    def table(self, l: int, x: complex) -> tuple:
+        f, fp, notes = self.tables(l, x)
+        self.faults.note(notes)
+        return f, fp
+
+
+def _single(ctx: WaveContext, kernel):
+    """Entry 0 of kernel(stack) on the one order of ctx, after raising or
+    warning what the stack recorded."""
+    stack = OrderStack(ctx.omega, ctx.kz, [ctx.n])
+    out = kernel(stack)
+    stack.faults.check(0)
+    return out[0]
+
+
+def _displacement(l: int, stack: OrderStack, wn: tuple,
+                  r: float) -> np.ndarray:
+    n = stack.n
+    k1, k2, k3, kap1, kap2, _, _ = wn
+    f1, fp1 = stack.table(l, k1 * r)
+    f2, fp2 = stack.table(l, k2 * r)
+    f3, fp3 = stack.table(l, k3 * r)
+    x = np.zeros((len(n), 3, 3), dtype=complex)
+    with np.errstate(all="ignore"):
+        x[:, 0, 0] = fp1
+        x[:, 0, 2] = -1j * n / (k3 * r) * f3
+        x[:, 1, 0] = 1j * n / (k1 * r) * f1
+        x[:, 1, 2] = fp3
+        if stack.kz == 0.0:
+            x[:, 2, 1] = 1j * f2 / k2
+            return x
+        x[:, 0, 1] = fp2
+        x[:, 1, 1] = 1j * n / (k2 * r) * f2
+        x[:, 2, 0] = 1j * kap1 / k1 * f1
+        x[:, 2, 1] = 1j * kap2 / k2 * f2
+    return x
 
 
 def ti_displacement_matrix(l: int, layer, ctx: WaveContext,
@@ -137,22 +196,66 @@ def ti_displacement_matrix(l: int, layer, ctx: WaveContext,
     coupling factor; column scaling drops out of every impedance built from
     the pair (X, Y).
     """
-    n = ctx.n
-    k1, k2, k3, kap1, kap2, _, _ = _wavenumbers(layer, ctx.omega, ctx.kz)
-    f1, fp1 = _fval(l, n, k1 * r)
-    f2, fp2 = _fval(l, n, k2 * r)
-    f3, fp3 = _fval(l, n, k3 * r)
-    if ctx.kz == 0.0:
-        return np.array([
-            [fp1, 0.0, -1j * n / (k3 * r) * f3],
-            [1j * n / (k1 * r) * f1, 0.0, fp3],
-            [0.0, 1j * f2 / k2, 0.0],
-        ], dtype=complex)
-    return np.array([
-        [fp1, fp2, -1j * n / (k3 * r) * f3],
-        [1j * n / (k1 * r) * f1, 1j * n / (k2 * r) * f2, fp3],
-        [1j * kap1 / k1 * f1, 1j * kap2 / k2 * f2, 0.0],
-    ], dtype=complex)
+    return _single(ctx, lambda s: _displacement(
+        l, s, _wavenumbers(layer, s.omega, s.kz), r))
+
+
+def _impedance(l: int, layer, stack: OrderStack, wn: tuple,
+               r: float) -> np.ndarray:
+    rho, c11, c13, c33, c44, c66 = _moduli(layer)
+    n = stack.n
+    k1, k2, k3, kap1, kap2, _, _ = wn
+    ds = []
+    for k in (k1, k2, k3):
+        d, zero, notes = stack.tables.log_derivative(l, k * r)
+        stack.faults.note(notes)
+        stack.faults.fail(zero, ModeResonance(
+            f"cylinder function zero at k*r={k * r}"))
+        ds.append(d)
+    # x_i = k_i r f'/f = n + d_i; the denominators and the differences
+    # x1 - x2 are formed from the d_i, which at n >> k r keeps the digits
+    # that x_i - n would lose
+    d1, d2, d3 = ds
+    x1, x2, x3 = n + d1, n + d2, n + d3
+    z = np.zeros((len(n), 3, 3), dtype=complex)
+
+    with np.errstate(all="ignore"):
+        if stack.kz == 0.0:
+            den = n * (d1 + d3) + d1 * d3
+            scale = np.maximum(np.maximum(np.abs(x1 * x3), n * n), 1.0)
+            stack.faults.fail(np.abs(den) < 1e-12 * scale, ModeResonance(
+                "in-plane impedance pole (denominator ~ 0)"))
+            e = c66 * (k3 * r) ** 2 / den
+            z[:, 0, 0] = 2 * c66 + x3 * e
+            z[:, 0, 1] = 1j * n * (2 * c66 + e)
+            z[:, 1, 0] = -1j * n * (2 * c66 + e)
+            z[:, 1, 1] = 2 * c66 + x1 * e
+            z[:, 2, 2] = -c44 * x2
+            return z
+
+        y1 = kap1 * r
+        y2 = kap2 * r
+        dy = y1 - y2
+        cross = d2 * y1 - d1 * y2
+        den = n * d3 * dy + x3 * cross
+        scale = np.maximum(np.maximum(np.abs(x3 * (x2 * y1 - x1 * y2)),
+                                      np.abs(n * n * dy)), 1.0)
+        stack.faults.fail(np.abs(den) < 1e-12 * scale, ModeResonance(
+            "impedance pole (shared denominator ~ 0)"))
+        c0 = c66 * (k3 * r) ** 2 / den
+        zz = -c44 * (n * n * (cross + d3 * dy) + dy * (
+            n * (d1 * d2 + d1 * d3 + d2 * d3) + d1 * d2 * d3)) / den
+        kzr = stack.kz * r
+        base = ((2 * c66, 2j * n * c66, 1j * kzr * c44),
+                (-2j * n * c66, 2 * c66, 0.0),
+                (-1j * kzr * c44, 0.0, zz))
+        corr = ((x3 * dy, 1j * n * dy, 1j * x3 * (d1 - d2)),
+                (-1j * n * dy, n * dy + cross, n * (d1 - d2)),
+                (-1j * x3 * (d1 - d2), n * (d1 - d2), 0.0))
+        for i in range(3):
+            for j in range(3):
+                z[:, i, j] = base[i][j] + c0 * corr[i][j]
+    return z
 
 
 def ti_conditional_impedance(l: int, layer, ctx: WaveContext,
@@ -162,50 +265,8 @@ def ti_conditional_impedance(l: int, layer, ctx: WaveContext,
     l=1 (Bessel J) is the solid-cylinder impedance, regular at the axis;
     l=3 (outgoing Hankel) the radiating exterior one.
     """
-    rho, c11, c13, c33, c44, c66 = _moduli(layer)
-    n = ctx.n
-    k1, k2, k3, kap1, kap2, _, _ = _wavenumbers(layer, ctx.omega, ctx.kz)
-    xi = []
-    for k in (k1, k2, k3):
-        fv, fd = _fval(l, n, k * r)
-        if fv == 0:
-            raise ModeResonance(f"cylinder function zero at k*r={k * r}")
-        xi.append(k * r * fd / fv)
-    x1, x2, x3 = xi
-
-    if ctx.kz == 0.0:
-        den = x1 * x3 - n * n
-        scale = max(abs(x1 * x3), n * n, 1.0)
-        if abs(den) < 1e-12 * scale:
-            raise ModeResonance("in-plane impedance pole (denominator ~ 0)")
-        e = c66 * (k3 * r) ** 2 / den
-        z = np.array([
-            [2 * c66 + x3 * e, 1j * n * (2 * c66 + e), 0.0],
-            [-1j * n * (2 * c66 + e), 2 * c66 + x1 * e, 0.0],
-            [0.0, 0.0, -c44 * x2],
-        ], dtype=complex)
-        return ConditionalImpedance(z, float(r))
-
-    y1 = kap1 * r
-    y2 = kap2 * r
-    den = x3 * (x2 * y1 - x1 * y2) - n * n * (y1 - y2)
-    scale = max(abs(x3 * (x2 * y1 - x1 * y2)), abs(n * n * (y1 - y2)), 1.0)
-    if abs(den) < 1e-12 * scale:
-        raise ModeResonance("impedance pole (shared denominator ~ 0)")
-    c0 = c66 * (k3 * r) ** 2 / den
-    zz = c44 * (n * n * (x1 * y1 - x2 * y2) - x1 * x2 * x3 * (y1 - y2)) / den
-    kzr = ctx.kz * r
-    base = np.array([
-        [2 * c66, 2j * n * c66, 1j * kzr * c44],
-        [-2j * n * c66, 2 * c66, 0.0],
-        [-1j * kzr * c44, 0.0, zz],
-    ], dtype=complex)
-    corr = c0 * np.array([
-        [x3 * (y1 - y2), 1j * n * (y1 - y2), 1j * x3 * (x1 - x2)],
-        [-1j * n * (y1 - y2), x2 * y1 - x1 * y2, n * (x1 - x2)],
-        [-1j * x3 * (x1 - x2), n * (x1 - x2), 0.0],
-    ], dtype=complex)
-    return ConditionalImpedance(base + corr, float(r))
+    return ConditionalImpedance(_single(ctx, lambda s: _impedance(
+        l, layer, s, _wavenumbers(layer, s.omega, s.kz), r)), float(r))
 
 
 def ti_traction_matrix(l: int, layer, ctx: WaveContext, r: float) -> np.ndarray:
@@ -219,30 +280,51 @@ _DEFAULT_BASIS = (1, 3)
 _FALLBACK_BASIS = (1, 2)
 
 
-def _twopoint_for_basis(layer: LayerTI, ctx: WaveContext,
-                        basis: tuple) -> TwoPointImpedance:
+def _twopoint_for_basis(layer: LayerTI, stack: OrderStack, wn: tuple,
+                        basis: tuple) -> tuple:
+    """The layer's two-point impedances over the orders from one basis
+    pair, and the mask of the orders whose displacement block is
+    degenerate (singular, or 1-norm condition number past 1e12)."""
     r0, r1 = layer.r_inner, layer.r_outer
-    xs, ys = {}, {}
-    for l in basis:
-        for r in (r0, r1):
-            x = ti_displacement_matrix(l, layer, ctx, r)
-            xs[l, r] = x
-            ys[l, r] = -1j * (ti_conditional_impedance(l, layer, ctx, r).z @ x)
-    la, lb = basis
-    xx = np.block([[xs[la, r0], xs[lb, r0]], [xs[la, r1], xs[lb, r1]]])
-    yy = np.block([[ys[la, r0], ys[lb, r0]], [-ys[la, r1], -ys[lb, r1]]])
-    # the result is invariant under scaling a partial-wave column of both
-    # blocks at once; normalizing keeps deeply evanescent columns (tiny J,
-    # huge H at large n) from wrecking the conditioning
-    scale = np.max(np.abs(xx), axis=0)
-    scale[scale == 0] = 1.0
-    xx = xx / scale
-    yy = yy / scale
-    xinv = mat_inverse(xx)
-    cond = np.linalg.norm(xx, 1) * np.linalg.norm(xinv, 1)
-    if cond > 1e12:
-        raise SingularMatrix("displacement block ill-conditioned", cond=cond)
-    return TwoPointImpedance(1j * (yy @ xinv), r0, r1)
+    xx = np.empty((len(stack.n), 6, 6), dtype=complex)
+    yy = np.empty_like(xx)
+    for c, l in enumerate(basis):
+        cols = slice(3 * c, 3 * c + 3)
+        for rows, r in ((slice(0, 3), r0), (slice(3, 6), r1)):
+            x = _displacement(l, stack, wn, r)
+            with np.errstate(all="ignore"):
+                y = -1j * (_impedance(l, layer, stack, wn, r) @ x)
+            xx[:, rows, cols] = x
+            yy[:, rows, cols] = y if r == r0 else -y
+    with np.errstate(all="ignore"):
+        # the result is invariant under scaling a partial-wave column of
+        # both blocks at once; normalizing keeps deeply evanescent columns
+        # (tiny J, huge H at large n) from wrecking the conditioning
+        scale = np.max(np.abs(xx), axis=-2, keepdims=True)
+        scale[scale == 0] = 1.0
+        xx = xx / scale
+        yy = yy / scale
+        xinv, singular = _inverse_each(xx)
+        return 1j * (yy @ xinv), singular | (_norm1(xx) * _norm1(xinv) > 1e12)
+
+
+def _layer_stack(layer: LayerTI, stack: OrderStack,
+                 basis: tuple | None = None) -> np.ndarray:
+    wn = _wavenumbers(layer, stack.omega, stack.kz)
+    if basis is not None:
+        z, bad = _twopoint_for_basis(layer, stack, wn, tuple(basis))
+        stack.faults.fail(bad, BasisDegenerate(f"basis {basis} degenerate"))
+        return z
+    z, bad = _twopoint_for_basis(layer, stack, wn, _DEFAULT_BASIS)
+    retry = bad & stack.faults.ok
+    if retry.any():
+        alt = stack.fresh()
+        z_alt, bad_alt = _twopoint_for_basis(layer, alt, wn, _FALLBACK_BASIS)
+        z[retry] = z_alt[retry]
+        stack.faults.absorb(alt.faults, retry)
+        stack.faults.fail(retry & bad_alt, BasisDegenerate(
+            "both cylinder-function bases degenerate"))
+    return z
 
 
 def layer_twopoint(layer: LayerTI, ctx: WaveContext,
@@ -250,23 +332,31 @@ def layer_twopoint(layer: LayerTI, ctx: WaveContext,
     """Two-point impedance of a single uniform TI layer.
 
     Built from the cylinder-function basis pair {J, H1} by default; if that
-    block is numerically degenerate for the layer (deeply evanescent
-    regimes), the {J, Y} pair is tried before giving up.
+    block is numerically degenerate for an order (deeply evanescent
+    regimes), the {J, Y} pair is tried for that order before giving up.
     """
-    if basis is not None:
-        try:
-            return _twopoint_for_basis(layer, ctx, tuple(basis))
-        except SingularMatrix as exc:
-            raise BasisDegenerate(f"basis {basis} degenerate: {exc}") from None
-    try:
-        return _twopoint_for_basis(layer, ctx, _DEFAULT_BASIS)
-    except SingularMatrix:
-        pass
-    try:
-        return _twopoint_for_basis(layer, ctx, _FALLBACK_BASIS)
-    except SingularMatrix as exc:
-        raise BasisDegenerate(
-            f"both cylinder-function bases degenerate: {exc}") from None
+    return TwoPointImpedance(
+        _single(ctx, lambda s: _layer_stack(layer, s, basis)),
+        layer.r_inner, layer.r_outer)
+
+
+def _check_contiguous(r_to: float, r_from: float) -> None:
+    if abs(r_to - r_from) > 1e-9 * max(1.0, abs(r_to)):
+        raise ValueError(f"layers not contiguous: {r_to} vs {r_from}")
+
+
+def _join(za: np.ndarray, zb: np.ndarray, faults: EntryFaults) -> np.ndarray:
+    k = za.shape[-1] // 2
+    z = np.empty_like(za)
+    with np.errstate(all="ignore"):
+        dinv, singular = _inverse_each(za[:, k:, k:] + zb[:, :k, :k])
+        z[:, :k, :k] = za[:, :k, :k] - za[:, :k, k:] @ dinv @ za[:, k:, :k]
+        z[:, :k, k:] = -za[:, :k, k:] @ dinv @ zb[:, :k, k:]
+        z[:, k:, :k] = -zb[:, k:, :k] @ dinv @ za[:, k:, :k]
+        z[:, k:, k:] = zb[:, k:, k:] - zb[:, k:, :k] @ dinv @ zb[:, :k, k:]
+    faults.fail(singular, InterfaceResonance(
+        "interface Schur block singular (trapped interface mode)"))
+    return z
 
 
 def join_twopoint(za: TwoPointImpedance,
@@ -276,29 +366,25 @@ def join_twopoint(za: TwoPointImpedance,
     Continuity of displacement and traction eliminates the interface degrees
     of freedom through the Schur complement of D = Z4a + Z1b.
     """
-    if abs(za.r_to - zb.r_from) > 1e-9 * max(1.0, abs(za.r_to)):
-        raise ValueError(
-            f"layers not contiguous: {za.r_to} vs {zb.r_from}")
-    d = za.z4 + zb.z1
-    try:
-        dinv = mat_inverse(d)
-    except SingularMatrix:
-        raise InterfaceResonance(
-            "interface Schur block singular (trapped interface mode)") from None
-    mm = za.half
-    z = np.empty((2 * mm, 2 * mm), dtype=complex)
-    z[:mm, :mm] = za.z1 - za.z2 @ dinv @ za.z3
-    z[:mm, mm:] = -za.z2 @ dinv @ zb.z2
-    z[mm:, :mm] = -zb.z3 @ dinv @ za.z3
-    z[mm:, mm:] = zb.z4 - zb.z3 @ dinv @ zb.z2
-    return TwoPointImpedance(z, za.r_from, zb.r_to)
+    _check_contiguous(za.r_to, zb.r_from)
+    faults = EntryFaults(1)
+    z = _join(za.z[None], zb.z[None], faults)
+    faults.check(0)
+    return TwoPointImpedance(z[0], za.r_from, zb.r_to)
+
+
+def _global_stack(layers, stack: OrderStack) -> np.ndarray:
+    acc = _layer_stack(layers[0], stack)
+    for inner, layer in zip(layers, layers[1:]):
+        _check_contiguous(inner.r_outer, layer.r_inner)
+        acc = _join(acc, _layer_stack(layer, stack), stack.faults)
+    return acc
 
 
 def global_twopoint(layers, ctx: WaveContext) -> TwoPointImpedance:
     """Left-fold of join_twopoint over the per-layer impedances."""
     if not layers:
         raise ValueError("need at least one layer")
-    acc = layer_twopoint(layers[0], ctx)
-    for layer in layers[1:]:
-        acc = join_twopoint(acc, layer_twopoint(layer, ctx))
-    return acc
+    return TwoPointImpedance(
+        _single(ctx, lambda s: _global_stack(layers, s)),
+        layers[0].r_inner, layers[-1].r_outer)

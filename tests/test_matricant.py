@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import numpy as np
+import numpy.linalg._linalg as linalg_impl
 import pytest
 from numpy.testing import assert_allclose
 
@@ -303,6 +304,22 @@ def test_step_guard(al_profile):
     # at kz = 0, h*|Q|_2 = 26.6 here while max|eig(hQ)| = 0.04
     ctx = cw.WaveContext(omega=8.0, n=19, m=2)
     cw.matricant_step(al_profile, ctx, 0.5, 1e-3, "lp4")
+
+
+def test_golden_solve_guard_takes_no_svd(al_layer, monkeypatch):
+    # the balanced 1/inf-norm bound clears every sample that trips the
+    # plain one, so the guard never needs the spectral norm here
+    calls = []
+    svd = linalg_impl.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_impl, "svd", counted)
+    cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=5.0,
+                                            scheme="lp4", steps=500))
+    assert not calls
 
 
 def test_ts1_step_on_interface_uses_outer_layer(al):

@@ -7,10 +7,18 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 import cylwave as cw
-from cylwave.errors import (AccuracyLoss, InteriorPoint, ModeResonance,
+from cylwave.errors import (AccuracyLoss, BasisDegenerate, InteriorPoint,
                             StepTooLarge, TangentialResonance)
 
 GOLDEN_SIGMA_KA5 = 2.4680822290702498
+
+
+def _three_layer_stack(al_layer):
+    """Aluminium, fibre composite and steel, as in the benchmark's sweep."""
+    return (cw.LayerTI(0.3, 0.6, al_layer.rho, al_layer.c11, al_layer.c12,
+                       al_layer.c13, al_layer.c33, al_layer.c44),
+            cw.LayerTI(0.6, 0.8, 1.6, 6.6, 3.2, 2.8, 64.8, 3.2),
+            cw.LayerTI.isotropic(0.8, 1.0, 7.85, 37.0, 37.0))
 
 
 @pytest.fixture(scope="module")
@@ -183,12 +191,7 @@ class TestSolve:
         if stack == "solid":
             layers, ka = (al_layer,), 5.0
         else:
-            layers, ka = (
-                cw.LayerTI(0.3, 0.6, al_layer.rho, al_layer.c11,
-                           al_layer.c12, al_layer.c13, al_layer.c33,
-                           al_layer.c44),
-                cw.LayerTI(0.6, 0.8, 1.6, 6.6, 3.2, 2.8, 64.8, 3.2),
-                cw.LayerTI.isotropic(0.8, 1.0, 7.85, 37.0, 37.0)), 2.5
+            layers, ka = _three_layer_stack(al_layer), 2.5
         res = cw.solve_scattering(cw.ScatteringConfig(layers, ka=ka,
                                                       scheme=scheme))
         profile = cw.RadialProfile.piecewise(
@@ -207,9 +210,9 @@ class TestSolve:
     @pytest.mark.parametrize("steps, n_max, n_bad, error, sigma", [
         # order 20 on fails the step guard at h = 0.25
         (2, 60, 20, StepTooLarge, 3.6093494578422787),
-        # J_n(ka r) of the inner impedance underflows from order 103 on,
-        # and orders past 60 warn about the Bessel range
-        (20, 200, 200, ModeResonance, 3.609350637714381),
+        # order 185 on fails the step guard at h = 0.025, and orders past
+        # 60 warn about the Bessel range
+        (20, 200, 200, StepTooLarge, 3.609350637714381),
     ])
     def test_orders_past_the_stop_never_fail(self, al_layer, steps, n_max,
                                              n_bad, error, sigma):
@@ -229,6 +232,49 @@ class TestSolve:
                 (al_layer,), ka=1.0, steps=steps, n_max=n_max))
         assert len(res.b) == 9
         assert res.sigma_tot == pytest.approx(sigma, rel=1e-12)
+
+    def test_recursion_orders_past_the_stop_never_fail(self, al_layer):
+        # the recursion route also computes every order up to n_max: orders
+        # past 60 warn about the Bessel range, and from order 107 on the
+        # displacement blocks of both bases are degenerate
+        with pytest.raises(BasisDegenerate), warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyLoss)
+            cw.global_twopoint([al_layer], cw.WaveContext(omega=1.0, n=200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyLoss)
+            res = cw.solve_scattering(cw.ScatteringConfig(
+                (al_layer,), ka=1.0, n_max=200, method="recursion"))
+        assert len(res.b) == 9
+        assert res.sigma_tot == pytest.approx(3.6093506376373337, rel=1e-12)
+
+    @pytest.mark.parametrize("ka", [1.3, 3.7, 6.1, 8.9, 11.4])
+    def test_stacked_recursion_equals_per_order_composition(self, al_layer,
+                                                            ka):
+        layers = _three_layer_stack(al_layer)
+        res = cw.solve_scattering(cw.ScatteringConfig(layers, ka=ka,
+                                                      method="recursion"))
+        scale = max(abs(bn) for bn in res.b)
+        for n, bn in enumerate(res.b):
+            ctx = cw.WaveContext(omega=ka, n=n)
+            z_in = cw.ti_conditional_impedance(1, layers[0], ctx, 0.3)
+            z = cw.conditional_from_twopoint(cw.global_twopoint(layers, ctx),
+                                             z_in)
+            want = cw.scattering_coefficient(n, ka, 1.0,
+                                             cw.scalar_impedance_z0(z))
+            assert abs(bn - want) <= 1e-13 * scale, n
+
+    def test_axial_moduli_do_not_scatter(self):
+        # at kz = 0 only c11, c12 and c66 reach the in-plane motion; with
+        # c44 > c11 the kz = 0 paths once took the axial wavenumber for the
+        # in-plane one
+        want = None
+        for c13, c44 in ((0.0, 4.0), (0.0, 21.0), (5.0, 30.0)):
+            layer = cw.LayerTI(0.5, 1.0, 1.0, 20.0, 12.0, c13, 20.0, c44)
+            for method in ("recursion", "integrate"):
+                got = cw.solve_scattering(cw.ScatteringConfig(
+                    (layer,), ka=1.0, method=method)).sigma_tot
+                want = got if want is None else want
+                assert got == pytest.approx(want, rel=1e-12), (c44, method)
 
     def test_failure_of_a_reached_order_is_raised(self, al_layer):
         with pytest.raises(StepTooLarge):

@@ -1,13 +1,18 @@
+import types
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 from scipy.special import jn_zeros
 
 import cylwave as cw
-from cylwave import tilayers
-from cylwave.errors import (BasisDegenerate, InterfaceResonance,
-                            KzZeroCoupling, ModeResonance)
-from cylwave.tilayers import _twopoint_for_basis
+from cylwave import cylfun
+from cylwave.errors import (AccuracyLoss, BasisDegenerate,
+                            InterfaceResonance, KzZeroCoupling, ModeResonance)
+from cylwave.tilayers import _wavenumbers
 
 
 def _ti_layer_b(r_in=0.75, r_out=1.0):
@@ -171,11 +176,38 @@ class TestConditionalImpedance:
             cw.ti_conditional_impedance(1, layer, ctx, 1.0)
 
     def test_mode_resonance_at_function_zero(self, al_layer, monkeypatch):
-        monkeypatch.setattr("cylwave.tilayers.cyl_f",
-                            lambda kind, n, x: 0.0 + 0.0j)
+        # every cylinder-function value zero; k1 r < n = 1 reads as an
+        # underflow, but k2 r and k3 r > n are true zeros
+        monkeypatch.setattr("cylwave.cylfun._values",
+                            lambda kind, orders, x: np.zeros(len(orders),
+                                                             dtype=complex))
         ctx = cw.WaveContext(omega=5.0, n=1, kz=0.3)
         with pytest.raises(ModeResonance):
             cw.ti_conditional_impedance(1, al_layer, ctx, 0.9)
+
+    def test_underflowed_bessel_orders(self, al_layer):
+        # scipy's J_n(k r) underflows to 0 from n = 103 at omega = 1,
+        # r = 0.5, where the true value is about 1.6e-292; z needs only
+        # x J_n'/J_n, which the ratio J_(n+1)/J_n carries through.  The
+        # reference evaluates the kz = 0 closed form in 30 digits
+        for n in range(103, 201):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AccuracyLoss)
+                z = cw.ti_conditional_impedance(
+                    1, al_layer, cw.WaveContext(omega=1.0, n=n), 0.5).z
+            with mpmath.workdps(30):
+                xs = [mpmath.mpf(k.real) * mpmath.mpf(0.5)
+                      for k in _wavenumbers(al_layer, 1.0, 0.0)[:3]]
+                c44, c66 = mpmath.mpf(al_layer.c44), mpmath.mpf(al_layer.c66)
+                x1, x2, x3 = (x * mpmath.besselj(n, x, derivative=1)
+                              / mpmath.besselj(n, x) for x in xs)
+                e = c66 * xs[2] ** 2 / (x1 * x3 - n * n)
+                want = np.array([
+                    [2 * c66 + x3 * e, 1j * n * (2 * c66 + e), 0],
+                    [-1j * n * (2 * c66 + e), 2 * c66 + x1 * e, 0],
+                    [0, 0, -c44 * x2]], dtype=object).astype(complex)
+            assert np.max(np.abs(z - want)) <= 1e-12 * np.max(np.abs(want))
+            assert cw.hermitian_residual(z) < 1e-12
 
 
 class TestLayerTwoPoint:
@@ -229,21 +261,43 @@ class TestLayerTwoPoint:
         assert np.all(np.isfinite(zz.z))
         assert cw.hermitian_residual(zz.z) < 1e-8
 
-    def test_each_basis_function_evaluated_once(self, al_layer, monkeypatch):
-        # 2 kinds x 2 radii, each X and z once: 3 wavenumbers apiece
-        calls = {"f": 0, "fp": 0}
+    def test_each_bessel_table_evaluated_once(self, al_layer, monkeypatch):
+        # a whole recursion solve makes one scipy call per (kind, argument),
+        # each over the orders 0..n_cap+1
+        calls = []
 
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
+        def counted(name):
+            fn = getattr(special, name)
+
+            def wrapper(orders, x):
+                calls.append((name, x, tuple(orders)))
+                return fn(orders, x)
             return wrapper
 
-        monkeypatch.setattr(tilayers, "cyl_f", counted("f", tilayers.cyl_f))
-        monkeypatch.setattr(tilayers, "cyl_f_prime",
-                            counted("fp", tilayers.cyl_f_prime))
-        cw.layer_twopoint(al_layer, cw.WaveContext(omega=5.0, n=1, kz=0.3))
-        assert calls == {"f": 24, "fp": 24}
+        fake = types.SimpleNamespace(**{
+            name: counted(name) for name in ("jv", "yv", "hankel1",
+                                             "hankel2")})
+        monkeypatch.setattr(cylfun, "special", fake)
+        layers = (cw.LayerTI(0.3, 0.6, al_layer.rho, al_layer.c11,
+                             al_layer.c12, al_layer.c13, al_layer.c33,
+                             al_layer.c44),
+                  cw.LayerTI(0.6, 0.8, 1.6, 6.6, 3.2, 2.8, 64.8, 3.2),
+                  cw.LayerTI.isotropic(0.8, 1.0, 7.85, 37.0, 37.0))
+        cw.solve_scattering(cw.ScatteringConfig(layers, ka=4.0,
+                                                method="recursion"))
+        keys = [(name, complex(x)) for name, x, _ in calls]
+        assert len(set(keys)) == len(keys)
+        assert {orders for _, _, orders in calls} == {tuple(range(22))}
+        # J and H1 at each layer's wavenumbers and radii, and at ka; Y only
+        # where the {J, H1} blocks of some order are degenerate
+        want = {4.0 + 0j}
+        for lay in layers:
+            want |= {k * r for k in _wavenumbers(lay, 4.0, 0.0)[:3]
+                     for r in (lay.r_inner, lay.r_outer)}
+        args = {name: {x for kind, x in keys if kind == name}
+                for name in ("jv", "yv", "hankel1", "hankel2")}
+        assert args["jv"] == args["hankel1"] == want
+        assert args["yv"] < want and not args["hankel2"]
 
     def test_degenerate_basis_pair_rejected(self, al_layer):
         ctx = cw.WaveContext(omega=5.0, n=1, kz=0.3)
@@ -395,6 +449,6 @@ class TestLayerType:
 
     def test_twopoint_accepts_direct_basis_objects(self, al_layer):
         ctx = cw.WaveContext(omega=5.0, n=0, kz=0.2)
-        a = _twopoint_for_basis(al_layer, ctx, (1, 3))
+        a = cw.layer_twopoint(al_layer, ctx, basis=[1, 3])
         b = cw.layer_twopoint(al_layer, ctx)
         assert_allclose(a.z, b.z, atol=0)
