@@ -2,7 +2,7 @@
 
 Four commands, all driven by a layer-profile JSON plus flags:
 
-    impedance-trace   march z(r) outward, emit det of its in-plane block
+    impedance-trace   emit det of z's in-plane block after each march step
     convergence       error vs step count for every marching scheme
     scatter           cross-section (single ka or a sweep)
     field             exterior pressure map on a cartesian grid
@@ -25,9 +25,10 @@ import numpy as np
 
 from .elastodyn import (RadialProfile, WaveContext, profile_from_json,
                         ti_stiffness)
-from .errors import CylwaveError, DomainError, SchemaError, UsageError
-from .impedance import ConditionalImpedance, integrate_impedance, mobius_step
-from .matricant import SCHEME_NAMES, get_scheme, matricant_step
+from .errors import (CylwaveError, DomainError, EntryFaults, SchemaError,
+                     UsageError)
+from .impedance import _march, integrate_impedance
+from .matricant import SCHEME_NAMES, get_scheme
 from .scatter import (ScatteringConfig, pressure_field, solve_scattering)
 from .tilayers import LayerTI, ti_conditional_impedance
 
@@ -246,13 +247,13 @@ def _run_impedance_trace(cfg: RunConfig) -> list:
     omega = cfg.ka / cfg.r1
     ctx = WaveContext(omega=omega, n=cfg.n, kz=cfg.kz, m=m)
     norm = cfg.n ** 3 + 1
-    z = ConditionalImpedance(_inner_z(cfg, m, cfg.n, omega), cfg.r0)
-    h = (cfg.r1 - cfg.r0) / cfg.steps
-    rows = [(cfg.r0, _det2(z.z) / norm)]
-    for i in range(cfg.steps):
-        mstep = matricant_step(cfg.profile, ctx, cfg.r0 + i * h, h, cfg.scheme)
-        z = mobius_step(z, mstep)
-        rows.append((z.r, _det2(z.z) / norm))
+    z0 = _inner_z(cfg, m, cfg.n, omega)
+    faults = EntryFaults(1)
+    rows = [(cfg.r0, _det2(z0) / norm)]
+    for r, _, z, _ in _march(cfg.profile, [ctx], [z0], cfg.r0, cfg.r1,
+                             cfg.steps, cfg.scheme, faults):
+        rows.append((r, _det2(z[0]) / norm))
+    faults.check(0)
     return [f"{_g17(r)},{_g17(d.real)},{_g17(d.imag)}" for (r, d) in rows]
 
 

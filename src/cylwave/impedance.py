@@ -10,15 +10,14 @@ the fractional-linear (Moebius) action of short-span matricants, which passes
 through poles projectively.  A deliberately naive Runge-Kutta integrator is
 kept for demonstrating the instability.
 
-The march is sequential in r only.  It advances a stack of entries (the
-partial-wave orders of one solve, or the single one of integrate_impedance)
-together, in blocks of _BLOCK_STEPS steps: the propagators of a block come
-from one batched sampling of Q and one kernel call, and the Moebius update
-runs on the whole stack per step.  An entry that fails (a step past the
-guard, an overflowing exponential or a singular Moebius denominator) leaves
-the stack with its typed error and the others march on; integrate_impedance
-raises it, a scattering solve only when its truncation walk reaches that
-order.
+The march is sequential in r only, and the package has one.  It advances a
+stack of entries (the partial-wave orders of one solve, or the single entry
+of integrate_impedance or of the impedance-trace command) in blocks of
+_BLOCK_STEPS steps: one batched sampling of Q and one kernel call per block,
+the Moebius update on the whole stack per step.  An entry past the step
+guard or with a singular Moebius denominator records its typed error in the
+caller's EntryFaults and leaves the stack; integrate_impedance raises it, a
+scattering solve only when its truncation walk reaches that order.
 """
 from __future__ import annotations
 
@@ -27,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elastodyn import _q_sampler
-from .errors import (DegenerateSpan, EntryFaults, Overflow, PoleCrossing,
-                     ResonantInner, SingularMatrix, StepTooLarge)
+from .errors import (DegenerateSpan, EntryFaults, PoleCrossing, ResonantInner,
+                     SingularMatrix)
 from .matricant import Matricant, _check_span, _step_kernel, _step_samples
 from .numkernel import _inverse_each, _norm1, mat_inverse
 
@@ -36,8 +35,6 @@ _POLE_COND = 1e14
 # steps whose propagators are held at once: it bounds the march's memory at
 # (nodes x 10 x orders) sampled matrices
 _BLOCK_STEPS = 10
-# the failures that stop one entry of a stacked march, not the others
-_ENTRY_FAILURES = (StepTooLarge, Overflow, SingularMatrix)
 
 
 @dataclass(frozen=True)
@@ -125,13 +122,14 @@ def admittance_rhs(a, q) -> np.ndarray:
 
 
 def _mobius(z: np.ndarray, m: np.ndarray) -> tuple:
-    """z' = i (M3 - i M4 z)(M1 - i M2 z)^-1 over a stack, and the 1-norm
-    condition number of each denominator."""
+    """z' = i (M3 - i M4 z)(M1 - i M2 z)^-1 over a stack, the 1-norm
+    condition number of each denominator and the mask of the singular ones."""
     k = z.shape[-1]
-    den = m[..., :k, :k] - 1j * (m[..., :k, k:] @ z)
-    den_inv = mat_inverse(den)
-    znew = 1j * ((m[..., k:, :k] - 1j * (m[..., k:, k:] @ z)) @ den_inv)
-    return znew, _norm1(den) * _norm1(den_inv)
+    with np.errstate(all="ignore"):
+        den = m[..., :k, :k] - 1j * (m[..., :k, k:] @ z)
+        den_inv, singular = _inverse_each(den)
+        znew = 1j * ((m[..., k:, :k] - 1j * (m[..., k:, k:] @ z)) @ den_inv)
+        return znew, _norm1(den) * _norm1(den_inv), singular
 
 
 def mobius_step(z: ConditionalImpedance, m: Matricant) -> ConditionalImpedance:
@@ -142,9 +140,11 @@ def mobius_step(z: ConditionalImpedance, m: Matricant) -> ConditionalImpedance:
     When the denominator is numerically on an impedance pole
     (condition > 1e14) a PoleCrossing record is attached to the result;
     the map itself stays finite on either side of the pole, so marching
-    continues.
+    continues.  A singular denominator raises SingularMatrix.
     """
-    znew, cond = _mobius(_zmat(z), m.m)
+    znew, cond, singular = _mobius(_zmat(z), m.m)
+    if singular:
+        raise SingularMatrix("Moebius denominator singular")
     events = z.events
     if cond > _POLE_COND:
         events = events + (PoleCrossing(m.r_to, float(cond)),)
@@ -156,60 +156,50 @@ def impedance_from_matricant(m: Matricant, z0: ConditionalImpedance) -> Conditio
     return mobius_step(z0, m)
 
 
-def _march_block(sample, z, r, h, propagators, nodes) -> tuple:
-    """Advance the stack z over the steps starting at radii r; returns the
-    new stack and the (entry, PoleCrossing) records of the block."""
-    mats = propagators(h, _step_samples(sample, r, h, nodes))
-    events = []
-    for ri, mi in zip(r, mats):
-        z, cond = _mobius(z, mi)
-        for j in np.flatnonzero(cond > _POLE_COND):
-            events.append((j, PoleCrossing(float(ri + h), float(cond[j]))))
-    return z, events
-
-
-def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int,
-           scheme) -> list:
-    """March every entry (ctxs[j], z0s[j]) from r0 to r1 in equal steps.
-
-    Returns per entry the ConditionalImpedance at r1, or the typed error
-    that stopped it.  A block that fails is retried entry by entry, which
-    finds the failing entries and lets the others go on.
-    """
+def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
+           faults: EntryFaults):
+    """March the entries (ctxs[j], z0s[j]) with no error in faults from r0 to
+    r1 in equal steps, yielding after each step the radius, the live entries,
+    their z as one array and the step's (entry, PoleCrossing) records.  An
+    entry past the step guard or with a singular Moebius denominator gets
+    that StepTooLarge or SingularMatrix in faults and leaves the stack."""
     h = (r1 - r0) / steps
     _check_span(profile, r0, r1 - r0)
     propagators, nodes = _step_kernel(scheme)
-    z = np.array([_zmat(z0) for z0 in z0s])
-    events = [tuple(getattr(z0, "events", ())) for z0 in z0s]
-    out = [None] * len(ctxs)
-    live = list(range(len(ctxs)))
-    sample = _q_sampler(profile, ctxs)
-    for start in range(0, steps, _BLOCK_STEPS):
-        r = r0 + np.arange(start, min(start + _BLOCK_STEPS, steps)) * h
-        try:
-            z[live], found = _march_block(sample, z[live], r, h,
-                                          propagators, nodes)
-            found = [(live[j], ev) for j, ev in found]
-        except _ENTRY_FAILURES:
-            found = []
-            for j in list(live):
-                try:
-                    z[[j]], ev = _march_block(_q_sampler(profile, [ctxs[j]]),
-                                              z[[j]], r, h, propagators,
-                                              nodes)
-                    found += [(j, e) for _, e in ev]
-                except _ENTRY_FAILURES as err:
-                    out[j] = err
-                    live.remove(j)
-            if not live:
-                break
+    live = np.flatnonzero(faults.ok)
+    z = np.array([_zmat(z0s[j]) for j in live])
+    sample, start = None, 0
+    while start < steps and len(live):
+        if sample is None:
             sample = _q_sampler(profile, [ctxs[j] for j in live])
-        for j, ev in found:
-            events[j] += (ev,)
-    r_end = r0 + (steps - 1) * h + h
-    for j in live:
-        out[j] = ConditionalImpedance(z[j], r_end, events[j])
-    return out
+        r = r0 + np.arange(start, min(start + _BLOCK_STEPS, steps)) * h
+        qs, errors = _step_samples(sample, r, h, nodes)
+        fail = np.not_equal(errors, None)
+        if fail.any():
+            # the block is sampled again for the entries left
+            faults.errors[live[fail]] = errors[fail]
+            live, z, sample = live[~fail], z[~fail], None
+            continue
+        # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent by 20, a
+        # Magnus one (nodes sharing D) by 20 + (sqrt(3)/6) 20^2 ~ 135, so
+        # mat_exp stays below e^135 max(s, 1/s), finite unless s > 1e249, and
+        # its Pade denominator is regular: no entry needs an Overflow path.
+        mats = propagators(h, qs)
+        for k, rk in enumerate(r + h):
+            z, cond, singular = _mobius(z, mats[k])
+            if singular.any():
+                faults.errors[live[singular]] = SingularMatrix(
+                    "Moebius denominator singular")
+                live, z, cond = live[~singular], z[~singular], cond[~singular]
+                if not len(live):
+                    return
+                mats, sample = np.ascontiguousarray(mats[:, ~singular]), None
+            yield float(rk), live, z, [
+                (live[j], PoleCrossing(float(rk), float(cond[j])))
+                for j in np.flatnonzero(cond > _POLE_COND)]
+        # no block's samples or propagators outlive it into the next
+        del qs, mats
+        start += _BLOCK_STEPS
 
 
 def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
@@ -225,10 +215,13 @@ def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
         raise ValueError("need r0 < r1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    (z,) = _march(profile, [ctx], [z0], r0, r1, steps, scheme)
-    if isinstance(z, Exception):
-        raise z
-    return z
+    faults = EntryFaults(1)
+    events = tuple(getattr(z0, "events", ()))
+    for r, _, z, found in _march(profile, [ctx], [z0], r0, r1, steps, scheme,
+                                 faults):
+        events += tuple(ev for _, ev in found)
+    faults.check(0)
+    return ConditionalImpedance(z[0], r, events)
 
 
 def twopoint_from_matricant(m: Matricant) -> TwoPointImpedance:

@@ -20,8 +20,9 @@ the exponential series truncated after (hQ)^p / p!.
 
 The kernels and the step guard act on stacks: the samples arrive as one
 array (nodes, *batch, 2m, 2m) and every step of the batch, over steps and
-partial-wave orders alike, is computed in one pass.  matricant_step is a
-batch of one; the impedance march feeds whole blocks of steps.
+partial-wave orders alike, is computed in one pass.  The guard gives each
+context its own StepTooLarge instead of raising, so the impedance march
+drops just that entry; matricant_step is a batch of one and raises it.
 
 No scheme needs derivatives of Q.  A node on an interface of a piecewise
 profile takes the layer its step spans, so a ts1 step that starts on an
@@ -253,14 +254,15 @@ def _bound(h: float, q: np.ndarray) -> np.ndarray:
 
 
 def _guard(h: float, q: np.ndarray) -> np.ndarray:
-    # The guard measures h |D^-1 Q D|_2, D = diag(I, sI) balancing the
-    # off-diagonal blocks: at kz = 0 the U/V scaling grows |Q|_2 as n^2
-    # while the eigenvalues, which D keeps, stay small.  The bound
-    # sqrt(|A|_1 |A|_inf) >= |A|_2, first of Q and then of D^-1 Q D, spares
-    # the SVD wherever it already shows the norm below 20
+    # Each matrix's h |D^-1 Q D|_2, or 0 where its bounds show it below 20.
+    # D = diag(I, sI) balances the off-diagonal blocks: at kz = 0 the U/V
+    # scaling grows |Q|_2 as n^2 while the eigenvalues, which D keeps, stay
+    # small.  The bound sqrt(|A|_1 |A|_inf) >= |A|_2, first of Q and then of
+    # D^-1 Q D, spares the SVD wherever it already shows the norm below 20
+    nrm = np.zeros(q.shape[:-2])
     over = _bound(h, q) > 20.0
     if not over.any():
-        return q
+        return nrm
     qo = q[over]
     k = q.shape[-1] // 2
     q2 = np.linalg.norm(qo[:, :k, k:], axis=(-2, -1))
@@ -270,22 +272,25 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
     d = np.concatenate([np.ones((len(qo), k)), np.repeat(s[:, None], k, 1)],
                        axis=1)
     qb = qo * d[:, None, :] / d[:, :, None]
-    qb = qb[_bound(h, qb) > 20.0]
-    if not len(qb):
-        return q
-    nrm = (h * np.linalg.norm(qb, 2, axis=(-2, -1))).max()
-    if nrm > 20.0:
-        raise StepTooLarge(
-            f"||h*Q|| = {nrm:.3g} exceeds 20 (exp overflow guard); "
-            "reduce the step or increase the step count")
-    return q
+    still = _bound(h, qb) > 20.0
+    if still.any():
+        nrm.flat[np.flatnonzero(over)[still]] = h * np.linalg.norm(
+            qb[still], 2, axis=(-2, -1))
+    return nrm
 
 
-def _step_samples(sample, r: np.ndarray, h: float, nodes: tuple) -> np.ndarray:
-    """Guarded Q at the nodes of the steps [r, r + h]: an array
-    (nodes, steps, contexts, s, s) from a sampler of elastodyn._q_sampler."""
+def _step_samples(sample, r: np.ndarray, h: float, nodes: tuple) -> tuple:
+    """Q at the nodes of the steps [r, r + h] as (nodes, steps, contexts, s,
+    s) from a _q_sampler, and per context its first StepTooLarge, or None."""
     x = r + (np.array(nodes) * h)[:, None]
-    return _guard(h, sample(x, np.broadcast_to(r + 0.5 * h, x.shape)))
+    qs = sample(x, np.broadcast_to(r + 0.5 * h, x.shape))
+    nrm = _guard(h, qs).max(axis=0)
+    errors = np.full(qs.shape[2], None, dtype=object)
+    for i in np.flatnonzero((nrm > 20.0).any(axis=0)):
+        errors[i] = StepTooLarge(
+            f"||h*Q|| = {nrm[nrm[:, i] > 20.0, i][0]:.3g} exceeds 20 (exp "
+            "overflow guard); reduce the step or increase the step count")
+    return qs, errors
 
 
 def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
@@ -294,7 +299,10 @@ def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
         raise ValueError("step must be positive")
     _check_span(profile, r, h)
     propagators, nodes = _step_kernel(scheme)
-    qs = _step_samples(_q_sampler(profile, [ctx]), np.array([r]), h, nodes)
+    qs, (err,) = _step_samples(_q_sampler(profile, [ctx]), np.array([r]), h,
+                               nodes)
+    if err is not None:
+        raise err
     return Matricant(propagators(h, qs)[0, 0], r, r + h)
 
 

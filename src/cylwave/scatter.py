@@ -13,10 +13,10 @@ over the orders n: the integrate route in one stacked Moebius march, the
 recursion route as array code over the orders (closed-form layers, joins,
 inner impedance), and both then z0 and B_n over the orders.  A typed error
 of an order (a cylinder-function zero or impedance pole, a degenerate
-basis, an interface or inner resonance, the step guard, an overflowing
-exponential, a singular Moebius denominator) and its AccuracyLoss warnings
-are kept in the stack's record and surface only if the walk reaches that
-order, so orders past the early stop never fail a solve.
+basis, an interface or inner resonance, the step guard, a singular Moebius
+denominator) and its AccuracyLoss warnings are kept in the stack's record
+and surface only if the walk reaches that order, so orders past the early
+stop never fail a solve; the march skips an order that already failed.
 """
 from __future__ import annotations
 
@@ -201,21 +201,18 @@ def _integrated_orders(config: ScatteringConfig,
     stack's record."""
     layers = config.layers
     z_in = _inner_impedances(config, stack)
-    live = np.flatnonzero(stack.faults.ok)
+    profile = RadialProfile.piecewise(
+        [(lay.r_inner, lay.r_outer, lay.material()) for lay in layers])
+    ctxs = [WaveContext(omega=stack.omega, n=int(n), kz=0.0, m=2)
+            for n in stack.n]
     z = np.zeros((len(stack.n), 2, 2), dtype=complex)
-    if len(live):
-        profile = RadialProfile.piecewise(
-            [(lay.r_inner, lay.r_outer, lay.material()) for lay in layers])
-        ctxs = [WaveContext(omega=stack.omega, n=int(n), kz=0.0, m=2)
-                for n in stack.n[live]]
-        marched = _march(profile, ctxs, list(z_in[live, :2, :2]),
-                         layers[0].r_inner, layers[-1].r_outer, config.steps,
-                         config.scheme)
-        for j, zj in zip(live, marched):
-            if isinstance(zj, Exception):
-                stack.faults.errors[j] = zj
-            else:
-                z[j] = zj.z
+    for _, live, z_live, _ in _march(profile, ctxs, z_in[:, :2, :2],
+                                     layers[0].r_inner, layers[-1].r_outer,
+                                     config.steps, config.scheme,
+                                     stack.faults):
+        pass
+    if stack.faults.ok.any():
+        z[live] = z_live
     return z
 
 
@@ -270,8 +267,8 @@ def solve_scattering(config: ScatteringConfig) -> ScatteringResult:
             small_run = 0
 
     b = tuple(bs)
-    sigma = total_cross_section(b, config.ka)
-    f_samples = tuple(
-        (th, complex(form_function(th, b, config.ka))) for th in _F_ANGLES)
+    f = form_function(np.array(_F_ANGLES), b, config.ka)
+    # total_cross_section's (4 pi / ka) Im f(0), from _F_ANGLES[0] = 0
+    sigma = 4.0 * math.pi / config.ka * float(f[0].imag)
     return ScatteringResult(b=b, ka=config.ka, sigma_tot=sigma,
-                            f_samples=f_samples)
+                            f_samples=tuple(zip(_F_ANGLES, map(complex, f))))

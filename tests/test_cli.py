@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import cylwave as cw
 from cylwave import cli
 from cylwave.errors import SchemaError, UsageError
 
@@ -276,6 +277,22 @@ class TestOutputs:
         assert rows.shape == (21, 3)
         assert rows[0, 0] == 0.5 and rows[-1, 0] == pytest.approx(1.0)
         assert np.all(np.isfinite(rows))
+
+    def test_trace_ends_on_the_marched_impedance(self, al_json, capsys):
+        argv = ["impedance-trace", "--profile", al_json, "--ka", "2",
+                "--steps", "20"]
+        assert cli.main(argv) == 0
+        last = [ln for ln in _lines(capsys) if not ln.startswith("#")][-1]
+        cfg = cli.parse_config(argv)
+        ctx = cw.WaveContext(omega=2.0, n=0, m=2)
+        z_in = cw.ti_conditional_impedance(
+            1, cfg.layers[0], cw.WaveContext(omega=2.0, n=0, m=3), 0.5).z
+        z = cw.integrate_impedance(cfg.profile, ctx, z_in[:2, :2], 0.5, 1.0,
+                                   20, "lp4").z
+        # at n = 0 the trace's n^3 + 1 normalization is 1
+        det = complex(z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0])
+        assert last == ",".join(format(x, ".17g")
+                                for x in (1.0, det.real, det.imag))
 
     def test_trace_with_axial_wavenumber(self, al_json, capsys):
         assert cli.main(["impedance-trace", "--profile", al_json,

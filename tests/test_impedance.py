@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cylwave as cw
-from cylwave.errors import DegenerateSpan, PoleCrossing, ResonantInner
+from cylwave.errors import (DegenerateSpan, EntryFaults, PoleCrossing,
+                            ResonantInner, SingularMatrix, StepTooLarge)
 from cylwave.impedance import _march
 
 AL_CTX = cw.WaveContext(omega=5.0, n=0)
@@ -23,6 +24,15 @@ class _ZeroQ:
 
     def q_at(self, r, ctx):
         return np.zeros((6, 6))
+
+
+class _Turn:
+    support = (0.0, 1.0)
+    w = np.pi / 0.1
+
+    def q_at(self, r, ctx):
+        d = np.diag([self.w, 1.0])
+        return np.block([[np.zeros((2, 2)), d], [-d, np.zeros((2, 2))]])
 
 
 class TestRiccatiRhs:
@@ -199,29 +209,61 @@ class TestIntegrate:
         # Q = [[0, W], [-W, 0]] turns each channel by w h per step; from
         # z0 = 0 the first channel meets a pole at r = 0.55, while
         # the second entry starts a quarter turn off and never lands on one
-        class _Turn:
-            support = (0.0, 1.0)
-
-            def q_at(self, r, ctx):
-                return np.block([[np.zeros((2, 2)), np.diag([w, 1.0])],
-                                 [-np.diag([w, 1.0]), np.zeros((2, 2))]])
-
-        w = np.pi / 0.1
         prof = _Turn()
         ctx = cw.WaveContext(omega=1.0, m=2)
         z0s = [np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0])]
-        stacked = _march(prof, [ctx, ctx], z0s, 0.5, 0.62, 12, "exp2a")
+        faults = EntryFaults(2)
+        events = [[], []]
+        for r, live, z, found in _march(prof, [ctx, ctx], z0s, 0.5, 0.62, 12,
+                                        "exp2a", faults):
+            for j, ev in found:
+                events[j].append(ev)
+        assert faults.ok.all() and list(live) == [0, 1]
         alone = [cw.integrate_impedance(prof, ctx, z0, 0.5, 0.62, 12, "exp2a")
                  for z0 in z0s]
         # the steps onto and off the pole both have a near-singular
         # denominator
         assert [e.r for e in alone[0].events] == pytest.approx([0.55, 0.56])
         assert not alone[1].events
-        for got, want in zip(stacked, alone):
-            assert [(e.r, e.cond) for e in got.events] \
+        for got, zj, want in zip(events, z, alone):
+            assert [(e.r, e.cond) for e in got] \
                 == [(e.r, e.cond) for e in want.events]
-            assert_allclose(got.z, want.z, rtol=1e-13, atol=0)
-            assert got.r == want.r
+            assert_allclose(zj, want.z, rtol=1e-13, atol=0)
+            assert r == want.r
+
+    def test_failures_stay_per_entry(self):
+        # order 0 trips the step guard and order 1 starts from a NaN z0, so
+        # its first Moebius denominator is singular; order 2 crosses the
+        # pole of the turn and must march exactly as it does alone; order 3
+        # failed before the march and must never be sampled
+        class _PerOrder(_Turn):
+            def q_at(self, r, ctx):
+                assert ctx.n != 3
+                return 1e6 * np.eye(4) if ctx.n == 0 else super().q_at(r, ctx)
+
+        prof = _PerOrder()
+        ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(4)]
+        z0s = [np.zeros((2, 2), dtype=complex),
+               np.full((2, 2), np.nan, dtype=complex),
+               np.zeros((2, 2), dtype=complex),
+               np.zeros((2, 2), dtype=complex)]
+        faults = EntryFaults(4)
+        inner = ResonantInner("failed before the march")
+        faults.errors[3] = inner
+        events = []
+        for r, live, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12,
+                                        "exp2a", faults):
+            events += [ev for j, ev in found if j == 2]
+        assert isinstance(faults.errors[0], StepTooLarge)
+        assert isinstance(faults.errors[1], SingularMatrix)
+        assert faults.errors[2] is None and faults.errors[3] is inner
+        assert list(live) == [2]
+        alone = cw.integrate_impedance(prof, ctxs[2], z0s[2], 0.5, 0.62, 12,
+                                       "exp2a")
+        assert len(alone.events) == 2
+        assert [(e.r, e.cond) for e in events] \
+            == [(e.r, e.cond) for e in alone.events]
+        assert np.array_equal(z[0], alone.z) and r == alone.r
 
 
 class TestTwoPointConversions:
