@@ -7,6 +7,10 @@ Q = (i/r) G.  For lossless (real) moduli Q has the symmetry Q+ = -T Q T with
 T the block-swap matrix, which is what makes impedance matrices Hermitian
 downstream.
 
+G has one formula, _ig_terms, array code over stacks of stiffness tables
+and contexts: g_matrix evaluates it at one radius, the marcher's sampler once
+per layer of a piecewise profile or per block of radii of a smooth law.
+
 All quantities are nondimensional: lengths by the outer radius, densities by
 the fluid density, speeds by the fluid sound speed, moduli by rho_w*c_w^2.
 """
@@ -41,7 +45,10 @@ class StiffnessVoigt:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (6, 6):
             raise ValueError("stiffness table must be 6x6")
-        if not np.allclose(c, c.T, rtol=0, atol=1e-12 * max(1.0, abs(c).max())):
+        scale = np.abs(c).max()
+        if not math.isfinite(scale):
+            raise ValueError("stiffness moduli must be finite")
+        if np.abs(c - c.T).max() > 1e-12 * max(1.0, scale):
             raise ValueError("stiffness table must be symmetric")
         object.__setattr__(self, "c", 0.5 * (c + c.T))
 
@@ -88,8 +95,8 @@ class MaterialPoint:
     stiffness: StiffnessVoigt
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("density must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("density must be positive and finite")
 
 
 def aluminium() -> MaterialPoint:
@@ -222,41 +229,31 @@ class VoigtBlocks(NamedTuple):
     s: np.ndarray
 
 
+# The six 3x3 sub-tables of C entering the system matrix, in VoigtBlocks
+# order, as 1-based Voigt indices: the tens digit is the row, the units digit
+# the column.
+_VOIGT_INDEX = np.array([
+    [[11, 16, 15], [16, 66, 56], [15, 56, 55]],  # qh
+    [[66, 26, 46], [26, 22, 24], [46, 24, 44]],  # th
+    [[55, 45, 35], [45, 44, 34], [35, 34, 33]],  # mh
+    [[16, 12, 14], [66, 26, 46], [56, 25, 45]],  # r
+    [[15, 14, 13], [56, 46, 36], [55, 45, 35]],  # p
+    [[56, 46, 36], [25, 24, 23], [45, 44, 34]],  # s
+])
+_ROW, _COL = _VOIGT_INDEX // 10 - 1, _VOIGT_INDEX % 10 - 1
+
+
+def _gather_blocks(c: np.ndarray) -> np.ndarray:
+    """The sub-tables of the stiffness tables c (..., 6, 6) as (6, ..., 3, 3)
+    in VoigtBlocks order, contiguous so that each block multiplies through
+    the same BLAS call as a single 3x3 matrix."""
+    return np.ascontiguousarray(np.moveaxis(c[..., _ROW, _COL], -3, 0))
+
+
 def voigt_blocks(stiff: StiffnessVoigt) -> VoigtBlocks:
-    """The six 3x3 sub-tables of C entering the system matrix.
-
-    Index transcription (1-based Voigt):
-
-        qh = [[11,16,15],[16,66,56],[15,56,55]]     th = [[66,26,46],[26,22,24],[46,24,44]]
-        mh = [[55,45,35],[45,44,34],[35,34,33]]     r  = [[16,12,14],[66,26,46],[56,25,45]]
-        p  = [[15,14,13],[56,46,36],[55,45,35]]     s  = [[56,46,36],[25,24,23],[45,44,34]]
-    """
-    cached = getattr(stiff, "_vblocks", None)
-    if cached is not None:
-        return cached
-    c = stiff
-    qh = np.array([[c[1, 1], c[1, 6], c[1, 5]],
-                   [c[1, 6], c[6, 6], c[5, 6]],
-                   [c[1, 5], c[5, 6], c[5, 5]]])
-    th = np.array([[c[6, 6], c[2, 6], c[4, 6]],
-                   [c[2, 6], c[2, 2], c[2, 4]],
-                   [c[4, 6], c[2, 4], c[4, 4]]])
-    mh = np.array([[c[5, 5], c[4, 5], c[3, 5]],
-                   [c[4, 5], c[4, 4], c[3, 4]],
-                   [c[3, 5], c[3, 4], c[3, 3]]])
-    r = np.array([[c[1, 6], c[1, 2], c[1, 4]],
-                  [c[6, 6], c[2, 6], c[4, 6]],
-                  [c[5, 6], c[2, 5], c[4, 5]]])
-    p = np.array([[c[1, 5], c[1, 4], c[1, 3]],
-                  [c[5, 6], c[4, 6], c[3, 6]],
-                  [c[5, 5], c[4, 5], c[3, 5]]])
-    s = np.array([[c[5, 6], c[4, 6], c[3, 6]],
-                  [c[2, 5], c[2, 4], c[2, 3]],
-                  [c[4, 5], c[4, 4], c[3, 4]]])
-    vb = VoigtBlocks(qh, th, mh, r, p, s)
-    # material constants; marching evaluates these thousands of times per run
-    object.__setattr__(stiff, "_vblocks", vb)
-    return vb
+    """The six 3x3 sub-tables of C entering the system matrix, read off the
+    index table _VOIGT_INDEX."""
+    return VoigtBlocks(*_gather_blocks(stiff.c))
 
 
 _K = np.array([[0.0, -1.0, 0.0],
@@ -264,41 +261,17 @@ _K = np.array([[0.0, -1.0, 0.0],
                [0.0, 0.0, 0.0]])
 
 
-def _g_parts(stiff: StiffnessVoigt, n: int, kz: float) -> tuple:
-    """The r-independent factors of G for one (n, kz), cached on stiff.
-
-    Returns (-qh^-1 (R kap), qh^-1 P, g2 = -qh^-1,
-    kap+ th kap - (R kap)+ qh^-1 (R kap), W - W+, kz^2 (mh - P.T qh^-1 P));
-    g_matrix combines them with r.
-    """
-    cache = getattr(stiff, "_g_parts", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(stiff, "_g_parts", cache)
-    parts = cache.get((n, kz))
-    if parts is None:
-        qh, th, mh, rmat, p, s = voigt_blocks(stiff)
-        try:
-            qinv = np.linalg.inv(qh)
-        except np.linalg.LinAlgError:
-            raise MaterialSingular(
-                "rr-face stiffness block not invertible") from None
-        kap = _K + 1j * n * np.eye(3)
-        rt = rmat @ kap
-        w = p.T @ qinv @ rt - kap @ s
-        parts = (-qinv @ rt, qinv @ p, -qinv,
-                 kap.conj().T @ th @ kap - rt.conj().T @ qinv @ rt,
-                 w - w.conj().T, kz ** 2 * (mh - p.T @ qinv @ p))
-        for a in parts:
-            a.setflags(write=False)
-        cache[(n, kz)] = parts
-    return parts
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
-def g_matrix(mp: MaterialPoint, ctx: WaveContext, r: float) -> np.ndarray:
-    """The 6x6 G(r) with Q = (i/r) G.
+def _ig_terms(c: np.ndarray, rho: np.ndarray, ctxs) -> np.ndarray:
+    """P0, P1, P2 of i G = P0 + kz r P1 + r^2 P2 for every stiffness table
+    of c (..., 6, 6) with its density in rho (...) and every context, as one
+    array (3, ..., len(ctxs), 6, 6).
 
-    Assembled from the Voigt sub-tables:
+    G is assembled from the Voigt sub-tables:
 
         g1 = -qh^-1 (R kap) - i kz r qh^-1 P
         g2 = -qh^-1
@@ -306,22 +279,48 @@ def g_matrix(mp: MaterialPoint, ctx: WaveContext, r: float) -> np.ndarray:
              + r^2 (kz^2 (mh - P.T qh^-1 P) - rho w^2 I)
         W  = P.T qh^-1 (R kap) - kap S,      kap = K + i n I
 
-    and placed as i*G = [[g1, i g2], [i g3, -g1+]].
+    and placed as i G = [[g1, i g2], [i g3, -g1+]].  Products with i are
+    exact, so the terms summed in _g_from_terms' order round as the blocks
+    would.
     """
+    qh, th, mh, rm, p, s = _gather_blocks(c[..., None, :, :])
+    try:
+        qinv = np.linalg.inv(qh)
+    except np.linalg.LinAlgError:
+        raise MaterialSingular(
+            "rr-face stiffness block not invertible") from None
+    n = np.array([ctx.n for ctx in ctxs])[:, None, None]
+    kz2 = np.array([ctx.kz ** 2 for ctx in ctxs])[:, None, None]
+    w2 = np.array([ctx.omega ** 2 for ctx in ctxs])[:, None, None]
+    kap = _K + 1j * n * np.eye(3)
+    pt = p.swapaxes(-1, -2)
+    rt = rm @ kap
+    w = pt @ qinv @ rt - kap @ s
+    g1a, g1b = -qinv @ rt, qinv @ p
+    terms = np.zeros((3,) + rt.shape[:-2] + (6, 6), dtype=complex)
+    terms[0, ..., :3, :3] = g1a
+    terms[0, ..., :3, 3:] = 1j * -qinv
+    terms[0, ..., 3:, :3] = 1j * (_ct(kap) @ th @ kap - _ct(rt) @ qinv @ rt)
+    terms[0, ..., 3:, 3:] = -_ct(g1a)
+    terms[1, ..., :3, :3] = -(1j * g1b)
+    terms[1, ..., 3:, :3] = 1j * (1j * (w - _ct(w)))
+    terms[1, ..., 3:, 3:] = _ct(1j * g1b)
+    terms[2, ..., 3:, :3] = 1j * (kz2 * (mh - pt @ qinv @ p)
+                                  - rho[..., None, None, None] * w2 * np.eye(3))
+    return terms
+
+
+def _g_from_terms(terms: np.ndarray, kz, r) -> np.ndarray:
+    """G = -i (P0 + kz r P1 + r^2 P2) from _ig_terms' terms."""
+    return -1j * (terms[0] + (kz * r) * terms[1] + (r * r) * terms[2])
+
+
+def g_matrix(mp: MaterialPoint, ctx: WaveContext, r: float) -> np.ndarray:
+    """The 6x6 G(r) with Q = (i/r) G; _ig_terms gives its formula."""
     if r <= 0:
         raise ValueError("g_matrix needs r > 0")
-    g1a, g1b, g2, g3a, g3b, g3c = _g_parts(mp.stiffness, ctx.n, ctx.kz)
-    kzr = ctx.kz * r
-    g1 = g1a - 1j * kzr * g1b
-    g3 = (g3a + 1j * kzr * g3b
-          + r * r * (g3c - mp.rho * ctx.omega ** 2 * np.eye(3)))
-
-    ig = np.empty((6, 6), dtype=complex)
-    ig[:3, :3] = g1
-    ig[:3, 3:] = 1j * g2
-    ig[3:, :3] = 1j * g3
-    ig[3:, 3:] = -g1.conj().T
-    return -1j * ig
+    terms = _ig_terms(mp.stiffness.c, np.asarray(mp.rho, dtype=float), [ctx])
+    return _g_from_terms(terms[:, 0], ctx.kz, r)
 
 
 # Indices of the in-plane (m=2) and axial-shear (m=1) subsystems of the
@@ -332,22 +331,27 @@ _AXIAL_IDX = np.array([2, 5])
 # Voigt pairs that must vanish for the z-normal mirror symmetry
 _MONOCLINIC_ZERO = [(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5),
                     (4, 6), (5, 6)]
+_MIRROR_ROW, _MIRROR_COL = np.array(_MONOCLINIC_ZERO).T - 1
+
+
+def _z_mirror(c: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Whether each stiffness table of c (..., 6, 6) has the z-normal mirror
+    symmetry, to tol times its largest modulus (at least 1)."""
+    scale = np.maximum(1.0, np.abs(c).max(axis=(-2, -1)))
+    return (np.abs(c[..., _MIRROR_ROW, _MIRROR_COL])
+            <= tol * scale[..., None]).all(axis=-1)
 
 
 def has_z_mirror_symmetry(stiff: StiffnessVoigt, tol: float = 1e-12) -> bool:
-    scale = max(1.0, abs(stiff.c).max())
-    return all(abs(stiff[i, j]) <= tol * scale for i, j in _MONOCLINIC_ZERO)
+    return bool(_z_mirror(stiff.c, tol))
 
 
-def _check_reduction(stiff: StiffnessVoigt, ctx: WaveContext) -> None:
-    """Refuse an m < 3 reduction where the motions do not decouple."""
-    if ctx.kz != 0.0:
+def _check_reduction(c: np.ndarray, ctxs) -> None:
+    """Refuse an m < 3 reduction where the motions do not decouple, for the
+    stiffness tables c (..., 6, 6) and the contexts."""
+    if any(ctx.kz != 0.0 for ctx in ctxs):
         raise DecouplingError("m<3 reduction requires kz = 0")
-    mirror = getattr(stiff, "_zmirror", None)
-    if mirror is None:
-        mirror = has_z_mirror_symmetry(stiff)
-        object.__setattr__(stiff, "_zmirror", mirror)
-    if not mirror:
+    if not _z_mirror(c).all():
         raise DecouplingError(
             "m<3 reduction requires z-normal mirror symmetry of the moduli")
 
@@ -376,7 +380,7 @@ def q_matrix(profile, ctx: WaveContext, r: float) -> SystemMatrix:
     q6 = (1j / r) * g
     if ctx.m == 3:
         return SystemMatrix(q=q6, r=float(r))
-    _check_reduction(mp.stiffness, ctx)
+    _check_reduction(mp.stiffness.c, [ctx])
     idx = _state_index(ctx.m)
     return SystemMatrix(q=q6[np.ix_(idx, idx)], r=float(r))
 
@@ -391,14 +395,14 @@ def _q_sampler(profile, ctxs):
     ``toward`` (same shape as r), so a step that starts or ends on an
     interface sees the layer it spans.
 
-    On a piecewise profile i G = P0 + kz r P1 + r^2 P2 in each layer, with
-    P0, P1, P2 built once per context from the cached ``_g_parts`` and
-    combined in g_matrix's order, so the samples equal q_matrix's.  Smooth
-    profiles and the ``q_at`` hook go through q_matrix radius by radius.
+    Samples are (i/r) G from _ig_terms, combined as g_matrix combines them,
+    so they equal q_matrix's bit for bit.  A piecewise profile builds the
+    terms once per layer and picks them per radius; a smooth one calls its
+    law once per radius and builds the terms of all radii and contexts in
+    one pass.  Only the ``q_at`` hook goes through q_matrix radius by
+    radius.
     """
-    m = ctxs[0].m
-    if (getattr(profile, "q_at", None) is not None
-            or getattr(profile, "layers", None) is None):
+    if getattr(profile, "q_at", None) is not None:
         def sample(r, toward):
             r = np.asarray(r, dtype=float)
             q = np.array([[q_matrix(profile, ctx, x).q for ctx in ctxs]
@@ -406,46 +410,40 @@ def _q_sampler(profile, ctxs):
             return q.reshape(r.shape + q.shape[1:])
         return sample
 
-    idx = _state_index(m)
-    sub = np.ix_(idx, idx)
-    kz = np.array([ctx.kz for ctx in ctxs])
-    polys = []
-    for (_, _, mp) in profile.layers:
+    m = ctxs[0].m
+    sub = (Ellipsis,) + np.ix_(_state_index(m), _state_index(m))
+    kz = np.array([ctx.kz for ctx in ctxs])[:, None, None]
+
+    def terms_of(mps):
+        # (3, len(mps), len(ctxs), 2m, 2m)
+        c = np.array([mp.stiffness.c for mp in mps])
         if m < 3:
-            for ctx in ctxs:
-                _check_reduction(mp.stiffness, ctx)
-        g1a, g1b, g2, g3a, g3b, g3c = (np.array(x) for x in zip(
-            *(_g_parts(mp.stiffness, ctx.n, ctx.kz) for ctx in ctxs)))
-        rw2 = np.array([mp.rho * ctx.omega ** 2 for ctx in ctxs])
-        # g_matrix's blocks split by powers of r; products with i are exact,
-        # so summing them in g_matrix's order repeats its rounding
-        p = np.zeros((3, len(ctxs), 6, 6), dtype=complex)
-        p[0, :, :3, :3] = g1a
-        p[0, :, :3, 3:] = 1j * g2
-        p[0, :, 3:, :3] = 1j * g3a
-        p[0, :, 3:, 3:] = -g1a.conj().transpose(0, 2, 1)
-        p[1, :, :3, :3] = -(1j * g1b)
-        p[1, :, 3:, :3] = 1j * (1j * g3b)
-        p[1, :, 3:, 3:] = (1j * g1b).conj().transpose(0, 2, 1)
-        p[2, :, 3:, :3] = 1j * (g3c - rw2[:, None, None] * np.eye(3))
-        polys.append(p[(slice(None), slice(None)) + sub])
-    cuts = np.array([lay[1] for lay in profile.layers[:-1]])
+            _check_reduction(c, ctxs)
+        rho = np.array([mp.rho for mp in mps], dtype=float)
+        return _ig_terms(c, rho, ctxs)[sub]
+
+    if getattr(profile, "layers", None) is None:
+        def terms_at(r, toward):
+            terms = terms_of([profile.material_at(x)
+                              for x in r.ravel().tolist()])
+            return terms.reshape(terms.shape[:1] + r.shape + terms.shape[2:])
+    else:
+        layer_terms = terms_of([mp for (_, _, mp) in profile.layers])
+        cuts = np.array([lay[1] for lay in profile.layers[:-1]])
+
+        def terms_at(r, toward):
+            # material_at's rule (r <= r_out + 1e-12 is inside), then a radius
+            # on an interface moves to the side of `toward`
+            which = np.searchsorted(cuts + 1e-12, r)
+            if cuts.size:
+                near = cuts[np.minimum(which, cuts.size - 1)]
+                which = which + ((np.abs(r - near) <= 1e-12) & (toward > r))
+            return layer_terms[:, which]
 
     def sample(r, toward):
         r = np.asarray(r, dtype=float)
-        # material_at's rule (r <= r_out + 1e-12 is inside), then a radius on
-        # an interface moves to the side of `toward`
-        which = np.searchsorted(cuts + 1e-12, r)
-        if cuts.size:
-            near = cuts[np.minimum(which, cuts.size - 1)]
-            which = which + ((np.abs(r - near) <= 1e-12) & (toward > r))
-        out = np.empty(r.shape + (len(ctxs), 2 * m, 2 * m), dtype=complex)
-        for k, p in enumerate(polys):
-            mask = which == k
-            rk = r[mask][:, None, None, None]
-            ig = p[0] + (kz[:, None, None] * rk) * p[1] + (rk * rk) * p[2]
-            out[mask] = (1j / rk) * (-1j * ig)
-        return out
+        rr = r[..., None, None, None]
+        return (1j / rr) * _g_from_terms(terms_at(r, toward), kz, rr)
 
     return sample
 
@@ -461,11 +459,16 @@ def _material_from_json(node: dict, where: str) -> MaterialPoint:
     if mtype not in ("isotropic", "ti", "full"):
         raise SchemaError(f"{where}/type: expected 'isotropic', 'ti' or 'full'")
     rho = node.get("rho")
-    if not isinstance(rho, (int, float)) or rho <= 0:
-        raise SchemaError(f"{where}/rho: expected positive number")
+    if not isinstance(rho, (int, float)) or not 0 < rho < math.inf:
+        raise SchemaError(f"{where}/rho: expected positive finite number")
     params = node.get("params")
     if not isinstance(params, dict):
         raise SchemaError(f"{where}/params: expected object")
+
+    def modulus(x) -> float:
+        if not math.isfinite(x):
+            raise SchemaError(f"{where}/params: moduli must be finite")
+        return float(x)
 
     if mtype == "isotropic":
         if "lambda" in params and "mu" in params:
@@ -479,12 +482,12 @@ def _material_from_json(node: dict, where: str) -> MaterialPoint:
         else:
             raise SchemaError(
                 f"{where}/params: need ('lambda','mu') or ('E','G')")
-        stiff = isotropic_stiffness(float(lam), float(mu))
+        stiff = isotropic_stiffness(modulus(lam), modulus(mu))
     elif mtype == "ti":
         need = ("c11", "c12", "c13", "c33", "c44")
         if not all(k in params for k in need):
             raise SchemaError(f"{where}/params: need {need}")
-        stiff = ti_stiffness(*(float(params[k]) for k in need))
+        stiff = ti_stiffness(*(modulus(params[k]) for k in need))
     else:
         c = np.zeros((6, 6))
         for i in range(1, 7):
@@ -492,7 +495,7 @@ def _material_from_json(node: dict, where: str) -> MaterialPoint:
                 key = f"c{i}{j}"
                 if key not in params:
                     raise SchemaError(f"{where}/params/{key}: missing")
-                c[i - 1, j - 1] = c[j - 1, i - 1] = float(params[key])
+                c[i - 1, j - 1] = c[j - 1, i - 1] = modulus(params[key])
         stiff = StiffnessVoigt(c)
 
     if not stiff.is_positive_definite():

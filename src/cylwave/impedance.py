@@ -28,13 +28,11 @@ import numpy as np
 from .elastodyn import _q_sampler
 from .errors import (DegenerateSpan, EntryFaults, PoleCrossing, ResonantInner,
                      SingularMatrix)
-from .matricant import Matricant, _check_span, _step_kernel, _step_samples
+from .matricant import (_BLOCK_STEPS, Matricant, _check_span, _step_kernel,
+                        _step_samples)
 from .numkernel import _inverse_each, _norm1, mat_inverse
 
 _POLE_COND = 1e14
-# steps whose propagators are held at once: it bounds the march's memory at
-# (nodes x 10 x orders) sampled matrices
-_BLOCK_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -300,10 +298,10 @@ def naive_riccati_integrate(profile, ctx, z0, r0: float, r1: float,
     This is the unstable textbook approach, kept as a foil: it cannot pass
     impedance poles and the trace records where it dies.
     """
-    from .elastodyn import q_matrix
-
     if not r0 < r1:
         raise ValueError("need r0 < r1")
+    _check_span(profile, r0, r1 - r0)
+    sample = _q_sampler(profile, [ctx])
     h = (r1 - r0) / steps
     z = _zmat(z0).copy()
     radii = [r0]
@@ -311,7 +309,7 @@ def naive_riccati_integrate(profile, ctx, z0, r0: float, r1: float,
     blowup = None
 
     def rhs(r, zz):
-        return riccati_rhs(zz, q_matrix(profile, ctx, r))
+        return riccati_rhs(zz, sample(r, r)[0])
 
     for i in range(steps):
         r = r0 + i * h

@@ -43,6 +43,9 @@ from .errors import DuplicatePoints, MatricantOverflow, OutOfSupport, StepTooLar
 from .numkernel import mat_exp
 
 _SQ3 = np.sqrt(3.0)
+# steps whose propagators are held at once: it bounds a march's memory at
+# (nodes x 10 x contexts) sampled matrices
+_BLOCK_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,8 @@ def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
 
 def matricant_global(profile, ctx, r0: float, r1: float, steps: int,
                      scheme) -> Matricant:
-    """Left-multiplied composition over equal subintervals.
+    """Left-multiplied composition over equal subintervals, sampled and
+    stepped _BLOCK_STEPS steps at a time.
 
     Emits a MatricantOverflow warning if any intermediate product entry
     exceeds 1e12 in magnitude (the growing-solution swamp at large n or kr;
@@ -319,17 +323,21 @@ def matricant_global(profile, ctx, r0: float, r1: float, steps: int,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     h = (r1 - r0) / steps
-    m = None
-    warned = False
-    for i in range(steps):
-        step = matricant_step(profile, ctx, r0 + i * h, h, scheme)
-        m = step.m if m is None else step.m @ m
-        if not warned and np.max(np.abs(m)) > 1e12:
-            warnings.warn(
-                f"matricant entries exceed 1e12 at r={r0 + (i + 1) * h:.6g}; "
-                "growing solutions dominate this span",
-                MatricantOverflow,
-                stacklevel=2,
-            )
-            warned = True
+    _check_span(profile, r0, r1 - r0)
+    propagators, nodes = _step_kernel(scheme)
+    sample = _q_sampler(profile, [ctx])
+    m, warned = None, False
+    for start in range(0, steps, _BLOCK_STEPS):
+        r = r0 + np.arange(start, min(start + _BLOCK_STEPS, steps)) * h
+        qs, (err,) = _step_samples(sample, r, h, nodes)
+        if err is not None:
+            raise err
+        for i, step in enumerate(propagators(h, qs)[:, 0], start):
+            m = step if m is None else step @ m
+            if not warned and np.max(np.abs(m)) > 1e12:
+                warned = True
+                warnings.warn(f"matricant entries exceed 1e12 at r="
+                              f"{r0 + (i + 1) * h:.6g}; growing solutions "
+                              "dominate this span", MatricantOverflow,
+                              stacklevel=2)
     return Matricant(m, r0, r1)

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 import cylwave as cw
 from cylwave.elastodyn import _q_sampler, has_z_mirror_symmetry, voigt_blocks
-from cylwave.errors import DecouplingError, OutOfSupport, SchemaError
+from cylwave.errors import (DecouplingError, MaterialSingular, OutOfSupport,
+                            SchemaError)
 
 AL_C44 = 26.0e9 / cw.MODULUS_SCALE
 AL_C12 = 58.5e9 / cw.MODULUS_SCALE
@@ -29,6 +30,29 @@ def _random_symmetric_stiffness(rng, diag_shift=40.0):
     return cw.StiffnessVoigt(c)
 
 
+# Voigt pairs that vanish under the z-normal mirror symmetry, 0-based
+_MIRROR_ZERO = (np.array([0, 0, 1, 1, 2, 2, 3, 4]),
+                np.array([3, 4, 3, 4, 3, 4, 5, 5]))
+
+
+def _graded_law(mirror: bool):
+    """A smooth law whose density and moduli all vary with r.  Without the
+    mirror symmetry all 21 moduli are nonzero; with it the eight pairs of
+    _MIRROR_ZERO vanish at every r."""
+    rng = np.random.default_rng(43)
+    x = rng.uniform(0.5, 2.0, size=(2, 6, 6))
+    c0, dc = x + x.swapaxes(1, 2)
+    c0 += 40.0 * np.eye(6)
+    if mirror:
+        for c in (c0, dc):
+            c[_MIRROR_ZERO] = c[_MIRROR_ZERO[::-1]] = 0.0
+
+    def law(r):
+        return cw.MaterialPoint(2.0 + r, cw.StiffnessVoigt(c0 + r * dc))
+
+    return law
+
+
 class TestStiffness:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -39,6 +63,19 @@ class TestStiffness:
         c[0, 1] = 1.0
         with pytest.raises(ValueError):
             cw.StiffnessVoigt(c)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (3, 5)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_moduli(self, i, j, bad):
+        c = 10.0 * np.eye(6)
+        c[i, j] = c[j, i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cw.StiffnessVoigt(c)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    def test_material_point_rejects_bad_density(self, rho):
+        with pytest.raises(ValueError, match="density"):
+            cw.MaterialPoint(rho, cw.isotropic_stiffness(2.0, 1.0))
 
     def test_one_based_lookup(self):
         c = _counting_stiffness()
@@ -258,6 +295,40 @@ class TestQMatrix:
                 assert np.array_equal(
                     q[i, j, k], cw.q_matrix(layer, ctx, r[i, j]).q)
 
+    @pytest.mark.parametrize("m, kz", [(1, 0.0), (2, 0.0), (3, 0.0), (3, 0.7)])
+    def test_smooth_sampler_equals_q_matrix(self, m, kz):
+        # a smooth law is sampled radius by radius into one stack of terms;
+        # every (radius, order) must still be q_matrix's, bit for bit
+        law = _graded_law(mirror=m < 3)
+        assert (law(0.7).stiffness.c != 0).sum() == (20 if m < 3 else 36)
+        assert has_z_mirror_symmetry(law(0.7).stiffness) == (m < 3)
+        prof = cw.RadialProfile.smooth(law, 0.5, 1.0)
+        ctxs = [cw.WaveContext(omega=4.0 + n, n=n, kz=kz, m=m)
+                for n in range(4)]
+        r = np.array([[0.5, 0.61, 0.75], [0.75, 0.9, 1.0]])
+        q = _q_sampler(prof, ctxs)(r, r + 0.01)
+        assert q.shape == (2, 3, 4, 2 * m, 2 * m)
+        for i, j in np.ndindex(r.shape):
+            for k, ctx in enumerate(ctxs):
+                assert np.array_equal(q[i, j, k],
+                                      cw.q_matrix(prof, ctx, r[i, j]).q)
+
+    def test_smooth_sampler_refusals(self):
+        r = np.array([0.6, 0.7])
+        prof = cw.RadialProfile.smooth(_graded_law(mirror=False), 0.5, 1.0)
+        with pytest.raises(DecouplingError):
+            _q_sampler(prof, [cw.WaveContext(omega=5.0, m=2)])(r, r)
+
+        def singular(r):
+            c = 10.0 * np.eye(6)
+            c[0, 0] = 0.0  # qh = diag(c11, c66, c55) loses its first pivot
+            return cw.MaterialPoint(2.0, cw.StiffnessVoigt(c))
+
+        prof = cw.RadialProfile.smooth(singular, 0.5, 1.0)
+        for m in (2, 3):
+            with pytest.raises(MaterialSingular):
+                _q_sampler(prof, [cw.WaveContext(omega=5.0, m=m)])(r, r)
+
     def test_synthetic_q_at_hook(self):
         class Const:
             support = (0.1, 2.0)
@@ -377,6 +448,12 @@ class TestJsonProfiles:
          "/layers/0/material/type"),
         (lambda d: d["layers"][0]["material"].__setitem__("rho", -1),
          "/layers/0/material/rho"),
+        pytest.param(
+            lambda d: d["layers"][0]["material"].__setitem__("rho", np.nan),
+            "/layers/0/material/rho", id="nan-density"),
+        pytest.param(
+            lambda d: d["layers"][0]["material"]["params"].__setitem__(
+                "mu", np.inf), "/layers/0/material/params", id="inf-modulus"),
         (lambda d: d["layers"][0]["material"]["params"].pop("mu"),
          "/layers/0/material/params"),
     ])

@@ -266,6 +266,29 @@ class TestIntegrate:
         assert np.array_equal(z[0], alone.z) and r == alone.r
 
 
+    def test_smooth_law_called_once_per_sample_radius(self):
+        # a stacked march samples a smooth law once per radius, however many
+        # contexts share the stack
+        radii = []
+
+        def law(r):
+            radii.append(r)
+            return cw.MaterialPoint(2.0 + r, cw.isotropic_stiffness(3.0, 1.0 + r))
+
+        prof = cw.RadialProfile.smooth(law, 0.5, 1.0)
+        ctxs = [cw.WaveContext(omega=3.0, n=n, kz=0.4) for n in range(3)]
+        z0s = [cw.ti_conditional_impedance(1, law(0.5), ctx, 0.5).z
+               for ctx in ctxs]
+        radii.clear()
+        faults = EntryFaults(3)
+        steps = 25
+        for r, live, _, _ in _march(prof, ctxs, z0s, 0.5, 1.0, steps, "mg4",
+                                    faults):
+            pass
+        assert faults.ok.all() and list(live) == [0, 1, 2] and r == 1.0
+        assert len(radii) == 2 * steps
+
+
 class TestTwoPointConversions:
     def test_roundtrip_from_matricant(self, t_unitary_sampler):
         rng = np.random.default_rng(19)

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -292,6 +293,28 @@ def test_overflow_warning_high_order(al_profile):
         m = cw.matricant_global(al_profile, ctx, 0.5, 1.0, 3000, "exp2a")
     assert np.all(np.isfinite(m.m))
     assert np.max(np.abs(m.m)) > 1e12
+
+
+def test_global_equals_per_step_product(al):
+    # the blocked composition is the product of single steps, bit for bit,
+    # and warns at the same radius; 57 steps leave a partial last block
+    steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
+    prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
+    ctx = cw.WaveContext(omega=10.0, n=30)
+    for scheme, steps in (("exp2a", 57), ("lp4", 57), ("mg4", 20)):
+        h = 0.5 / steps
+        want, warn_at = np.eye(6), None
+        for i in range(steps):
+            want = cw.matricant_step(prof, ctx, 0.5 + i * h, h, scheme).m @ want
+            if warn_at is None and np.max(np.abs(want)) > 1e12:
+                warn_at = f"r={0.5 + (i + 1) * h:.6g};"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            got = cw.matricant_global(prof, ctx, 0.5, 1.0, steps, scheme)
+        assert np.array_equal(got.m, want)
+        assert warn_at is not None and len(seen) == 1
+        assert seen[0].category is MatricantOverflow
+        assert warn_at in str(seen[0].message)
 
 
 def test_step_guard(al_profile):
