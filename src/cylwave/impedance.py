@@ -18,6 +18,15 @@ the Moebius update on the whole stack per step.  An entry past the step
 guard or with a singular Moebius denominator records its typed error in the
 caller's EntryFaults and leaves the stack; integrate_impedance raises it, a
 scattering solve only when its truncation walk reaches that order.
+
+The state carries fixed powers of i, so the march steps with the gauged
+samples D^-1 Q D, D = diag(i^p) with p = (0, 1, 1, 1, 0, 0) over (u_r, u_th,
+u_z, v_r, v_th, v_z), and advances w = -i D2^-1 z D1 by
+w' = (R3 + R4 w)(R1 + R2 w)^-1, R = D^-1 M D; products with powers of i are
+exact.  Samples and w whose imaginary parts are exactly zero, as for
+lossless isotropic, TI and orthotropic moduli, are demoted to float64 and
+nothing is rounded; anything else (a rotated law, a q_at hook) stays complex
+in the same code.
 """
 from __future__ import annotations
 
@@ -25,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elastodyn import _q_sampler
+from .elastodyn import _q_sampler, _state_index
 from .errors import (DegenerateSpan, EntryFaults, PoleCrossing, ResonantInner,
                      SingularMatrix)
 from .matricant import (_BLOCK_STEPS, Matricant, _check_span, _step_kernel,
@@ -119,15 +128,16 @@ def admittance_rhs(a, q) -> np.ndarray:
     return -1j * (am @ q3 @ am) - am @ q4 + q1 @ am - 1j * q2
 
 
-def _mobius(z: np.ndarray, m: np.ndarray) -> tuple:
-    """z' = i (M3 - i M4 z)(M1 - i M2 z)^-1 over a stack, the 1-norm
-    condition number of each denominator and the mask of the singular ones."""
-    k = z.shape[-1]
+def _mobius(w: np.ndarray, m: np.ndarray) -> tuple:
+    """w' = (M3 + M4 w)(M1 + M2 w)^-1 over a stack, the 1-norm condition
+    number of each denominator and the mask of the singular ones; w and m
+    may be real or complex."""
+    k = w.shape[-1]
     with np.errstate(all="ignore"):
-        den = m[..., :k, :k] - 1j * (m[..., :k, k:] @ z)
-        den_inv, singular = _inverse_each(den)
-        znew = 1j * ((m[..., k:, :k] - 1j * (m[..., k:, k:] @ z)) @ den_inv)
-        return znew, _norm1(den) * _norm1(den_inv), singular
+        uv = m[..., :, :k] + m[..., :, k:] @ w
+        den_inv, singular = _inverse_each(uv[..., :k, :])
+        return (uv[..., k:, :] @ den_inv,
+                _norm1(uv[..., :k, :]) * _norm1(den_inv), singular)
 
 
 def mobius_step(z: ConditionalImpedance, m: Matricant) -> ConditionalImpedance:
@@ -135,23 +145,36 @@ def mobius_step(z: ConditionalImpedance, m: Matricant) -> ConditionalImpedance:
 
         z' = i (M3 - i M4 z)(M1 - i M2 z)^-1
 
+    evaluated as the march's update of w = -i z (the identity gauge).
     When the denominator is numerically on an impedance pole
     (condition > 1e14) a PoleCrossing record is attached to the result;
     the map itself stays finite on either side of the pole, so marching
     continues.  A singular denominator raises SingularMatrix.
     """
-    znew, cond, singular = _mobius(_zmat(z), m.m)
+    wnew, cond, singular = _mobius(-1j * _zmat(z), m.m)
     if singular:
         raise SingularMatrix("Moebius denominator singular")
     events = z.events
     if cond > _POLE_COND:
         events = events + (PoleCrossing(m.r_to, float(cond)),)
-    return ConditionalImpedance(znew, m.r_to, events)
+    return ConditionalImpedance(1j * wnew, m.r_to, events)
 
 
 def impedance_from_matricant(m: Matricant, z0: ConditionalImpedance) -> ConditionalImpedance:
     """Same fractional-linear formula applied with a full-span matricant."""
     return mobius_step(z0, m)
+
+
+def _gauge(k: int) -> tuple:
+    """For the gauge D of an m = k state, g with D^-1 Q D = Q * g and t with
+    z = i D2 w D1^-1 = w * t, so w = z * conj(t); entries are +-1 or +-i."""
+    d = np.array([1.0, 1j, 1j, 1j, 1.0, 1.0])[_state_index(k)]
+    return d.conj()[:, None] * d, 1j * d[k:, None] * d[:k].conj()
+
+
+def _demoted(a: np.ndarray) -> np.ndarray:
+    """a in float64 if its imaginary parts are all exactly zero, else a."""
+    return a.real.copy() if np.iscomplexobj(a) and not a.imag.any() else a
 
 
 def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
@@ -165,7 +188,11 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
     _check_span(profile, r0, r1 - r0)
     propagators, nodes = _step_kernel(scheme)
     live = np.flatnonzero(faults.ok)
+    if not len(live):
+        return
     z = np.array([_zmat(z0s[j]) for j in live])
+    gauge, to_z = _gauge(z.shape[-1])
+    w = _demoted(z * to_z.conj())
     sample, start = None, 0
     while start < steps and len(live):
         if sample is None:
@@ -176,23 +203,23 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
         if fail.any():
             # the block is sampled again for the entries left
             faults.errors[live[fail]] = errors[fail]
-            live, z, sample = live[~fail], z[~fail], None
+            live, w, sample = live[~fail], w[~fail], None
             continue
         # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent by 20, a
         # Magnus one (nodes sharing D) by 20 + (sqrt(3)/6) 20^2 ~ 135, so
         # mat_exp stays below e^135 max(s, 1/s), finite unless s > 1e249, and
         # its Pade denominator is regular: no entry needs an Overflow path.
-        mats = propagators(h, qs)
+        mats = propagators(h, _demoted(qs * gauge))
         for k, rk in enumerate(r + h):
-            z, cond, singular = _mobius(z, mats[k])
+            w, cond, singular = _mobius(w, mats[k])
             if singular.any():
                 faults.errors[live[singular]] = SingularMatrix(
                     "Moebius denominator singular")
-                live, z, cond = live[~singular], z[~singular], cond[~singular]
+                live, w, cond = live[~singular], w[~singular], cond[~singular]
                 if not len(live):
                     return
                 mats, sample = np.ascontiguousarray(mats[:, ~singular]), None
-            yield float(rk), live, z, [
+            yield float(rk), live, w * to_z, [
                 (live[j], PoleCrossing(float(rk), float(cond[j])))
                 for j in np.flatnonzero(cond > _POLE_COND)]
         # no block's samples or propagators outlive it into the next
@@ -233,12 +260,8 @@ def twopoint_from_matricant(m: Matricant) -> TwoPointImpedance:
     except SingularMatrix:
         raise DegenerateSpan(
             "M2 singular: span too short for the two-point form") from None
-    mm = m.half
-    z = np.empty((2 * mm, 2 * mm), dtype=complex)
-    z[:mm, :mm] = -1j * (m2inv @ m.m1)
-    z[:mm, mm:] = 1j * m2inv
-    z[mm:, :mm] = 1j * (m.m4 @ m2inv @ m.m1 - m.m3)
-    z[mm:, mm:] = -1j * (m.m4 @ m2inv)
+    z = np.block([[-1j * (m2inv @ m.m1), 1j * m2inv],
+                  [1j * (m.m4 @ m2inv @ m.m1 - m.m3), -1j * (m.m4 @ m2inv)]])
     return TwoPointImpedance(z, m.r_from, m.r_to)
 
 
@@ -249,12 +272,8 @@ def matricant_from_twopoint(z: TwoPointImpedance) -> Matricant:
         M3 = i Z3 - i Z4 Z2^-1 Z1      M4 = -Z4 Z2^-1
     """
     z2inv = mat_inverse(z.z2)
-    mm = z.half
-    m = np.empty((2 * mm, 2 * mm), dtype=complex)
-    m[:mm, :mm] = -z2inv @ z.z1
-    m[:mm, mm:] = 1j * z2inv
-    m[mm:, :mm] = 1j * z.z3 - 1j * (z.z4 @ z2inv @ z.z1)
-    m[mm:, mm:] = -z.z4 @ z2inv
+    m = np.block([[-z2inv @ z.z1, 1j * z2inv],
+                  [1j * z.z3 - 1j * (z.z4 @ z2inv @ z.z1), -z.z4 @ z2inv]])
     return Matricant(m, z.r_from, z.r_to)
 
 

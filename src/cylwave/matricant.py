@@ -23,6 +23,9 @@ array (nodes, *batch, 2m, 2m) and every step of the batch, over steps and
 partial-wave orders alike, is computed in one pass.  The guard gives each
 context its own StepTooLarge instead of raising, so the impedance march
 drops just that entry; matricant_step is a batch of one and raises it.
+The kernels keep the dtype of the samples: the impedance march steps in
+float64 where its gauged samples are real (see cylwave.impedance), while
+matricant_step and matricant_global sample Q itself and stay complex.
 
 No scheme needs derivatives of Q.  A node on an interface of a piecewise
 profile takes the layer its step spans, so a ts1 step that starts on an
@@ -34,13 +37,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .elastodyn import _q_sampler
 from .errors import DuplicatePoints, MatricantOverflow, OutOfSupport, StepTooLarge
-from .numkernel import mat_exp
+from .numkernel import _mat_exp
 
 _SQ3 = np.sqrt(3.0)
 # steps whose propagators are held at once: it bounds a march's memory at
@@ -186,7 +189,7 @@ def _dyson(h: float, qs: np.ndarray, nodes: tuple, p: int) -> np.ndarray:
     b = ((h * _dyson_coefficients(nodes, p)) @ qs.reshape(len(qs), -1)
          ).reshape((p,) + qs.shape[1:])
     s = [b[0]]
-    m = np.eye(qs.shape[-1], dtype=complex) + b[0]
+    m = np.eye(qs.shape[-1], dtype=qs.dtype) + b[0]
     for e in range(2, p + 1):
         se = b[e - 1].copy()
         for d in range(e - 1):
@@ -198,16 +201,12 @@ def _dyson(h: float, qs: np.ndarray, nodes: tuple, p: int) -> np.ndarray:
 
 
 def _exp(h: float, qs: np.ndarray, nodes: tuple, p: int) -> np.ndarray:
-    es = mat_exp(h / len(qs) * qs)
-    m = es[0]
-    for e in es[1:]:
-        m = e @ m
-    return m
+    return reduce(lambda m, e: e @ m, _mat_exp(h / len(qs) * qs))
 
 
 def _magnus(h: float, qs: np.ndarray, nodes: tuple, p: int) -> np.ndarray:
     qa, qb = qs
-    return mat_exp((0.5 * h) * (qa + qb)
+    return _mat_exp((0.5 * h) * (qa + qb)
                    + (_SQ3 * h * h / 12.0) * (qb @ qa - qa @ qb))
 
 

@@ -4,7 +4,8 @@ Everything here operates on square complex matrices of modest size (2x2 to
 6x6), so plain LAPACK-backed dense routines are the right tool.  The inverse
 and the exponential also take a stack of them, with any leading axes, and
 work matrix by matrix: a stack fails with the same typed error as its worst
-member.
+member.  The public functions return complex128; the private _inverse_each
+and _mat_exp keep a real stack real, for the impedance march's gauged stacks.
 """
 from __future__ import annotations
 
@@ -32,9 +33,10 @@ def mat_inverse(a: np.ndarray) -> np.ndarray:
     if a factorization hits a vanishing pivot or produces non-finite
     entries.
     """
+    a = _square(a, complex)
     b, singular = _inverse_each(a)
     if singular.any():
-        raise SingularMatrix(cond=_cond_estimate(_square(a)))
+        raise SingularMatrix(cond=_cond_estimate(a))
     return b
 
 
@@ -42,12 +44,12 @@ def _inverse_each(a: np.ndarray) -> tuple:
     """Inverse of each matrix of a stack, and the mask of the singular ones:
     those whose factorization hits a vanishing pivot or gives non-finite
     entries.  Their inverses are not finite; the others are what a call on
-    each matrix alone gives."""
+    each matrix alone gives.  The result keeps the dtype of a."""
     a = _square(a)
     try:
         b = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        b = np.full(a.shape, np.nan, dtype=complex)
+        b = np.full_like(a, np.nan)
         for i in np.ndindex(a.shape[:-2]):
             try:
                 b[i] = np.linalg.inv(a[i])
@@ -56,8 +58,8 @@ def _inverse_each(a: np.ndarray) -> tuple:
     return b, ~np.isfinite(b).all(axis=(-2, -1))
 
 
-def _square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+def _square(a, dtype=None) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     return a
@@ -69,11 +71,9 @@ def _norm1(a: np.ndarray) -> np.ndarray:
 
 
 def _cond_estimate(a: np.ndarray) -> float:
-    try:
-        with np.errstate(all="ignore"):
-            c = float(np.max(np.abs(np.linalg.cond(a, 1))))
-    except np.linalg.LinAlgError:
-        return float("inf")
+    # np.linalg.cond gives inf, not an error, for a singular matrix
+    with np.errstate(all="ignore"):
+        c = float(np.max(np.linalg.cond(a, 1)))
     return c if np.isfinite(c) else float("inf")
 
 
@@ -84,6 +84,11 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     1-norm is at most 0.5, which keeps the rational approximation error far
     below double-precision round-off, then squared back up.
     """
+    return _mat_exp(_square(a, complex))
+
+
+def _mat_exp(a: np.ndarray) -> np.ndarray:
+    """mat_exp of a stack in its own dtype: real in, real out."""
     a = _square(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of non-finite input")
@@ -114,9 +119,6 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
         for k in range(int(s.max(initial=0))):
             more = s > k
             e[more] = e[more] @ e[more]
-            if not np.all(np.isfinite(e[more])):
-                raise Overflow(
-                    "matrix exponential overflowed floating-point range")
     if not np.all(np.isfinite(e)):
         raise Overflow("matrix exponential overflowed floating-point range")
     return e

@@ -28,7 +28,8 @@ from scipy import special
 
 from .cylfun import KIND_H1, KIND_J
 from .elastodyn import RadialProfile, WaveContext
-from .errors import EntryFaults, InteriorPoint, TangentialResonance
+from .errors import (DomainError, EntryFaults, InteriorPoint,
+                     TangentialResonance)
 from .impedance import ConditionalImpedance, _conditional_stack, _march
 from .numkernel import _inverse_each
 from .tilayers import (OrderStack, _global_stack, _impedance,
@@ -79,6 +80,9 @@ class ScatteringConfig:
             raise ValueError("steps must be >= 1")
         if self.method not in ("integrate", "recursion"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.method == "integrate" and np.iscomplexobj(
+                [(x.c11, x.c12, x.c13, x.c33, x.c44) for x in self.layers]):
+            raise DomainError('lossy (complex) moduli need method="recursion"')
 
 
 def _surface_impedances(z: np.ndarray, faults: EntryFaults) -> np.ndarray:

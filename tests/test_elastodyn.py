@@ -77,6 +77,16 @@ class TestStiffness:
         with pytest.raises(ValueError, match="density"):
             cw.MaterialPoint(rho, cw.isotropic_stiffness(2.0, 1.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: cw.ti_stiffness(30.0 * (1 - 0.02j), 6.0, 6.0, 30.0, 12.0),
+        lambda: cw.isotropic_stiffness(6.0, 12.0 * (1 - 0.02j)),
+        lambda: cw.StiffnessVoigt(np.eye(6) * (1 + 0j)),
+    ], ids=["ti", "isotropic", "table"])
+    def test_rejects_complex_moduli(self, make):
+        # lossy moduli are a ValueError here, not a TypeError from a cast
+        with pytest.raises(ValueError, match="real"):
+            make()
+
     def test_one_based_lookup(self):
         c = _counting_stiffness()
         assert c[1, 1] == 11.0

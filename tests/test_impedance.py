@@ -5,7 +5,9 @@ from numpy.testing import assert_allclose
 import cylwave as cw
 from cylwave.errors import (DegenerateSpan, EntryFaults, PoleCrossing,
                             ResonantInner, SingularMatrix, StepTooLarge)
-from cylwave.impedance import _march
+from cylwave import impedance
+from cylwave.elastodyn import _q_sampler, _state_index
+from cylwave.impedance import _gauge, _march
 
 AL_CTX = cw.WaveContext(omega=5.0, n=0)
 
@@ -33,6 +35,47 @@ class _Turn:
     def q_at(self, r, ctx):
         d = np.diag([self.w, 1.0])
         return np.block([[np.zeros((2, 2)), d], [-d, np.zeros((2, 2))]])
+
+
+class _GaugedTurn(_Turn):
+    """The turn as the gauge sees it: D^-1 Q D is _Turn's real Q."""
+
+    def q_at(self, r, ctx):
+        d = np.array([1.0, 1j, 1j, 1.0])
+        return d[:, None] * super().q_at(r, ctx) * d.conj()
+
+
+# the powers of i the state (u_r, u_th, u_z, v_r, v_th, v_z) carries
+_D6 = np.array([1.0, 1j, 1j, 1j, 1.0, 1.0])
+_VOIGT_PAIRS = np.array([[0, 0], [1, 1], [2, 2], [1, 2], [0, 2], [0, 1]])
+_TENSOR_TO_VOIGT = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
+
+
+def _rotated(c: np.ndarray, ax: float, ay: float) -> np.ndarray:
+    """The stiffness table c of a material turned by ax about x, then by ay
+    about y: all 21 moduli become nonzero."""
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(ax), -np.sin(ax)],
+                   [0.0, np.sin(ax), np.cos(ax)]])
+    ry = np.array([[np.cos(ay), 0.0, np.sin(ay)], [0.0, 1.0, 0.0],
+                   [-np.sin(ay), 0.0, np.cos(ay)]])
+    rot = rx @ ry
+    v = _TENSOR_TO_VOIGT
+    t = np.einsum("ia,jb,kc,ld,abcd->ijkl", rot, rot, rot, rot,
+                  c[v[:, :, None, None], v[None, None]])
+    i, j = _VOIGT_PAIRS.T
+    return t[i[:, None], j[:, None], i, j]
+
+
+_FIBRE = cw.ti_stiffness(6.6, 3.2, 2.8, 64.8, 3.2)
+
+
+def _rotated_law(r):
+    """A coating that blends from the fibre composite at r = 0.6 to 1.3
+    times it turned off every axis, as in the benchmark's graded march."""
+    s = np.sin(0.5 * np.pi * (r - 0.6) / 0.4) ** 2
+    dc = 1.3 * _rotated(_FIBRE.c, 0.6, 0.4) - _FIBRE.c
+    return cw.MaterialPoint(1.6 * (1.0 + 0.5 * s),
+                            cw.StiffnessVoigt(_FIBRE.c + s * dc))
 
 
 class TestRiccatiRhs:
@@ -287,6 +330,98 @@ class TestIntegrate:
             pass
         assert faults.ok.all() and list(live) == [0, 1, 2] and r == 1.0
         assert len(radii) == 2 * steps
+
+
+class TestGauge:
+    """The march steps with D^-1 Q D, D = diag(i^p), and advances
+    w = -i D2^-1 z D1; lossless orthotropic samples are then real."""
+
+    @pytest.mark.parametrize("m, kz", [(1, 0.0), (2, 0.0), (3, 0.0),
+                                       (3, 0.7)])
+    @pytest.mark.parametrize("material", ["isotropic", "ti"])
+    def test_gauged_samples_are_exactly_real(self, al, m, kz, material):
+        mp = al if material == "isotropic" else cw.MaterialPoint(1.6, _FIBRE)
+        prof = cw.RadialProfile.uniform(mp, 0.5, 1.0)
+        ctxs = [cw.WaveContext(omega=3.0, n=n, kz=kz, m=m) for n in (1, 2, 3)]
+        r = np.linspace(0.5, 1.0, 7)
+        q = _q_sampler(prof, ctxs)(r, r)
+        d = _D6[_state_index(m)]
+        qt = d.conj()[:, None] * q * d
+        assert np.iscomplexobj(q) and np.abs(q.imag).max() > 0
+        assert not qt.imag.any()
+        assert np.array_equal(_gauge(m)[0], d.conj()[:, None] * d)
+
+    @pytest.mark.parametrize("kz", [0.0, 0.7])
+    def test_rotated_law_stays_complex(self, kz):
+        prof = cw.RadialProfile.smooth(_rotated_law, 0.6, 1.0)
+        ctxs = [cw.WaveContext(omega=3.0, n=n, kz=kz) for n in (1, 2, 3)]
+        r = np.linspace(0.7, 1.0, 4)
+        qt = _q_sampler(prof, ctxs)(r, r) * _gauge(3)[0]
+        assert np.abs(qt.imag).max() > 1e-3 * np.abs(qt).max()
+
+    def test_golden_solve_marches_in_float64(self, al_layer, monkeypatch):
+        seen = set()
+        mobius = impedance._mobius
+
+        def spy(w, m):
+            out = mobius(w, m)
+            seen.add((w.dtype, m.dtype, out[0].dtype))
+            return out
+
+        monkeypatch.setattr(impedance, "_mobius", spy)
+        res = cw.solve_scattering(cw.ScatteringConfig(
+            (al_layer,), ka=5.0, scheme="lp4", steps=500))
+        assert seen == {(np.dtype(np.float64),) * 3}
+        assert res.sigma_tot == pytest.approx(2.4680822290702498, rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["three-layer", "rotated-law", "turn"])
+    def test_march_equals_ungauged_step_chain(self, al_layer, case):
+        # the march against matricant_step and mobius_step, which sample Q
+        # itself and stay complex, step by step with the same radii
+        if case == "three-layer":
+            layers = [(0.3, 0.6, al_layer.material()),
+                      (0.6, 0.8, cw.MaterialPoint(1.6, _FIBRE)),
+                      (0.8, 1.0, cw.MaterialPoint(
+                          7.85, cw.isotropic_stiffness(37.0, 37.0)))]
+            prof = cw.RadialProfile.piecewise(layers)
+            ctxs = [cw.WaveContext(omega=2.5, n=n, m=2) for n in (0, 1, 3, 6)]
+            z0s = [cw.ti_conditional_impedance(
+                1, layers[0][2], cw.WaveContext(omega=2.5, n=c.n), 0.3).z[:2, :2]
+                for c in ctxs]
+            span, steps, scheme = (0.3, 1.0), 100, "lp4"
+        elif case == "rotated-law":
+            prof = cw.RadialProfile.smooth(_rotated_law, 0.6, 1.0)
+            ctxs = [cw.WaveContext(omega=3.0, n=n, kz=0.8) for n in (0, 2)]
+            z0s = [cw.ti_conditional_impedance(1, _rotated_law(0.6), c, 0.6).z
+                   for c in ctxs]
+            span, steps, scheme = (0.6, 1.0), 40, "mg4"
+        else:
+            prof = _GaugedTurn()
+            ctxs = [cw.WaveContext(omega=1.0, m=2)] * 2
+            z0s = [np.zeros((2, 2), dtype=complex), np.diag([-0.3, 0.0])]
+            span, steps, scheme = (0.5, 0.62), 12, "exp2a"
+        faults = EntryFaults(len(ctxs))
+        events = [[] for _ in ctxs]
+        for r, live, z, found in _march(prof, ctxs, z0s, *span, steps, scheme,
+                                        faults):
+            for j, ev in found:
+                events[j].append(ev)
+        assert faults.ok.all()
+        h = (span[1] - span[0]) / steps
+        crossed = 0
+        for j, ctx in enumerate(ctxs):
+            chain = cw.ConditionalImpedance(z0s[j], span[0])
+            for i in range(steps):
+                chain = cw.mobius_step(chain, cw.matricant_step(
+                    prof, ctx, span[0] + i * h, h, scheme))
+            scale = np.abs(chain.z).max()
+            assert np.abs(z[j] - chain.z).max() <= 1e-13 * scale, j
+            assert r == chain.r
+            assert [e.r for e in events[j]] == [e.r for e in chain.events]
+            assert_allclose([e.cond for e in events[j]],
+                            [e.cond for e in chain.events], rtol=1e-10)
+            crossed += len(chain.events)
+        assert crossed == (2 if case == "turn" else 0)
 
 
 class TestTwoPointConversions:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from cylwave import hermitian_residual, mat_exp, mat_inverse
 from cylwave.errors import Overflow, SingularMatrix
+from cylwave.numkernel import _inverse_each, _mat_exp
 
 
 class TestInverse:
@@ -52,6 +53,23 @@ class TestInverse:
         a = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])])
         with pytest.raises(SingularMatrix):
             mat_inverse(a)
+
+    def test_real_stack_with_singular_member_stays_real(self):
+        # the batched inverse fails on the singular member and the stack is
+        # inverted matrix by matrix; that must not make the result complex
+        a = np.stack([2.0 * np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                      np.diag([4.0, -1.0])])
+        b, singular = _inverse_each(a)
+        assert b.dtype == np.float64
+        assert list(singular) == [False, True, False]
+        assert np.array_equal(b[0], 0.5 * np.eye(2))
+        assert np.array_equal(b[2], np.diag([0.25, -1.0]))
+
+    def test_real_input_gives_complex(self):
+        a = np.array([[2.0, 1.0], [0.0, 4.0]])
+        got = mat_inverse(a)
+        assert got.dtype == np.complex128
+        assert_allclose(got @ a, np.eye(2), atol=1e-15)
 
 
 class TestExp:
@@ -131,6 +149,20 @@ class TestExp:
         a[0, 0] = np.nan
         with pytest.raises(ValueError):
             mat_exp(a)
+
+    def test_real_input_gives_complex(self):
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        got = mat_exp(a)
+        assert got.dtype == np.complex128
+        assert_allclose(got, [[np.cos(1), np.sin(1)], [-np.sin(1), np.cos(1)]],
+                        atol=1e-15)
+
+    def test_private_kernel_keeps_real_dtype(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((5, 4, 4))
+        got = _mat_exp(a)
+        assert got.dtype == np.float64
+        assert_allclose(got, mat_exp(a).real, rtol=1e-13, atol=1e-14)
 
 
 def test_hermitian_residual_hermitian_is_zero():

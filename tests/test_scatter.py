@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 import cylwave as cw
-from cylwave.errors import (AccuracyLoss, BasisDegenerate, InteriorPoint,
-                            StepTooLarge, TangentialResonance)
+from cylwave.errors import (AccuracyLoss, BasisDegenerate, DomainError,
+                            InteriorPoint, StepTooLarge, TangentialResonance)
 
 GOLDEN_SIGMA_KA5 = 2.4680822290702498
 
@@ -275,6 +275,20 @@ class TestSolve:
                     (layer,), ka=1.0, method=method)).sigma_tot
                 want = got if want is None else want
                 assert got == pytest.approx(want, rel=1e-12), (c44, method)
+
+    def test_lossy_moduli_refused_on_integrate(self):
+        # all moduli scaled by (1 - 0.02i): dissipative under e^{-i omega t};
+        # the recursion route takes them, the integrate route refuses them
+        # with a typed error before any work
+        layers = (cw.LayerTI.isotropic(0.5, 1.0, 2.7, 30.0 * (1 - 0.02j),
+                                       12.0 * (1 - 0.02j)),)
+        with pytest.raises(DomainError, match='method="recursion"'):
+            cw.solve_scattering(cw.ScatteringConfig(layers, ka=3.0))
+        res = cw.solve_scattering(cw.ScatteringConfig(layers, ka=3.0,
+                                                      method="recursion"))
+        assert res.sigma_tot == pytest.approx(6.6348, abs=1e-4)
+        gains = [abs(1 + 2 * bn) for bn in res.b]
+        assert max(gains) <= 1.0 + 1e-12 and min(gains) < 0.999
 
     def test_failure_of_a_reached_order_is_raised(self, al_layer):
         with pytest.raises(StepTooLarge):
