@@ -178,7 +178,7 @@ class WaveContext:
             raise ValueError("omega must be positive and finite")
         if not math.isfinite(self.kz):
             raise ValueError("kz must be finite")
-        if self.n < 0 or int(self.n) != self.n:
+        if not 0 <= self.n < math.inf or int(self.n) != self.n:
             raise ValueError("n must be a nonnegative integer")
         if self.m not in (1, 2, 3):
             raise ValueError("m must be 1, 2 or 3")

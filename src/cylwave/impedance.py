@@ -12,11 +12,11 @@ kept for demonstrating the instability.
 
 The march is sequential in r only, and the package has one.  It advances a
 stack of entries (the partial-wave orders of one solve, or the single entry
-of integrate_impedance or of the impedance-trace command) in blocks of
-_BLOCK_STEPS steps: one batched sampling of Q and one kernel call per block,
-the Moebius update on the whole stack per step.  An entry past the step
-guard or with a singular Moebius denominator records its typed error in the
-caller's EntryFaults and leaves the stack; integrate_impedance raises it, a
+of integrate_impedance or of the impedance-trace command) by the Moebius
+update, step by step, on the propagators that cylwave.matricant's block
+stepper samples, guards and forms.  An entry past the step guard or with a
+singular Moebius denominator records its typed error in the caller's
+EntryFaults and leaves the stack; integrate_impedance raises it, a
 scattering solve only when its truncation walk reaches that order.
 
 The state carries fixed powers of i, so the march steps with the gauged
@@ -37,9 +37,8 @@ import numpy as np
 from .elastodyn import _q_sampler, _state_index
 from .errors import (DegenerateSpan, EntryFaults, PoleCrossing, ResonantInner,
                      SingularMatrix)
-from .matricant import (_BLOCK_STEPS, Matricant, _check_span, _step_kernel,
-                        _step_samples)
-from .numkernel import _inverse_each, _norm1, mat_inverse
+from .matricant import Matricant, _blocks, _check_span
+from .numkernel import _demoted, _inverse_each, _norm1, mat_inverse
 
 _POLE_COND = 1e14
 
@@ -172,11 +171,6 @@ def _gauge(k: int) -> tuple:
     return d.conj()[:, None] * d, 1j * d[k:, None] * d[:k].conj()
 
 
-def _demoted(a: np.ndarray) -> np.ndarray:
-    """a in float64 if its imaginary parts are all exactly zero, else a."""
-    return a.real.copy() if np.iscomplexobj(a) and not a.imag.any() else a
-
-
 def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
            faults: EntryFaults):
     """March the entries (ctxs[j], z0s[j]) with no error in faults from r0 to
@@ -184,33 +178,17 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
     their z as one array and the step's (entry, PoleCrossing) records.  An
     entry past the step guard or with a singular Moebius denominator gets
     that StepTooLarge or SingularMatrix in faults and leaves the stack."""
-    h = (r1 - r0) / steps
-    _check_span(profile, r0, r1 - r0)
-    propagators, nodes = _step_kernel(scheme)
     live = np.flatnonzero(faults.ok)
     if not len(live):
         return
     z = np.array([_zmat(z0s[j]) for j in live])
     gauge, to_z = _gauge(z.shape[-1])
     w = _demoted(z * to_z.conj())
-    sample, start = None, 0
-    while start < steps and len(live):
-        if sample is None:
-            sample = _q_sampler(profile, [ctxs[j] for j in live])
-        r = r0 + np.arange(start, min(start + _BLOCK_STEPS, steps)) * h
-        qs, errors = _step_samples(sample, r, h, nodes)
-        fail = np.not_equal(errors, None)
-        if fail.any():
-            # the block is sampled again for the entries left
-            faults.errors[live[fail]] = errors[fail]
-            live, w, sample = live[~fail], w[~fail], None
-            continue
-        # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent by 20, a
-        # Magnus one (nodes sharing D) by 20 + (sqrt(3)/6) 20^2 ~ 135, so
-        # mat_exp stays below e^135 max(s, 1/s), finite unless s > 1e249, and
-        # its Pade denominator is regular: no entry needs an Overflow path.
-        mats = propagators(h, _demoted(qs * gauge))
-        for k, rk in enumerate(r + h):
+    for radii, ids, mats in _blocks(profile, ctxs, r0, r1 - r0, steps, scheme,
+                                    faults, gauge):
+        if len(ids) < len(live):  # entries past the step guard have left
+            w, live = w[np.isin(live, ids)], ids
+        for k, rk in enumerate(radii):
             w, cond, singular = _mobius(w, mats[k])
             if singular.any():
                 faults.errors[live[singular]] = SingularMatrix(
@@ -218,13 +196,10 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
                 live, w, cond = live[~singular], w[~singular], cond[~singular]
                 if not len(live):
                     return
-                mats, sample = np.ascontiguousarray(mats[:, ~singular]), None
+                mats = np.ascontiguousarray(mats[:, ~singular])
             yield float(rk), live, w * to_z, [
                 (live[j], PoleCrossing(float(rk), float(cond[j])))
                 for j in np.flatnonzero(cond > _POLE_COND)]
-        # no block's samples or propagators outlive it into the next
-        del qs, mats
-        start += _BLOCK_STEPS
 
 
 def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
@@ -319,6 +294,8 @@ def naive_riccati_integrate(profile, ctx, z0, r0: float, r1: float,
     """
     if not r0 < r1:
         raise ValueError("need r0 < r1")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     _check_span(profile, r0, r1 - r0)
     sample = _q_sampler(profile, [ctx])
     h = (r1 - r0) / steps

@@ -18,19 +18,21 @@ with S_0 = I and S_e = (1/e) sum_(d<e) B_d S_(e-d-1).  So ts1 is I + hQ(r),
 ts2 is I + hQ + (hQ)^2 / 2 at the midpoint, and for constant Q an lp step is
 the exponential series truncated after (hQ)^p / p!.
 
-The kernels and the step guard act on stacks: the samples arrive as one
-array (nodes, *batch, 2m, 2m) and every step of the batch, over steps and
-partial-wave orders alike, is computed in one pass.  The guard gives each
-context its own StepTooLarge instead of raising, so the impedance march
-drops just that entry; matricant_step is a batch of one and raises it.
-The kernels keep the dtype of the samples: the impedance march steps in
-float64 where its gauged samples are real (see cylwave.impedance), while
-matricant_step and matricant_global sample Q itself and stay complex.
+One stepper forms every propagator of the package: the impedance march,
+matricant_step and matricant_global.  Per block of _BLOCK_STEPS steps it
+samples Q at every node, step and entry in one array (nodes, steps,
+entries, 2m, 2m), runs the step guard, which gives each entry its own
+StepTooLarge, and forms the block's propagators in one kernel call.  The
+march steps with its gauged samples, in float64 where they are real (see
+cylwave.impedance); matricant_step and matricant_global are stacks of one
+that raise their entry's error, and sample Q itself and stay complex.
 
 No scheme needs derivatives of Q.  A node on an interface of a piecewise
 profile takes the layer its step spans, so a ts1 step that starts on an
 interface sees the outer layer; the other schemes sample only interior
-abscissae of the step.
+abscissae of the step.  A step that contains an interface weights its
+samples as if Q were smooth across the jump and is only O(h) accurate, so
+a march or product is first order unless its grid holds every interface.
 """
 from __future__ import annotations
 
@@ -42,8 +44,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .elastodyn import _q_sampler
-from .errors import DuplicatePoints, MatricantOverflow, OutOfSupport, StepTooLarge
-from .numkernel import _mat_exp
+from .errors import (DuplicatePoints, EntryFaults, MatricantOverflow,
+                     OutOfSupport, StepTooLarge)
+from .numkernel import _demoted, _mat_exp
 
 _SQ3 = np.sqrt(3.0)
 # steps whose propagators are held at once: it bounds a march's memory at
@@ -55,31 +58,6 @@ _BLOCK_STEPS = 10
 class Scheme:
     tag: str
     nominal_order: int
-
-
-SCHEMES = {
-    "ts1": Scheme("ts1", 1),
-    "ts2": Scheme("ts2", 2),
-    "exp2a": Scheme("exp2a", 2),
-    "lp2": Scheme("lp2", 2),
-    "exp2b": Scheme("exp2b", 2),
-    "lp3": Scheme("lp3", 3),
-    "lp4": Scheme("lp4", 4),
-    "exp2c": Scheme("exp2c", 2),
-    "mg4": Scheme("mg4", 4),
-}
-
-SCHEME_NAMES = tuple(SCHEMES)
-
-
-def get_scheme(name: str | Scheme) -> Scheme:
-    if isinstance(name, Scheme):
-        return name
-    try:
-        return SCHEMES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheme {name!r}; choose from {', '.join(SCHEMES)}") from None
 
 
 @dataclass(frozen=True)
@@ -132,14 +110,6 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x).limit_denominator(10 ** 9)
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def _lagrange_basis(points) -> list:
     """Power-series coefficients [c_0, c_1, ...] of each Lagrange basis L_j."""
     pts = [_as_fraction(p) for p in points]
@@ -152,7 +122,8 @@ def _lagrange_basis(points) -> list:
         for i, xi in enumerate(pts):
             if i == j:
                 continue
-            num = _poly_mul(num, [-xi, Fraction(1)])
+            # num (x - xi), coefficients in ascending powers
+            num = [a - xi * b for a, b in zip([0] + num, num + [0])]
             den *= (xj - xi)
         basis.append([c / den for c in num])
     return basis
@@ -214,29 +185,32 @@ def _midpoints(k: int) -> tuple:
     return tuple((2 * j + 1) / (2 * k) for j in range(k))
 
 
-# tag -> (kernel, sample nodes as fractions of the step)
-_STEPS = {
-    "ts1": (_dyson, (0.0,)),
-    "ts2": (_dyson, _midpoints(1)),
-    "lp2": (_dyson, _midpoints(2)),
-    "lp3": (_dyson, _midpoints(3)),
-    "lp4": (_dyson, _midpoints(4)),
-    "exp2a": (_exp, _midpoints(1)),
-    "exp2b": (_exp, _midpoints(2)),
-    "exp2c": (_exp, _midpoints(4)),
-    "mg4": (_magnus, (0.5 - _SQ3 / 6.0, 0.5 + _SQ3 / 6.0)),
+# tag -> (kernel, sample nodes as fractions of the step, nominal order)
+_TABLE = {
+    "ts1": (_dyson, (0.0,), 1),
+    "ts2": (_dyson, _midpoints(1), 2),
+    "exp2a": (_exp, _midpoints(1), 2),
+    "lp2": (_dyson, _midpoints(2), 2),
+    "exp2b": (_exp, _midpoints(2), 2),
+    "lp3": (_dyson, _midpoints(3), 3),
+    "lp4": (_dyson, _midpoints(4), 4),
+    "exp2c": (_exp, _midpoints(4), 2),
+    "mg4": (_magnus, (0.5 - _SQ3 / 6.0, 0.5 + _SQ3 / 6.0), 4),
 }
 
+SCHEMES = {tag: Scheme(tag, order) for tag, (_, _, order) in _TABLE.items()}
 
-def _step_kernel(scheme):
-    """propagators(h, qs) of the scheme, and its sample nodes."""
-    sch = get_scheme(scheme)
-    kernel, nodes = _STEPS[sch.tag]
+SCHEME_NAMES = tuple(SCHEMES)
 
-    def propagators(h, qs):
-        return kernel(h, qs, nodes, sch.nominal_order)
 
-    return propagators, nodes
+def get_scheme(name: str | Scheme) -> Scheme:
+    if isinstance(name, Scheme):
+        return name
+    try:
+        return SCHEMES[name.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown scheme {name!r}; choose from {', '.join(SCHEMES)}") from None
 
 
 def _check_span(profile, r: float, h: float) -> None:
@@ -281,37 +255,62 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
     return nrm
 
 
-def _step_samples(sample, r: np.ndarray, h: float, nodes: tuple) -> tuple:
-    """Q at the nodes of the steps [r, r + h] as (nodes, steps, contexts, s,
-    s) from a _q_sampler, and per context its first StepTooLarge, or None."""
-    x = r + (np.array(nodes) * h)[:, None]
-    qs = sample(x, np.broadcast_to(r + 0.5 * h, x.shape))
-    nrm = _guard(h, qs).max(axis=0)
-    errors = np.full(qs.shape[2], None, dtype=object)
-    for i in np.flatnonzero((nrm > 20.0).any(axis=0)):
-        errors[i] = StepTooLarge(
-            f"||h*Q|| = {nrm[nrm[:, i] > 20.0, i][0]:.3g} exceeds 20 (exp "
-            "overflow guard); reduce the step or increase the step count")
-    return qs, errors
+def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
+            faults: EntryFaults, gauge=None):
+    """Propagators of the equal steps of [r0, r0 + span] for the entries
+    ctxs[j] with no error in faults, _BLOCK_STEPS steps at a time: per block
+    the step-end radii, the live entries and their propagators as one array
+    (steps, live, s, s).  An entry with a sample past the step guard gets
+    its StepTooLarge in faults and the block is sampled again without it;
+    the sampler is rebuilt only when faults has lost entries.  With a gauge
+    the kernels step with Q * gauge, in float64 where that is real."""
+    h = span / steps
+    _check_span(profile, r0, span)
+    kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
+    live, start = None, 0
+    while start < steps:
+        ok = np.flatnonzero(faults.ok)
+        if not len(ok):
+            return
+        if live is None or len(ok) < len(live):
+            live, sample = ok, _q_sampler(profile, [ctxs[j] for j in ok])
+        r = r0 + np.arange(start, min(start + _BLOCK_STEPS, steps)) * h
+        x = r + (np.array(nodes) * h)[:, None]
+        qs = sample(x, np.broadcast_to(r + 0.5 * h, x.shape))
+        nrm = _guard(h, qs).max(axis=0)
+        over = nrm > 20.0
+        for i in np.flatnonzero(over.any(axis=0)):
+            faults.errors[live[i]] = StepTooLarge(
+                f"||h*Q|| = {nrm[over[:, i], i][0]:.3g} exceeds 20 (exp "
+                "overflow guard); reduce the step or increase the step count")
+        if over.any():
+            continue  # the block is sampled again for the entries left
+        # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent by 20, a
+        # Magnus one (nodes sharing D) by 20 + (sqrt(3)/6) 20^2 ~ 135, so
+        # mat_exp stays below e^135 max(s, 1/s), finite unless s > 1e249, and
+        # its Pade denominator is regular: no entry needs an Overflow path.
+        if gauge is not None:
+            qs = _demoted(qs * gauge)
+        yield r + h, live, kernel(h, qs, nodes, order)
+        # no block's samples outlive it into the next
+        del qs
+        start += _BLOCK_STEPS
 
 
 def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
     """One-step propagator M(r+h, r) for the chosen scheme."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError("step must be positive")
-    _check_span(profile, r, h)
-    propagators, nodes = _step_kernel(scheme)
-    qs, (err,) = _step_samples(_q_sampler(profile, [ctx]), np.array([r]), h,
-                               nodes)
-    if err is not None:
-        raise err
-    return Matricant(propagators(h, qs)[0, 0], r, r + h)
+    faults = EntryFaults(1)
+    for _, _, mats in _blocks(profile, [ctx], r, h, 1, scheme, faults):
+        m = mats[0, 0]
+    faults.check(0)
+    return Matricant(m, r, r + h)
 
 
 def matricant_global(profile, ctx, r0: float, r1: float, steps: int,
                      scheme) -> Matricant:
-    """Left-multiplied composition over equal subintervals, sampled and
-    stepped _BLOCK_STEPS steps at a time.
+    """Left-multiplied composition over equal subintervals.
 
     Emits a MatricantOverflow warning if any intermediate product entry
     exceeds 1e12 in magnitude (the growing-solution swamp at large n or kr;
@@ -321,22 +320,16 @@ def matricant_global(profile, ctx, r0: float, r1: float, steps: int,
         raise ValueError("need r0 < r1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    h = (r1 - r0) / steps
-    _check_span(profile, r0, r1 - r0)
-    propagators, nodes = _step_kernel(scheme)
-    sample = _q_sampler(profile, [ctx])
-    m, warned = None, False
-    for start in range(0, steps, _BLOCK_STEPS):
-        r = r0 + np.arange(start, min(start + _BLOCK_STEPS, steps)) * h
-        qs, (err,) = _step_samples(sample, r, h, nodes)
-        if err is not None:
-            raise err
-        for i, step in enumerate(propagators(h, qs)[:, 0], start):
-            m = step if m is None else step @ m
-            if not warned and np.max(np.abs(m)) > 1e12:
-                warned = True
-                warnings.warn(f"matricant entries exceed 1e12 at r="
-                              f"{r0 + (i + 1) * h:.6g}; growing solutions "
-                              "dominate this span", MatricantOverflow,
-                              stacklevel=2)
+    faults = EntryFaults(1)
+    h, m, warned = (r1 - r0) / steps, None, False
+    blocks = _blocks(profile, [ctx], r0, r1 - r0, steps, scheme, faults)
+    for i, step in enumerate(s for _, _, mats in blocks for s in mats[:, 0]):
+        m = step if m is None else step @ m
+        if not warned and np.max(np.abs(m)) > 1e12:
+            warned = True
+            warnings.warn(f"matricant entries exceed 1e12 at r="
+                          f"{r0 + (i + 1) * h:.6g}; growing solutions "
+                          "dominate this span", MatricantOverflow,
+                          stacklevel=2)
+    faults.check(0)
     return Matricant(m, r0, r1)

@@ -65,6 +65,11 @@ def _square(a, dtype=None) -> np.ndarray:
     return a
 
 
+def _demoted(a: np.ndarray) -> np.ndarray:
+    """a in float64 if its imaginary parts are all exactly zero, else a."""
+    return a.real.copy() if np.iscomplexobj(a) and not a.imag.any() else a
+
+
 def _norm1(a: np.ndarray) -> np.ndarray:
     """Matrix 1-norm (largest column sum) of each matrix of a stack."""
     return np.abs(a).sum(axis=-2).max(axis=-1)

@@ -398,6 +398,11 @@ class TestWaveContext:
             with pytest.raises(ValueError):
                 cw.WaveContext(omega=omega, kz=kz)
 
+    @pytest.mark.parametrize("n", [np.inf, np.nan, 1.5, -1])
+    def test_order_must_be_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            cw.WaveContext(omega=1.0, n=n)
+
     def test_block_swap(self):
         t = cw.block_swap(3)
         assert_allclose(t @ t, np.eye(6), atol=0)

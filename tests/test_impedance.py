@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 import cylwave as cw
 from cylwave.errors import (DegenerateSpan, EntryFaults, PoleCrossing,
                             ResonantInner, SingularMatrix, StepTooLarge)
-from cylwave import impedance
+from cylwave import impedance, matricant
 from cylwave.elastodyn import _q_sampler, _state_index
 from cylwave.impedance import _gauge, _march
 
@@ -309,6 +309,43 @@ class TestIntegrate:
         assert np.array_equal(z[0], alone.z) and r == alone.r
 
 
+    def test_guard_trips_mid_span(self, monkeypatch):
+        # order 0 passes the step guard over the first block of 10 steps,
+        # [0.5, 0.6], and trips it in the second; order 1 crosses the pole
+        # of the turn, order 2 does not, and both must march as they do alone
+        class _LateTrip(_Turn):
+            def q_at(self, r, ctx):
+                q = super().q_at(r, ctx)
+                return 1e6 * q if ctx.n == 0 and r > 0.6 else q
+
+        built = []
+        sampler = matricant._q_sampler
+        monkeypatch.setattr(matricant, "_q_sampler", lambda prof, ctxs: (
+            built.append(len(ctxs)) or sampler(prof, ctxs)))
+        prof = _LateTrip()
+        ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
+        z0s = [np.zeros((2, 2), dtype=complex)] * 2 + [np.diag([-0.3j, 0.0])]
+        faults = EntryFaults(3)
+        lives, events = [], [[], [], []]
+        for r, live, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12,
+                                        "exp2a", faults):
+            lives.append(list(live))
+            for j, ev in found:
+                events[j].append(ev)
+        assert isinstance(faults.errors[0], StepTooLarge)
+        assert lives == [[0, 1, 2]] * 10 + [[1, 2]] * 2
+        assert built == [3, 2]
+        for j in (1, 2):
+            alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5, 0.62,
+                                           12, "exp2a")
+            assert np.array_equal(z[j - 1], alone.z) and r == alone.r
+            assert [(e.r, e.cond) for e in events[j]] \
+                == [(e.r, e.cond) for e in alone.events]
+        assert len(events[1]) == 2 and not events[2]
+        with pytest.raises(StepTooLarge) as err:
+            cw.matricant_global(prof, ctxs[0], 0.5, 0.62, 12, "exp2a")
+        assert str(err.value) == str(faults.errors[0])
+
     def test_smooth_law_called_once_per_sample_radius(self):
         # a stacked march samples a smooth law once per radius, however many
         # contexts share the stack
@@ -535,6 +572,13 @@ class TestNaiveRiccati:
         assert 0.5 < trace.blowup_radius < 1.0
         assert trace.radii[-1] == trace.blowup_radius
         assert len(trace.values) == len(trace.radii)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_rejects_step_count_below_one(self, al_profile, steps):
+        z0 = np.zeros((3, 3), dtype=complex)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            cw.naive_riccati_integrate(al_profile, AL_CTX, z0, 0.5, 1.0,
+                                       steps)
 
 
 def test_conditional_impedance_validation():

@@ -371,5 +371,6 @@ def test_global_argument_validation(al_profile):
         cw.matricant_global(al_profile, ctx, 0.9, 0.6, 10, "exp2a")
     with pytest.raises(ValueError):
         cw.matricant_global(al_profile, ctx, 0.5, 1.0, 0, "exp2a")
-    with pytest.raises(ValueError):
-        cw.matricant_step(al_profile, ctx, 0.6, -0.1, "exp2a")
+    for h in (-0.1, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="step must be positive"):
+            cw.matricant_step(al_profile, ctx, 0.6, h, "exp2a")
