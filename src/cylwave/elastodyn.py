@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DecouplingError, MaterialSingular, OutOfSupport, SchemaError
+from .numkernel import _demoted
 
 # reference fluid (water): 1000 kg/m^3, 1470 m/s
 RHO_W = 1000.0
@@ -282,7 +283,7 @@ def _ig_terms(c: np.ndarray, rho: np.ndarray, ctxs) -> np.ndarray:
         W  = P.T qh^-1 (R kap) - kap S,      kap = K + i n I
 
     and placed as i G = [[g1, i g2], [i g3, -g1+]].  Products with i are
-    exact, so the terms summed in _g_from_terms' order round as the blocks
+    exact, so the terms summed in g_matrix's order round as the blocks
     would.
     """
     qh, th, mh, rm, p, s = _gather_blocks(c[..., None, :, :])
@@ -312,18 +313,13 @@ def _ig_terms(c: np.ndarray, rho: np.ndarray, ctxs) -> np.ndarray:
     return terms
 
 
-def _g_from_terms(terms: np.ndarray, kz, r) -> np.ndarray:
-    """G = -i (P0 + kz r P1 + r^2 P2) from _ig_terms' terms."""
-    return -1j * (terms[0] + (kz * r) * terms[1] + (r * r) * terms[2])
-
-
 def g_matrix(mp: MaterialPoint, ctx: WaveContext, r: float) -> np.ndarray:
     """The 6x6 G(r) with Q = (i/r) G; _ig_terms gives its formula.  Like
     q_matrix, it rebuilds every term of G per call."""
     if r <= 0:
         raise ValueError("g_matrix needs r > 0")
-    terms = _ig_terms(mp.stiffness.c, np.asarray(mp.rho, dtype=float), [ctx])
-    return _g_from_terms(terms[:, 0], ctx.kz, r)
+    t = _ig_terms(mp.stiffness.c, np.asarray(mp.rho, dtype=float), [ctx])[:, 0]
+    return -1j * (t[0] + (ctx.kz * r) * t[1] + (r * r) * t[2])
 
 
 # Indices of the in-plane (m=2) and axial-shear (m=1) subsystems of the
@@ -393,26 +389,32 @@ def q_matrix(profile, ctx: WaveContext, r: float) -> SystemMatrix:
 def _q_sampler(profile, ctxs):
     """Q at many radii for a stack of contexts that share m.
 
-    Returns ``sample(r, toward)``, an array of shape
+    Returns ``sample(r, toward, gauge=None)``, an array of shape
     r.shape + (len(ctxs), 2m, 2m) holding Q(r) for every radius and
     context; the radii must lie in the profile's support.  A radius on an
     interface of a piecewise profile takes the layer on the side of
     ``toward`` (same shape as r), so a step that starts or ends on an
-    interface sees the layer it spans.
+    interface sees the layer it spans.  With a gauge g, an elementwise
+    factor of +-1 and +-i, it returns Q * g instead, in float64 where its
+    imaginary parts are exactly zero (numkernel._demoted).
 
-    Samples are (i/r) G from _ig_terms, combined as g_matrix combines them,
-    so they equal q_matrix's bit for bit.  A piecewise profile builds the
-    terms once per layer and picks them per radius; a smooth one calls its
-    law once per radius and builds the terms of all radii and contexts in
-    one pass.  Only the ``q_at`` hook goes through q_matrix radius by
-    radius.
+    Samples are (1/r) (P0 + kz r P1 + r^2 P2) from _ig_terms' terms; they
+    equal q_matrix's bit for bit.  A piecewise profile builds the terms once
+    per layer, indexes one layer's terms when all radii lie in it, and
+    gauges and demotes each layer's terms once, on first use: products with
+    g are exact, so these samples are Q * g bit for bit, formed in float64
+    for lossless orthotropic layers.  A smooth profile calls its law once
+    per radius and builds the terms of all radii and contexts in one pass;
+    it and the ``q_at`` hook, which goes through q_matrix radius by radius,
+    gauge and demote their samples.
     """
     if getattr(profile, "q_at", None) is not None:
-        def sample(r, toward):
+        def sample(r, toward, gauge=None):
             r = np.asarray(r, dtype=float)
             q = np.array([[q_matrix(profile, ctx, x).q for ctx in ctxs]
                           for x in r.ravel().tolist()])
-            return q.reshape(r.shape + q.shape[1:])
+            q = q.reshape(r.shape + q.shape[1:])
+            return q if gauge is None else _demoted(q * gauge)
         return sample
 
     m = ctxs[0].m
@@ -427,28 +429,49 @@ def _q_sampler(profile, ctxs):
         rho = np.array([mp.rho for mp in mps], dtype=float)
         return _ig_terms(c, rho, ctxs)[sub]
 
+    def q_of(terms, r):
+        rr = r[..., None, None, None]
+        return (1 / rr) * (terms[0] + (kz * rr) * terms[1]
+                           + (rr * rr) * terms[2])
+
     if getattr(profile, "layers", None) is None:
-        def terms_at(r, toward):
+        def sample(r, toward, gauge=None):
+            r = np.asarray(r, dtype=float)
             terms = terms_of([profile.material_at(x)
                               for x in r.ravel().tolist()])
-            return terms.reshape(terms.shape[:1] + r.shape + terms.shape[2:])
-    else:
-        layer_terms = terms_of([mp for (_, _, mp) in profile.layers])
-        cuts = np.array([lay[1] for lay in profile.layers[:-1]])
+            terms = terms.reshape(terms.shape[:1] + r.shape + terms.shape[2:])
+            q = q_of(terms, r)
+            return q if gauge is None else _demoted(q * gauge)
+        return sample
 
-        def terms_at(r, toward):
-            # material_at's rule (r <= r_out + 1e-12 is inside), then a radius
-            # on an interface moves to the side of `toward`
-            which = np.searchsorted(cuts + 1e-12, r)
-            if cuts.size:
-                near = cuts[np.minimum(which, cuts.size - 1)]
-                which = which + ((np.abs(r - near) <= 1e-12) & (toward > r))
-            return layer_terms[:, which]
+    layer_terms = terms_of([mp for (_, _, mp) in profile.layers])
+    cuts = np.array([lay[1] for lay in profile.layers[:-1]])
+    plain, gauged = list(layer_terms.swapaxes(0, 1)), [None, None]
 
-    def sample(r, toward):
+    def terms_in(gauge):
+        # each layer's terms (3, len(ctxs), 2m, 2m), gauged for the gauge
+        # the sampler last saw; a context with kz = 0 adds (kz r) P1 = 0, so
+        # its gauged P1 is zeroed lest it keep a real layer complex
+        if gauge is None:
+            return plain
+        if gauged[0] is not gauge:
+            t = layer_terms * gauge
+            t[1] *= kz != 0
+            gauged[:] = gauge, [_demoted(tl) for tl in t.swapaxes(0, 1)]
+        return gauged[1]
+
+    def sample(r, toward, gauge=None):
         r = np.asarray(r, dtype=float)
-        rr = r[..., None, None, None]
-        return (1j / rr) * _g_from_terms(terms_at(r, toward), kz, rr)
+        # material_at's rule (r <= r_out + 1e-12 is inside), then a radius on
+        # an interface moves to the side of `toward`
+        which = np.searchsorted(cuts + 1e-12, r)
+        if cuts.size:
+            near = cuts[np.minimum(which, cuts.size - 1)]
+            which = which + ((np.abs(r - near) <= 1e-12) & (toward > r))
+        layers = terms_in(gauge)
+        if which.min() == which.max():
+            return q_of(layers[which.min()], r)
+        return q_of(np.stack(layers, axis=1)[:, which], r)
 
     return sample
 

@@ -23,10 +23,10 @@ The state carries fixed powers of i, so the march steps with the gauged
 samples D^-1 Q D, D = diag(i^p) with p = (0, 1, 1, 1, 0, 0) over (u_r, u_th,
 u_z, v_r, v_th, v_z), and advances w = -i D2^-1 z D1 by
 w' = (R3 + R4 w)(R1 + R2 w)^-1, R = D^-1 M D; products with powers of i are
-exact.  Samples and w whose imaginary parts are exactly zero, as for
-lossless isotropic, TI and orthotropic moduli, are demoted to float64 and
-nothing is rounded; anything else (a rotated law, a q_at hook) stays complex
-in the same code.
+exact.  The sampler applies the gauge (see cylwave.matricant).  Samples and
+w whose imaginary parts are exactly zero, as for lossless isotropic, TI and
+orthotropic moduli, are demoted to float64 and nothing is rounded; anything
+else (a rotated law, a q_at hook) stays complex in the same code.
 """
 from __future__ import annotations
 
@@ -130,13 +130,12 @@ def admittance_rhs(a, q) -> np.ndarray:
 def _mobius(w: np.ndarray, m: np.ndarray) -> tuple:
     """w' = (M3 + M4 w)(M1 + M2 w)^-1 over a stack, the 1-norm condition
     number of each denominator and the mask of the singular ones; w and m
-    may be real or complex."""
+    may be real or complex.  The caller holds np.errstate(all="ignore")."""
     k = w.shape[-1]
-    with np.errstate(all="ignore"):
-        uv = m[..., :, :k] + m[..., :, k:] @ w
-        den_inv, singular = _inverse_each(uv[..., :k, :])
-        return (uv[..., k:, :] @ den_inv,
-                _norm1(uv[..., :k, :]) * _norm1(den_inv), singular)
+    uv = m[..., :, :k] + m[..., :, k:] @ w
+    den_inv, singular = _inverse_each(uv[..., :k, :])
+    return (uv[..., k:, :] @ den_inv,
+            _norm1(uv[..., :k, :]) * _norm1(den_inv), singular)
 
 
 def mobius_step(z: ConditionalImpedance, m: Matricant) -> ConditionalImpedance:
@@ -150,7 +149,9 @@ def mobius_step(z: ConditionalImpedance, m: Matricant) -> ConditionalImpedance:
     the map itself stays finite on either side of the pole, so marching
     continues.  A singular denominator raises SingularMatrix.
     """
-    wnew, cond, singular = _mobius(-1j * _zmat(z), m.m)
+    w = -1j * _zmat(z)
+    with np.errstate(all="ignore"):
+        wnew, cond, singular = _mobius(w, m.m)
     if singular:
         raise SingularMatrix("Moebius denominator singular")
     events = z.events
@@ -177,7 +178,9 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
     r1 in equal steps, yielding after each step the radius, the live entries,
     their z as one array and the step's (entry, PoleCrossing) records.  An
     entry past the step guard or with a singular Moebius denominator gets
-    that StepTooLarge or SingularMatrix in faults and leaves the stack."""
+    that StepTooLarge or SingularMatrix in faults and leaves the stack.  A
+    block's updates run under one np.errstate and are yielded after it, so
+    the consumer keeps its own floating-point error settings."""
     live = np.flatnonzero(faults.ok)
     if not len(live):
         return
@@ -188,18 +191,24 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
                                     faults, gauge):
         if len(ids) < len(live):  # entries past the step guard have left
             w, live = w[np.isin(live, ids)], ids
-        for k, rk in enumerate(radii):
-            w, cond, singular = _mobius(w, mats[k])
-            if singular.any():
-                faults.errors[live[singular]] = SingularMatrix(
-                    "Moebius denominator singular")
-                live, w, cond = live[~singular], w[~singular], cond[~singular]
-                if not len(live):
-                    return
-                mats = np.ascontiguousarray(mats[:, ~singular])
-            yield float(rk), live, w * to_z, [
-                (live[j], PoleCrossing(float(rk), float(cond[j])))
-                for j in np.flatnonzero(cond > _POLE_COND)]
+        done = []
+        with np.errstate(all="ignore"):
+            for k, rk in enumerate(radii):
+                w, cond, singular = _mobius(w, mats[k])
+                if singular.any():
+                    faults.errors[live[singular]] = SingularMatrix(
+                        "Moebius denominator singular")
+                    live, w, cond = live[~singular], w[~singular], cond[~singular]
+                    if not len(live):
+                        break
+                    mats = np.ascontiguousarray(mats[:, ~singular])
+                done.append((float(rk), live, w, [
+                    (live[j], PoleCrossing(float(rk), float(cond[j])))
+                    for j in np.flatnonzero(cond > _POLE_COND)]))
+        for rk, ids, wk, found in done:
+            yield rk, ids, wk * to_z, found
+        if not len(live):
+            return
 
 
 def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,

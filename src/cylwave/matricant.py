@@ -23,9 +23,12 @@ matricant_step and matricant_global.  Per block of _BLOCK_STEPS steps it
 samples Q at every node, step and entry in one array (nodes, steps,
 entries, 2m, 2m), runs the step guard, which gives each entry its own
 StepTooLarge, and forms the block's propagators in one kernel call.  The
-march steps with its gauged samples, in float64 where they are real (see
+march hands its gauge to the stepper, and the stepper to the sampler, which
+applies it: to each layer's terms of a piecewise profile once, to each
+block's samples of a smooth law or q_at hook.  The guard and the kernels
+then see the gauged samples, in float64 where they are real (see
 cylwave.impedance); matricant_step and matricant_global are stacks of one
-that raise their entry's error, and sample Q itself and stay complex.
+that raise their entry's error, and sample Q ungauged and stay complex.
 
 No scheme needs derivatives of Q.  A node on an interface of a piecewise
 profile takes the layer its step spans, so a ts1 step that starts on an
@@ -46,7 +49,7 @@ import numpy as np
 from .elastodyn import _q_sampler
 from .errors import (DuplicatePoints, EntryFaults, MatricantOverflow,
                      OutOfSupport, StepTooLarge)
-from .numkernel import _demoted, _mat_exp
+from .numkernel import _mat_exp
 
 _SQ3 = np.sqrt(3.0)
 # steps whose propagators are held at once: it bounds a march's memory at
@@ -224,9 +227,13 @@ def _check_span(profile, r: float, h: float) -> None:
 
 def _bound(h: float, q: np.ndarray) -> np.ndarray:
     """h sqrt(|Q|_1 |Q|_inf) of each matrix, an upper bound on h |Q|_2."""
+    # column and row sums as sums of slices: the axis sums' values, faster
     aq = np.abs(q)
-    return h * np.sqrt(aq.sum(axis=-2).max(axis=-1)
-                       * aq.sum(axis=-1).max(axis=-1))
+    cols, rows = aq[..., 0, :], aq[..., :, 0]
+    for i in range(1, aq.shape[-1]):
+        cols = cols + aq[..., i, :]
+        rows = rows + aq[..., :, i]
+    return h * np.sqrt(cols.max(axis=-1) * rows.max(axis=-1))
 
 
 def _guard(h: float, q: np.ndarray) -> np.ndarray:
@@ -261,40 +268,47 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
     ctxs[j] with no error in faults, _BLOCK_STEPS steps at a time: per block
     the step-end radii, the live entries and their propagators as one array
     (steps, live, s, s).  An entry with a sample past the step guard gets
-    its StepTooLarge in faults and the block is sampled again without it;
-    the sampler is rebuilt only when faults has lost entries.  With a gauge
-    the kernels step with Q * gauge, in float64 where that is real."""
+    its StepTooLarge in faults and leaves the block, which steps on with the
+    others' samples; the sampler is rebuilt without it, and before a block
+    when faults has lost entries meanwhile.  The gauge is applied here, by
+    the sampler: with one, the guard and the kernels see Q * gauge, in
+    float64 where it is real."""
     h = span / steps
     _check_span(profile, r0, span)
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
-    live, start = None, 0
-    while start < steps:
+
+    def sampler(ids):
+        return ids, _q_sampler(profile, [ctxs[j] for j in ids])
+
+    built = None
+    for start in range(0, steps, _BLOCK_STEPS):
         ok = np.flatnonzero(faults.ok)
         if not len(ok):
             return
-        if live is None or len(ok) < len(live):
-            live, sample = ok, _q_sampler(profile, [ctxs[j] for j in ok])
+        if built is None or len(ok) < len(built):
+            built, sample = sampler(ok)
         r = r0 + np.arange(start, min(start + _BLOCK_STEPS, steps)) * h
         x = r + (np.array(nodes) * h)[:, None]
-        qs = sample(x, np.broadcast_to(r + 0.5 * h, x.shape))
+        qs = sample(x, np.broadcast_to(r + 0.5 * h, x.shape), gauge)
         nrm = _guard(h, qs).max(axis=0)
         over = nrm > 20.0
-        for i in np.flatnonzero(over.any(axis=0)):
-            faults.errors[live[i]] = StepTooLarge(
+        tripped = over.any(axis=0)
+        for i in np.flatnonzero(tripped):
+            faults.errors[built[i]] = StepTooLarge(
                 f"||h*Q|| = {nrm[over[:, i], i][0]:.3g} exceeds 20 (exp "
                 "overflow guard); reduce the step or increase the step count")
-        if over.any():
-            continue  # the block is sampled again for the entries left
+        if tripped.all():
+            return
+        if tripped.any():  # the others step on, the next block without it
+            qs = qs[:, :, ~tripped]
+            built, sample = sampler(built[~tripped])
         # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent by 20, a
         # Magnus one (nodes sharing D) by 20 + (sqrt(3)/6) 20^2 ~ 135, so
         # mat_exp stays below e^135 max(s, 1/s), finite unless s > 1e249, and
         # its Pade denominator is regular: no entry needs an Overflow path.
-        if gauge is not None:
-            qs = _demoted(qs * gauge)
-        yield r + h, live, kernel(h, qs, nodes, order)
+        yield r + h, built, kernel(h, qs, nodes, order)
         # no block's samples outlive it into the next
         del qs
-        start += _BLOCK_STEPS
 
 
 def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:

@@ -9,6 +9,8 @@ import cylwave as cw
 from cylwave.elastodyn import _q_sampler, has_z_mirror_symmetry, voigt_blocks
 from cylwave.errors import (DecouplingError, MaterialSingular, OutOfSupport,
                             SchemaError)
+from cylwave.impedance import _gauge
+from cylwave.numkernel import _demoted
 
 AL_C44 = 26.0e9 / cw.MODULUS_SCALE
 AL_C12 = 58.5e9 / cw.MODULUS_SCALE
@@ -322,6 +324,49 @@ class TestQMatrix:
             for k, ctx in enumerate(ctxs):
                 assert np.array_equal(q[i, j, k],
                                       cw.q_matrix(prof, ctx, r[i, j]).q)
+
+    @pytest.mark.parametrize("m, kz, middle", [
+        (1, 0.0, "fibre"), (2, 0.0, "fibre"), (3, 0.0, "fibre"),
+        (3, 0.7, "fibre"), (3, 0.0, "c35"), (3, 0.7, "c35")])
+    def test_gauged_sampler_on_three_layers(self, al, m, kz, middle):
+        # sample(r, toward, g) is sample(r, toward) * g demoted, bit for bit
+        # and dtype for dtype, and the ungauged samples are q_matrix's: on
+        # both interfaces from either side, inside each layer, and over a
+        # block that straddles an interface.  A c35 coupling leaves the
+        # gauged P0 and P2 real and P1 complex, so at kz = 0 the samples
+        # are real
+        c = cw.ti_stiffness(6.6, 3.2, 2.8, 64.8, 3.2).c.copy()
+        if middle == "c35":
+            c[2, 4] = c[4, 2] = 0.5
+        layers = [(0.3, 0.6, al), (0.6, 0.8, cw.MaterialPoint(
+                      1.6, cw.StiffnessVoigt(c))),
+                  (0.8, 1.0, cw.MaterialPoint(
+                      7.85, cw.isotropic_stiffness(37.0, 37.0)))]
+        prof = cw.RadialProfile.piecewise(layers)
+        ctxs = [cw.WaveContext(omega=2.5, n=n, kz=kz, m=m) for n in (1, 2, 3)]
+        sample = _q_sampler(prof, ctxs)
+        gauge = _gauge(m)[0]
+        at = np.array([[0.6, 0.6, 0.8, 0.8], [0.3, 0.45, 0.7, 1.0]])
+        toward = np.array([[0.5, 0.7, 0.7, 0.9], [0.4, 0.5, 0.75, 0.9]])
+        block = 0.55 + 0.01 * np.arange(10)  # from layer 1 into layer 2
+        inside = np.full((2, 3), 0.7)  # one layer, no gather
+        for r, tw in ((at, toward), (block[None], block[None] + 0.005),
+                      (inside, inside)):
+            q = sample(r, tw)
+            for _ in range(2):  # the second call reuses the gauged terms
+                qg = sample(r, tw, gauge)
+                want = _demoted(q * gauge)
+                assert qg.dtype == want.dtype and np.array_equal(qg, want)
+            for i in np.ndindex(r.shape):
+                mp = next(lay[2] for lay in layers if
+                          lay[0] - 1e-12 <= r[i] <= lay[1] + 1e-12
+                          and lay[0] <= tw[i] <= lay[1])
+                one = cw.RadialProfile.uniform(mp, 0.3, 1.0)
+                for k, ctx in enumerate(ctxs):
+                    assert np.array_equal(q[i][k],
+                                          cw.q_matrix(one, ctx, r[i]).q)
+        real = middle == "fibre" or kz == 0.0
+        assert (sample(inside, inside, gauge).dtype == np.float64) == real
 
     def test_smooth_sampler_refusals(self):
         r = np.array([0.6, 0.7])

@@ -369,6 +369,67 @@ class TestIntegrate:
         assert len(radii) == 2 * steps
 
 
+    def test_guard_trip_keeps_the_block_samples(self):
+        # the third order trips the step guard in block 2, where the density
+        # climbs; the others step on with the block's samples, so the law is
+        # still called once per sample radius, and march as they do alone
+        radii = []
+
+        def law(r):
+            radii.append(r)
+            return cw.MaterialPoint(2.0 + r + 1e5 * max(r - 0.7, 0.0) ** 2,
+                                    cw.isotropic_stiffness(3.0, 1.0 + r))
+
+        prof = cw.RadialProfile.smooth(law, 0.5, 1.0)
+        ctxs = [cw.WaveContext(omega=w, n=n, kz=0.4)
+                for w, n in ((3.0, 0), (3.0, 2), (300.0, 1))]
+        z0s = [cw.ti_conditional_impedance(1, law(0.5), ctx, 0.5).z
+               for ctx in ctxs]
+        radii.clear()
+        faults = EntryFaults(3)
+        steps, lives = 25, []
+        for r, live, z, _ in _march(prof, ctxs, z0s, 0.5, 1.0, steps, "mg4",
+                                    faults):
+            lives.append(list(live))
+        assert len(radii) == 2 * steps
+        assert isinstance(faults.errors[2], StepTooLarge)
+        assert faults.ok[:2].all()
+        assert lives == [[0, 1, 2]] * 10 + [[0, 1]] * 15
+        for j in (0, 1):
+            alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5, 1.0,
+                                           steps, "mg4")
+            assert np.array_equal(z[j], alone.z) and r == alone.r
+
+    def test_march_keeps_the_callers_errstate(self):
+        # test_failures_stay_per_entry's march, consumed under
+        # errstate(all="raise"): the march's own errstate must not leak into
+        # the loop body, and the faults must be the same
+        class _PerOrder(_Turn):
+            def q_at(self, r, ctx):
+                return 1e6 * np.eye(4) if ctx.n == 0 else super().q_at(r, ctx)
+
+        prof = _PerOrder()
+        ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
+        z0s = [np.zeros((2, 2), dtype=complex),
+               np.full((2, 2), np.nan, dtype=complex),
+               np.zeros((2, 2), dtype=complex)]
+        faults = EntryFaults(3)
+        yields = 0
+        with np.errstate(all="raise"):
+            outer = np.geterr()
+            for r, live, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12,
+                                            "exp2a", faults):
+                assert np.geterr() == outer
+                yields += 1
+        assert isinstance(faults.errors[0], StepTooLarge)
+        assert isinstance(faults.errors[1], SingularMatrix)
+        assert faults.errors[2] is None and list(live) == [2]
+        alone = cw.integrate_impedance(prof, ctxs[2], z0s[2], 0.5, 0.62, 12,
+                                       "exp2a")
+        assert yields == 12 and np.array_equal(z[0], alone.z)
+        assert r == alone.r
+
+
 class TestGauge:
     """The march steps with D^-1 Q D, D = diag(i^p), and advances
     w = -i D2^-1 z D1; lossless orthotropic samples are then real."""

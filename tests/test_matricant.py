@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import cylwave as cw
 from cylwave.errors import (DuplicatePoints, MatricantOverflow, OutOfSupport,
                             StepTooLarge)
+from cylwave.matricant import _bound
 
 NOMINAL_ORDER = {"ts1": 1, "ts2": 2, "exp2a": 2, "lp2": 2, "exp2b": 2,
                  "lp3": 3, "lp4": 4, "exp2c": 2, "mg4": 4}
@@ -374,3 +375,19 @@ def test_global_argument_validation(al_profile):
     for h in (-0.1, 0.0, float("nan")):
         with pytest.raises(ValueError, match="step must be positive"):
             cw.matricant_step(al_profile, ctx, 0.6, h, "exp2a")
+
+
+@pytest.mark.parametrize("size", [2, 4, 6])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_bound_equals_axis_sums(size, kind):
+    # the guard's bound sums rows and columns slice by slice; it must equal
+    # the axis sums bit for bit
+    rng = np.random.default_rng(size)
+    shape = (4, 10, 7, size, size)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal(shape)
+    for stack in (a, a[0, 0, :1]):
+        want = 0.3 * np.sqrt(np.abs(stack).sum(-2).max(-1)
+                             * np.abs(stack).sum(-1).max(-1))
+        assert np.array_equal(_bound(0.3, stack), want)
