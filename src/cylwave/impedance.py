@@ -19,6 +19,17 @@ singular Moebius denominator records its typed error in the caller's
 EntryFaults and leaves the stack; integrate_impedance raises it, a
 scattering solve only when its truncation walk reaches that order.
 
+The Moebius update is closed form, with no LAPACK call: for den = M1 + M2 w
+(m <= 3), w' = ((M3 + M4 w) adj(den)) * (1 / det(den)), the adjugate from
+fixed index tables.  Each denominator's 1-norm condition number
+|den|_1 |adj(den)|_1 / |det(den)| is the pole test: above 1e14 the step is a
+PoleCrossing, which the map passes finitely.  A denominator is singular
+when det(den) or w' is not finite (det = 0 makes w' infinite).  The march
+runs a block's updates step by step, then takes the condition numbers, the
+singular mask, the crossings and z = w * t for the whole block in one pass;
+a failing entry's NaNs stay in its own rows, and it leaves the yields at
+its first singular step.
+
 The state carries fixed powers of i, so the march steps with the gauged
 samples D^-1 Q D, D = diag(i^p) with p = (0, 1, 1, 1, 0, 0) over (u_r, u_th,
 u_z, v_r, v_th, v_z), and advances w = -i D2^-1 z D1 by
@@ -31,7 +42,6 @@ else (a rotated law, a q_at hook) stays complex in the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
 import numpy as np
 
 from .elastodyn import _q_sampler, _state_index
@@ -127,15 +137,55 @@ def admittance_rhs(a, q) -> np.ndarray:
     return -1j * (am @ q3 @ am) - am @ q4 + q1 @ am - 1j * q2
 
 
+# index tables of the adjugate: for m = 2, adj[i, j] = s_ij a[1-j, 1-i];
+# for m = 3, adj[i, j] = a[j1, i1] a[j2, i2] - a[j1, i2] a[j2, i1] with
+# i1, i2 = i+1, i+2 and j1, j2 = j+1, j+2 (mod 3)
+_I, _J = np.indices((3, 3))
+_ADJ2 = (1 - _J[:2, :2], 1 - _I[:2, :2], (-1.0) ** (_I + _J)[:2, :2])
+_ADJ3 = (np.stack([_J + 1, _J + 2, _J + 1, _J + 2]) % 3,
+         np.stack([_I + 1, _I + 2, _I + 2, _I + 1]) % 3)
+
+
+def _adjugate(a: np.ndarray) -> np.ndarray:
+    """Adjugate of each 1x1, 2x2 or 3x3 matrix of a stack, in its dtype."""
+    k = a.shape[-1]
+    if k == 1:
+        return np.ones_like(a)
+    if k == 2:
+        rows, cols, sign = _ADJ2
+        return a[..., rows, cols] * sign
+    x = a[..., _ADJ3[0], _ADJ3[1]]
+    return (x[..., 0, :, :] * x[..., 1, :, :]
+            - x[..., 2, :, :] * x[..., 3, :, :])
+
+
 def _mobius(w: np.ndarray, m: np.ndarray) -> tuple:
-    """w' = (M3 + M4 w)(M1 + M2 w)^-1 over a stack, the 1-norm condition
-    number of each denominator and the mask of the singular ones; w and m
-    may be real or complex.  The caller holds np.errstate(all="ignore")."""
+    """w' = (M3 + M4 w)(M1 + M2 w)^-1 over a stack, in closed form, with the
+    denominators, their adjugates and determinants (see _verdict); w and m
+    may be real or complex, and the caller holds np.errstate(all="ignore").
+
+    With den = M1 + M2 w, w' = ((M3 + M4 w) adj(den)) * (1 / det(den)), the
+    determinant expanded along den's first row.  numpy divides complex
+    numbers by multiplying with a reciprocal, so w' multiplies by 1 / det
+    rather than dividing: a complex stack whose entries are each real or
+    imaginary, as the identity gauge gives, then rounds as the real one."""
     k = w.shape[-1]
     uv = m[..., :, :k] + m[..., :, k:] @ w
-    den_inv, singular = _inverse_each(uv[..., :k, :])
-    return (uv[..., k:, :] @ den_inv,
-            _norm1(uv[..., :k, :]) * _norm1(den_inv), singular)
+    den = uv[..., :k, :]
+    adj = _adjugate(den)
+    det = den[..., 0, 0] * adj[..., 0, 0]
+    for j in range(1, k):
+        det = det + den[..., 0, j] * adj[..., j, 0]
+    return (uv[..., k:, :] @ adj) * (1.0 / det)[..., None, None], den, adj, det
+
+
+def _verdict(w: np.ndarray, den: np.ndarray, adj: np.ndarray,
+             det: np.ndarray) -> tuple:
+    """The 1-norm condition number |den|_1 (|adj|_1 / |det|) of each Moebius
+    denominator, and the mask of the singular ones: a determinant that is
+    not finite or a w' that is not finite, which det = 0 always gives."""
+    cond = _norm1(den) * (_norm1(adj) / np.abs(det))
+    return cond, ~(np.isfinite(det) & np.isfinite(w).all(axis=(-2, -1)))
 
 
 def mobius_step(z: ConditionalImpedance, m: Matricant) -> ConditionalImpedance:
@@ -143,21 +193,22 @@ def mobius_step(z: ConditionalImpedance, m: Matricant) -> ConditionalImpedance:
 
         z' = i (M3 - i M4 z)(M1 - i M2 z)^-1
 
-    evaluated as the march's update of w = -i z (the identity gauge).
-    When the denominator is numerically on an impedance pole
-    (condition > 1e14) a PoleCrossing record is attached to the result;
-    the map itself stays finite on either side of the pole, so marching
-    continues.  A singular denominator raises SingularMatrix.
+    evaluated by the march's closed-form kernel on w = -i z (the identity
+    gauge).  When the denominator is numerically on an impedance pole, its
+    condition number |den|_1 |adj(den)|_1 / |det(den)| above 1e14, a
+    PoleCrossing record is attached to the result; the map itself stays
+    finite on either side of the pole, so marching continues.  A
+    determinant or a result that is not finite raises SingularMatrix.
     """
-    w = -1j * _zmat(z)
     with np.errstate(all="ignore"):
-        wnew, cond, singular = _mobius(w, m.m)
+        out = _mobius(-1j * _zmat(z), m.m)
+        cond, singular = _verdict(*out)
     if singular:
         raise SingularMatrix("Moebius denominator singular")
     events = z.events
     if cond > _POLE_COND:
         events = events + (PoleCrossing(m.r_to, float(cond)),)
-    return ConditionalImpedance(1j * wnew, m.r_to, events)
+    return ConditionalImpedance(1j * out[0], m.r_to, events)
 
 
 def impedance_from_matricant(m: Matricant, z0: ConditionalImpedance) -> ConditionalImpedance:
@@ -178,9 +229,10 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
     r1 in equal steps, yielding after each step the radius, the live entries,
     their z as one array and the step's (entry, PoleCrossing) records.  An
     entry past the step guard or with a singular Moebius denominator gets
-    that StepTooLarge or SingularMatrix in faults and leaves the stack.  A
-    block's updates run under one np.errstate and are yielded after it, so
-    the consumer keeps its own floating-point error settings."""
+    that StepTooLarge or SingularMatrix in faults and leaves the stack, and
+    the yields from the step where it failed.  A block's updates run under
+    one np.errstate and are yielded after it, so the consumer keeps its own
+    floating-point error settings."""
     live = np.flatnonzero(faults.ok)
     if not len(live):
         return
@@ -189,26 +241,30 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
     w = _demoted(z * to_z.conj())
     for radii, ids, mats in _blocks(profile, ctxs, r0, r1 - r0, steps, scheme,
                                     faults, gauge):
-        if len(ids) < len(live):  # entries past the step guard have left
+        if len(ids) < len(live):  # entries that failed have left
             w, live = w[np.isin(live, ids)], ids
-        done = []
         with np.errstate(all="ignore"):
-            for k, rk in enumerate(radii):
-                w, cond, singular = _mobius(w, mats[k])
-                if singular.any():
-                    faults.errors[live[singular]] = SingularMatrix(
-                        "Moebius denominator singular")
-                    live, w, cond = live[~singular], w[~singular], cond[~singular]
-                    if not len(live):
-                        break
-                    mats = np.ascontiguousarray(mats[:, ~singular])
-                done.append((float(rk), live, w, [
-                    (live[j], PoleCrossing(float(rk), float(cond[j])))
-                    for j in np.flatnonzero(cond > _POLE_COND)]))
-        for rk, ids, wk, found in done:
-            yield rk, ids, wk * to_z, found
-        if not len(live):
-            return
+            block = []
+            for mk in mats:
+                block.append(_mobius(w, mk))
+                w = block[-1][0]
+            ws, dens, adjs, dets = map(np.array, zip(*block))
+            cond, singular = _verdict(ws, dens, adjs, dets)
+            zs = ws * to_z
+        # (step, entry): failed at this step or before; a failed entry's
+        # NaNs stay in its own rows, and it leaves at its first failed step
+        failed = np.logical_or.accumulate(singular)
+        found = [[] for _ in radii]
+        for k, j in np.argwhere((cond > _POLE_COND) & ~failed):
+            found[k].append((live[j], PoleCrossing(float(radii[k]),
+                                                   float(cond[k, j]))))
+        if failed[-1].any():
+            faults.errors[live[failed[-1]]] = SingularMatrix(
+                "Moebius denominator singular")
+        for rk, zk, fk, gone in zip(radii, zs, found, failed):
+            if gone.all():
+                return
+            yield float(rk), live[~gone], zk[~gone], fk
 
 
 def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,

