@@ -117,6 +117,17 @@ def _whole(value, flag: str) -> int:
         raise UsageError(f"{flag} must be an integer") from None
 
 
+def _real(value, flag: str) -> float:
+    """A real setting; it must be a finite number."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be a finite number")
+    return value
+
+
 def parse_config(argv) -> RunConfig:
     ns = _build_parser().parse_args(argv)
 
@@ -149,7 +160,8 @@ def parse_config(argv) -> RunConfig:
         if command != "scatter":
             raise UsageError("--sweep only applies to the scatter command")
         try:
-            lo, hi, cnt = float(sweep_raw[0]), float(sweep_raw[1]), int(sweep_raw[2])
+            lo, hi, cnt = sweep_raw
+            lo, hi, cnt = float(lo), float(hi), _whole(cnt, "--sweep N")
         except (TypeError, ValueError, OverflowError):
             raise UsageError("--sweep expects MIN MAX N") from None
         if not (0 < lo <= hi < math.inf) or cnt < 1:
@@ -158,8 +170,10 @@ def parse_config(argv) -> RunConfig:
         sweep = (lo, hi, cnt)
     if ka is None and sweep is None:
         raise UsageError("--ka (or --sweep for scatter) is required")
-    if ka is not None and not 0 < ka < math.inf:
-        raise UsageError("--ka must be positive and finite")
+    if ka is not None:
+        ka = _real(ka, "--ka")
+        if not ka > 0:
+            raise UsageError("--ka must be positive")
 
     scheme = _pick(ns.scheme, run_defaults, "scheme", "lp4")
     try:
@@ -173,13 +187,11 @@ def parse_config(argv) -> RunConfig:
     n = _whole(_pick(ns.n, run_defaults, "n", 0), "--n")
     if n < 0:
         raise UsageError("--n must be >= 0")
-    kz = float(_pick(ns.kz, run_defaults, "kz", 0.0))
-    if not math.isfinite(kz):
-        raise UsageError("--kz must be finite")
+    kz = _real(_pick(ns.kz, run_defaults, "kz", 0.0), "--kz")
 
     lo, hi = profile.support
-    r0 = float(_pick(ns.r0, run_defaults, "r0", lo))
-    r1 = float(_pick(ns.r1, run_defaults, "r1", hi))
+    r0 = _real(_pick(ns.r0, run_defaults, "r0", lo), "--r0")
+    r1 = _real(_pick(ns.r1, run_defaults, "r1", hi), "--r1")
     if not (lo - 1e-12 <= r0 < r1 <= hi + 1e-12 < math.inf):
         raise UsageError(
             f"need support min <= r0 < r1 <= support max, "
@@ -189,12 +201,8 @@ def parse_config(argv) -> RunConfig:
     if method not in ("integrate", "recursion"):
         raise SchemaError("/run/method: expected 'integrate' or 'recursion'")
 
-    threads = _pick(ns.threads, run_defaults, "threads",
-                    os.environ.get("CYLWAVE_THREADS", 1))
-    try:
-        threads = int(threads)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError("--threads must be an integer") from None
+    threads = _whole(_pick(ns.threads, run_defaults, "threads",
+                           os.environ.get("CYLWAVE_THREADS", 1)), "--threads")
     if threads < 1:
         raise UsageError("--threads must be >= 1")
 

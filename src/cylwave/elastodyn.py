@@ -389,27 +389,24 @@ def q_matrix(profile, ctx: WaveContext, r: float) -> SystemMatrix:
 def _q_sampler(profile, ctxs):
     """Q at many radii for a stack of contexts that share m.
 
-    Returns ``sample(r, toward, gauge=None)``, an array of shape
+    Returns ``sample(r, layer, gauge=None)``, an array of shape
     r.shape + (len(ctxs), 2m, 2m) holding Q(r) for every radius and
-    context; the radii must lie in the profile's support.  A radius on an
-    interface of a piecewise profile takes the layer on the side of
-    ``toward`` (same shape as r), so a step that starts or ends on an
-    interface sees the layer it spans.  With a gauge g, an elementwise
-    factor of +-1 and +-i, it returns Q * g instead, in float64 where its
-    imaginary parts are exactly zero (numkernel._demoted).
+    context in the profile's support, in a piecewise profile's layer
+    ``layer`` at every radius (a smooth law and the ``q_at`` hook ignore
+    it).  With a gauge g, an elementwise factor of +-1 and +-i, it returns
+    Q * g, in float64 where its imaginary parts are exactly zero.
 
-    Samples are (1/r) (P0 + kz r P1 + r^2 P2) from _ig_terms' terms; they
-    equal q_matrix's bit for bit.  A piecewise profile builds the terms once
-    per layer, indexes one layer's terms when all radii lie in it, and
-    gauges and demotes each layer's terms once, on first use: products with
-    g are exact, so these samples are Q * g bit for bit, formed in float64
-    for lossless orthotropic layers.  A smooth profile calls its law once
-    per radius and builds the terms of all radii and contexts in one pass;
-    it and the ``q_at`` hook, which goes through q_matrix radius by radius,
-    gauge and demote their samples.
+    Samples are (1/r) (P0 + kz r P1 + r^2 P2) from _ig_terms' terms, equal
+    to q_matrix's bit for bit.  A piecewise profile builds, gauges and
+    demotes each layer's terms once; products with g are exact, so its
+    samples are Q * g bit for bit, formed in float64 for lossless
+    orthotropic layers.  A smooth law, called once per radius, has the terms
+    of all radii and contexts built in one pass; it and the ``q_at`` hook,
+    which goes through q_matrix radius by radius, gauge and demote their
+    samples.
     """
     if getattr(profile, "q_at", None) is not None:
-        def sample(r, toward, gauge=None):
+        def sample(r, layer, gauge=None):
             r = np.asarray(r, dtype=float)
             q = np.array([[q_matrix(profile, ctx, x).q for ctx in ctxs]
                           for x in r.ravel().tolist()])
@@ -435,7 +432,7 @@ def _q_sampler(profile, ctxs):
                            + (rr * rr) * terms[2])
 
     if getattr(profile, "layers", None) is None:
-        def sample(r, toward, gauge=None):
+        def sample(r, layer, gauge=None):
             r = np.asarray(r, dtype=float)
             terms = terms_of([profile.material_at(x)
                               for x in r.ravel().tolist()])
@@ -445,7 +442,6 @@ def _q_sampler(profile, ctxs):
         return sample
 
     layer_terms = terms_of([mp for (_, _, mp) in profile.layers])
-    cuts = np.array([lay[1] for lay in profile.layers[:-1]])
     plain, gauged = list(layer_terms.swapaxes(0, 1)), [None, None]
 
     def terms_in(gauge):
@@ -460,18 +456,8 @@ def _q_sampler(profile, ctxs):
             gauged[:] = gauge, [_demoted(tl) for tl in t.swapaxes(0, 1)]
         return gauged[1]
 
-    def sample(r, toward, gauge=None):
-        r = np.asarray(r, dtype=float)
-        # material_at's rule (r <= r_out + 1e-12 is inside), then a radius on
-        # an interface moves to the side of `toward`
-        which = np.searchsorted(cuts + 1e-12, r)
-        if cuts.size:
-            near = cuts[np.minimum(which, cuts.size - 1)]
-            which = which + ((np.abs(r - near) <= 1e-12) & (toward > r))
-        layers = terms_in(gauge)
-        if which.min() == which.max():
-            return q_of(layers[which.min()], r)
-        return q_of(np.stack(layers, axis=1)[:, which], r)
+    def sample(r, layer, gauge=None):
+        return q_of(terms_in(gauge)[layer], np.asarray(r, dtype=float))
 
     return sample
 

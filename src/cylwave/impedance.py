@@ -47,7 +47,7 @@ import numpy as np
 from .elastodyn import _q_sampler, _state_index
 from .errors import (DegenerateSpan, EntryFaults, PoleCrossing, ResonantInner,
                      SingularMatrix)
-from .matricant import Matricant, _blocks, _check_span
+from .matricant import Matricant, _blocks, _segments
 from .numkernel import _demoted, _inverse_each, _norm1, mat_inverse
 
 _POLE_COND = 1e14
@@ -226,13 +226,13 @@ def _gauge(k: int) -> tuple:
 def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
            faults: EntryFaults):
     """March the entries (ctxs[j], z0s[j]) with no error in faults from r0 to
-    r1 in equal steps, yielding after each step the radius, the live entries,
-    their z as one array and the step's (entry, PoleCrossing) records.  An
-    entry past the step guard or with a singular Moebius denominator gets
-    that StepTooLarge or SingularMatrix in faults and leaves the stack, and
-    the yields from the step where it failed.  A block's updates run under
-    one np.errstate and are yielded after it, so the consumer keeps its own
-    floating-point error settings."""
+    r1 on the steps of matricant._segments, yielding after each the radius,
+    the live entries, their z as one array and the step's (entry,
+    PoleCrossing) records.  An entry past the step guard or with a singular
+    Moebius denominator gets that StepTooLarge or SingularMatrix in faults
+    and leaves the stack, and the yields from the step where it failed.  A
+    block's updates run under one np.errstate and are yielded after it, so
+    the consumer keeps its own floating-point error settings."""
     live = np.flatnonzero(faults.ok)
     if not len(live):
         return
@@ -269,10 +269,10 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
 
 def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
                         r1: float, steps: int, scheme) -> ConditionalImpedance:
-    """March z from r0 to r1 in equal Moebius steps.
+    """March z from r0 to r1 in Moebius steps, equal within each layer.
 
     A global matricant is never formed; each step's propagator spans only
-    h = (r1-r0)/steps, which is what keeps the growing solutions from
+    about (r1-r0)/steps, which is what keeps the growing solutions from
     swamping the result.  PoleCrossing events accumulate on the returned
     impedance.  This is the stacked march with a stack of one.
     """
@@ -355,29 +355,25 @@ def naive_riccati_integrate(profile, ctx, z0, r0: float, r1: float,
     """Classical 4-stage explicit Runge-Kutta on the Riccati equation.
 
     This is the unstable textbook approach, kept as a foil: it cannot pass
-    impedance poles and the trace records where it dies.
+    impedance poles and the trace records where it dies.  It steps on the
+    march's grid, each layer of a piecewise profile with its own step.
     """
     if not r0 < r1:
         raise ValueError("need r0 < r1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    _check_span(profile, r0, r1 - r0)
+    grid = [(a + i * h, h, layer)
+            for a, h, n, layer in _segments(profile, r0, r1 - r0, steps)
+            for i in range(n)]
     sample = _q_sampler(profile, [ctx])
-    h = (r1 - r0) / steps
     z = _zmat(z0).copy()
-    radii = [r0]
-    values = [z.copy()]
-    blowup = None
-
-    def rhs(r, zz):
-        return riccati_rhs(zz, sample(r, r)[0])
-
-    for i in range(steps):
-        r = r0 + i * h
-        k1 = rhs(r, z)
-        k2 = rhs(r + 0.5 * h, z + 0.5 * h * k1)
-        k3 = rhs(r + 0.5 * h, z + 0.5 * h * k2)
-        k4 = rhs(r + h, z + h * k3)
+    radii, values, blowup = [r0], [z.copy()], None
+    for r, h, layer in grid:
+        q0, q1, q2 = (sample(x, layer)[0] for x in (r, r + 0.5 * h, r + h))
+        k1 = riccati_rhs(z, q0)
+        k2 = riccati_rhs(z + 0.5 * h * k1, q1)
+        k3 = riccati_rhs(z + 0.5 * h * k2, q1)
+        k4 = riccati_rhs(z + h * k3, q2)
         z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         rnext = r + h
         radii.append(rnext)

@@ -24,18 +24,16 @@ samples Q at every node, step and entry in one array (nodes, steps,
 entries, 2m, 2m), runs the step guard, which gives each entry its own
 StepTooLarge, and forms the block's propagators in one kernel call.  The
 march hands its gauge to the stepper, and the stepper to the sampler, which
-applies it: to each layer's terms of a piecewise profile once, to each
-block's samples of a smooth law or q_at hook.  The guard and the kernels
-then see the gauged samples, in float64 where they are real (see
-cylwave.impedance); matricant_step and matricant_global are stacks of one
-that raise their entry's error, and sample Q ungauged and stay complex.
+applies it; the guard and the kernels then see the gauged samples, in
+float64 where they are real (see cylwave.impedance).  matricant_step and
+matricant_global are stacks of one that raise their entry's error, and
+sample Q ungauged and stay complex.
 
-No scheme needs derivatives of Q.  A node on an interface of a piecewise
-profile takes the layer its step spans, so a ts1 step that starts on an
-interface sees the outer layer; the other schemes sample only interior
-abscissae of the step.  A step that contains an interface weights its
-samples as if Q were smooth across the jump and is only O(h) accurate, so
-a march or product is first order unless its grid holds every interface.
+No scheme needs derivatives of Q, but each interpolates Q within its step,
+so no step may contain a jump in Q.  _segments cuts each span at the
+interfaces of a piecewise profile inside it, and every piece is stepped in
+its own layer, end radii included, with its own h: a march or product
+keeps its nominal order.
 """
 from __future__ import annotations
 
@@ -211,18 +209,35 @@ def get_scheme(name: str | Scheme) -> Scheme:
         return name
     try:
         return SCHEMES[name.lower()]
-    except KeyError:
+    except (AttributeError, KeyError):
         raise ValueError(
             f"unknown scheme {name!r}; choose from {', '.join(SCHEMES)}") from None
 
 
-def _check_span(profile, r: float, h: float) -> None:
-    support = getattr(profile, "support", None)
-    if support is not None:
-        lo, hi = support
-        if r < lo - 1e-12 or r + h > hi + 1e-12:
-            raise OutOfSupport(
-                f"step [{r}, {r + h}] outside profile support [{lo}, {hi}]")
+def _segments(profile, r0: float, span: float, steps: int) -> list:
+    """The pieces (start, h, steps, layer) that step [r0, r0 + span]: one
+    per layer between the interfaces more than 1e-12 inside the span, the
+    steps shared in proportion to length, at least one each and the rest by
+    largest remainder (the earlier piece on a tie).  With no cut, as for a
+    smooth law or q_at hook (layer 0), one piece with h = span / steps in
+    the layer the span starts in, the outer one at an interface."""
+    lo, hi = getattr(profile, "support", None) or (-np.inf, np.inf)
+    if r0 < lo - 1e-12 or r0 + span > hi + 1e-12:
+        raise OutOfSupport(
+            f"step [{r0}, {r0 + span}] outside profile support [{lo}, {hi}]")
+    cuts = [lay[1] for lay in (getattr(profile, "layers", None) or ())[:-1]]
+    first = sum(c <= r0 + 1e-12 for c in cuts)
+    inner = [c for c in cuts if r0 + 1e-12 < c < r0 + span - 1e-12]
+    if not inner:
+        return [(r0, span / steps, steps, first)]
+    ends = [r0] + inner + [r0 + span]
+    quota = [steps * (b - a) / span for a, b in zip(ends, ends[1:])]
+    n = [max(1, int(q)) for q in quota]
+    by_remainder = sorted(range(len(n)), key=lambda k: n[k] - quota[k])
+    for k in by_remainder[:max(0, steps - sum(n))]:
+        n[k] += 1
+    return [(a, (b - a) / nk, nk, first + k)
+            for k, (a, b, nk) in enumerate(zip(ends, ends[1:], n))]
 
 
 def _bound(h: float, q: np.ndarray) -> np.ndarray:
@@ -264,32 +279,26 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
 
 def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
             faults: EntryFaults, gauge=None):
-    """Propagators of the equal steps of [r0, r0 + span] for the entries
-    ctxs[j] with no error in faults, _BLOCK_STEPS steps at a time: per block
-    the step-end radii, the live entries and their propagators as one array
-    (steps, live, s, s).  An entry with a sample past the step guard gets
-    its StepTooLarge in faults and leaves the block, which steps on with the
-    others' samples; the sampler is rebuilt without it, and before a block
-    when faults has lost entries meanwhile.  The gauge is applied here, by
-    the sampler: with one, the guard and the kernels see Q * gauge, in
-    float64 where it is real."""
-    h = span / steps
-    _check_span(profile, r0, span)
+    """Propagators of the steps of [r0, r0 + span], _BLOCK_STEPS steps of a
+    _segments piece at a time, for the entries ctxs[j] with no error in
+    faults: per block the step-end radii, the live entries and their
+    propagators as one array (steps, live, s, s).  An entry with a sample
+    past the step guard gets its StepTooLarge in faults and leaves the
+    block, which steps on with the others' samples; the next block rebuilds
+    the sampler without it.  With a gauge the sampler applies it, so the
+    guard and the kernels see Q * gauge, in float64 where it is real."""
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
-
-    def sampler(ids):
-        return ids, _q_sampler(profile, [ctxs[j] for j in ids])
-
+    blocks = [(a + np.arange(i, min(i + _BLOCK_STEPS, n)) * h, h, layer)
+              for a, h, n, layer in _segments(profile, r0, span, steps)
+              for i in range(0, n, _BLOCK_STEPS)]
     built = None
-    for start in range(0, steps, _BLOCK_STEPS):
+    for r, h, layer in blocks:
         ok = np.flatnonzero(faults.ok)
         if not len(ok):
             return
         if built is None or len(ok) < len(built):
-            built, sample = sampler(ok)
-        r = r0 + np.arange(start, min(start + _BLOCK_STEPS, steps)) * h
-        x = r + (np.array(nodes) * h)[:, None]
-        qs = sample(x, np.broadcast_to(r + 0.5 * h, x.shape), gauge)
+            built, sample = ok, _q_sampler(profile, [ctxs[j] for j in ok])
+        qs = sample(r + (np.array(nodes) * h)[:, None], layer, gauge)
         nrm = _guard(h, qs).max(axis=0)
         over = nrm > 20.0
         tripped = over.any(axis=0)
@@ -301,18 +310,18 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
             return
         if tripped.any():  # the others step on, the next block without it
             qs = qs[:, :, ~tripped]
-            built, sample = sampler(built[~tripped])
         # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent by 20, a
         # Magnus one (nodes sharing D) by 20 + (sqrt(3)/6) 20^2 ~ 135, so
         # mat_exp stays below e^135 max(s, 1/s), finite unless s > 1e249, and
         # its Pade denominator is regular: no entry needs an Overflow path.
-        yield r + h, built, kernel(h, qs, nodes, order)
+        yield r + h, built[~tripped], kernel(h, qs, nodes, order)
         # no block's samples outlive it into the next
         del qs
 
 
 def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
-    """One-step propagator M(r+h, r) for the chosen scheme.
+    """One-step propagator M(r+h, r) for the chosen scheme; over a span that
+    contains an interface, the product of one step in each layer.
 
     Each call builds its own sampler, fault record and block stepper, so
     chaining it step by step costs about 10 to 20 times a step of
@@ -321,15 +330,15 @@ def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
     if not h > 0:
         raise ValueError("step must be positive")
     faults = EntryFaults(1)
-    for _, _, mats in _blocks(profile, [ctx], r, h, 1, scheme, faults):
-        m = mats[0, 0]
+    blocks = _blocks(profile, [ctx], r, h, 1, scheme, faults)
+    mats = [s for _, _, block in blocks for s in block[:, 0]]
     faults.check(0)
-    return Matricant(m, r, r + h)
+    return Matricant(reduce(lambda m, s: s @ m, mats), r, r + h)
 
 
 def matricant_global(profile, ctx, r0: float, r1: float, steps: int,
                      scheme) -> Matricant:
-    """Left-multiplied composition over equal subintervals.
+    """Left-multiplied composition over the steps of _segments.
 
     Emits a MatricantOverflow warning if any intermediate product entry
     exceeds 1e12 in magnitude (the growing-solution swamp at large n or kr;
@@ -339,16 +348,15 @@ def matricant_global(profile, ctx, r0: float, r1: float, steps: int,
         raise ValueError("need r0 < r1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    faults = EntryFaults(1)
-    h, m, warned = (r1 - r0) / steps, None, False
-    blocks = _blocks(profile, [ctx], r0, r1 - r0, steps, scheme, faults)
-    for i, step in enumerate(s for _, _, mats in blocks for s in mats[:, 0]):
-        m = step if m is None else step @ m
-        if not warned and np.max(np.abs(m)) > 1e12:
-            warned = True
-            warnings.warn(f"matricant entries exceed 1e12 at r="
-                          f"{r0 + (i + 1) * h:.6g}; growing solutions "
-                          "dominate this span", MatricantOverflow,
-                          stacklevel=2)
+    faults, m, warned = EntryFaults(1), None, False
+    for radii, _, mats in _blocks(profile, [ctx], r0, r1 - r0, steps, scheme,
+                                  faults):
+        for rk, step in zip(radii, mats[:, 0]):
+            m = step if m is None else step @ m
+            if not warned and np.max(np.abs(m)) > 1e12:
+                warned = True
+                warnings.warn(f"matricant entries exceed 1e12 at r={rk:.6g};"
+                              " growing solutions dominate this span",
+                              MatricantOverflow, stacklevel=2)
     faults.check(0)
     return Matricant(m, r0, r1)

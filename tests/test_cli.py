@@ -155,13 +155,21 @@ class TestParseConfig:
         {"ka": 1.0, "steps": float("inf")}, {"ka": 1.0, "steps": float("nan")},
         {"ka": 1.0, "steps": 2.5}, {"ka": 1.0, "n": float("nan")},
         {"ka": 1.0, "n": float("inf")}, {"ka": 1.0, "n": 1.5},
+        {"sweep": [1, 2]}, {"sweep": [1.0, 2.0, 2.5]},
+        {"ka": 1.0, "kz": "x"}, {"ka": 1.0, "r0": "x"},
+        {"ka": 1.0, "kz": None}, {"ka": "x"}, {"ka": [1]},
+        {"ka": 1.0, "scheme": 4}, {"ka": 1.0, "threads": 2.5},
     ])
-    def test_non_finite_run_object(self, tmp_path, run):
+    def test_non_finite_run_object(self, tmp_path, run, capsys):
+        # a wrong value is a UsageError naming its key, exit code 1
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"layers": [_iso_layer(0.5, 1.0)],
                                     "run": dict(run, command="scatter")}))
-        with pytest.raises(UsageError):
+        key = list(run)[-1]
+        with pytest.raises(UsageError, match=key):
             cli.parse_config(["--profile", str(path)])
+        assert cli.main(["--profile", str(path)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_schema_errors(self, tmp_path, al_json):
         bad = tmp_path / "bad.json"

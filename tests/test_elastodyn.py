@@ -291,21 +291,21 @@ class TestQMatrix:
     @pytest.mark.parametrize("m, kz", [(1, 0.0), (2, 0.0), (3, 0.0), (3, 0.7)])
     def test_sampler_equals_q_matrix(self, al, m, kz):
         # the batched sampler is q_matrix at every (radius, order), bit for
-        # bit; a radius on the interface takes the side of `toward`
+        # bit, in the layer it is given, on the interface too
         steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
         prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
         ctxs = [cw.WaveContext(omega=4.0 + n, n=n, kz=kz, m=m)
                 for n in range(4)]
         r = np.array([[0.5, 0.61, 0.75], [0.75, 0.9, 1.0]])
-        toward = np.array([[0.6, 0.7, 0.7], [0.8, 0.95, 0.9]])
-        q = _q_sampler(prof, ctxs)(r, toward)
-        assert q.shape == (2, 3, 4, 2 * m, 2 * m)
-        for i, j in np.ndindex(r.shape):
-            layer = cw.RadialProfile.uniform(
-                al if toward[i, j] < 0.75 else steel, 0.5, 1.0)
-            for k, ctx in enumerate(ctxs):
-                assert np.array_equal(
-                    q[i, j, k], cw.q_matrix(layer, ctx, r[i, j]).q)
+        sample = _q_sampler(prof, ctxs)
+        for layer, mp in enumerate((al, steel)):
+            q = sample(r, layer)
+            assert q.shape == (2, 3, 4, 2 * m, 2 * m)
+            one = cw.RadialProfile.uniform(mp, 0.5, 1.0)
+            for i, j in np.ndindex(r.shape):
+                for k, ctx in enumerate(ctxs):
+                    assert np.array_equal(
+                        q[i, j, k], cw.q_matrix(one, ctx, r[i, j]).q)
 
     @pytest.mark.parametrize("m, kz", [(1, 0.0), (2, 0.0), (3, 0.0), (3, 0.7)])
     def test_smooth_sampler_equals_q_matrix(self, m, kz):
@@ -318,7 +318,7 @@ class TestQMatrix:
         ctxs = [cw.WaveContext(omega=4.0 + n, n=n, kz=kz, m=m)
                 for n in range(4)]
         r = np.array([[0.5, 0.61, 0.75], [0.75, 0.9, 1.0]])
-        q = _q_sampler(prof, ctxs)(r, r + 0.01)
+        q = _q_sampler(prof, ctxs)(r, 0)
         assert q.shape == (2, 3, 4, 2 * m, 2 * m)
         for i, j in np.ndindex(r.shape):
             for k, ctx in enumerate(ctxs):
@@ -329,11 +329,10 @@ class TestQMatrix:
         (1, 0.0, "fibre"), (2, 0.0, "fibre"), (3, 0.0, "fibre"),
         (3, 0.7, "fibre"), (3, 0.0, "c35"), (3, 0.7, "c35")])
     def test_gauged_sampler_on_three_layers(self, al, m, kz, middle):
-        # sample(r, toward, g) is sample(r, toward) * g demoted, bit for bit
-        # and dtype for dtype, and the ungauged samples are q_matrix's: on
-        # both interfaces from either side, inside each layer, and over a
-        # block that straddles an interface.  A c35 coupling leaves the
-        # gauged P0 and P2 real and P1 complex, so at kz = 0 the samples
+        # sample(r, layer, g) is sample(r, layer) * g demoted, bit for bit
+        # and dtype for dtype, and the ungauged samples are q_matrix's: in
+        # each layer, on both of its ends and inside.  A c35 coupling leaves
+        # the gauged P0 and P2 real and P1 complex, so at kz = 0 the samples
         # are real
         c = cw.ti_stiffness(6.6, 3.2, 2.8, 64.8, 3.2).c.copy()
         if middle == "c35":
@@ -346,33 +345,27 @@ class TestQMatrix:
         ctxs = [cw.WaveContext(omega=2.5, n=n, kz=kz, m=m) for n in (1, 2, 3)]
         sample = _q_sampler(prof, ctxs)
         gauge = _gauge(m)[0]
-        at = np.array([[0.6, 0.6, 0.8, 0.8], [0.3, 0.45, 0.7, 1.0]])
-        toward = np.array([[0.5, 0.7, 0.7, 0.9], [0.4, 0.5, 0.75, 0.9]])
-        block = 0.55 + 0.01 * np.arange(10)  # from layer 1 into layer 2
-        inside = np.full((2, 3), 0.7)  # one layer, no gather
-        for r, tw in ((at, toward), (block[None], block[None] + 0.005),
-                      (inside, inside)):
-            q = sample(r, tw)
+        for layer, (lo, hi, mp) in enumerate(layers):
+            r = np.array([[lo, hi], [0.5 * (lo + hi), 0.75 * lo + 0.25 * hi]])
+            q = sample(r, layer)
             for _ in range(2):  # the second call reuses the gauged terms
-                qg = sample(r, tw, gauge)
+                qg = sample(r, layer, gauge)
                 want = _demoted(q * gauge)
                 assert qg.dtype == want.dtype and np.array_equal(qg, want)
+            one = cw.RadialProfile.uniform(mp, 0.3, 1.0)
             for i in np.ndindex(r.shape):
-                mp = next(lay[2] for lay in layers if
-                          lay[0] - 1e-12 <= r[i] <= lay[1] + 1e-12
-                          and lay[0] <= tw[i] <= lay[1])
-                one = cw.RadialProfile.uniform(mp, 0.3, 1.0)
                 for k, ctx in enumerate(ctxs):
                     assert np.array_equal(q[i][k],
                                           cw.q_matrix(one, ctx, r[i]).q)
         real = middle == "fibre" or kz == 0.0
-        assert (sample(inside, inside, gauge).dtype == np.float64) == real
+        assert (sample(np.full((2, 3), 0.7), 1, gauge).dtype
+                == np.float64) == real
 
     def test_smooth_sampler_refusals(self):
         r = np.array([0.6, 0.7])
         prof = cw.RadialProfile.smooth(_graded_law(mirror=False), 0.5, 1.0)
         with pytest.raises(DecouplingError):
-            _q_sampler(prof, [cw.WaveContext(omega=5.0, m=2)])(r, r)
+            _q_sampler(prof, [cw.WaveContext(omega=5.0, m=2)])(r, 0)
 
         def singular(r):
             c = 10.0 * np.eye(6)
@@ -382,7 +375,7 @@ class TestQMatrix:
         prof = cw.RadialProfile.smooth(singular, 0.5, 1.0)
         for m in (2, 3):
             with pytest.raises(MaterialSingular):
-                _q_sampler(prof, [cw.WaveContext(omega=5.0, m=m)])(r, r)
+                _q_sampler(prof, [cw.WaveContext(omega=5.0, m=m)])(r, 0)
 
     def test_synthetic_q_at_hook(self):
         class Const:

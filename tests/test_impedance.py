@@ -418,7 +418,7 @@ class TestIntegrate:
                 events[j].append(ev)
         assert isinstance(faults.errors[0], StepTooLarge)
         assert lives == [[0, 1, 2]] * 10 + [[1, 2]] * 2
-        assert built == [3, 2]
+        assert built == [3]  # the trip is in the last block
         for j in (1, 2):
             alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5, 0.62,
                                            12, "exp2a")
@@ -563,6 +563,32 @@ class TestIntegrate:
         assert r == alone.r
 
 
+class TestInterfaces:
+    """Each layer of a piecewise profile is stepped on its own grid, so a
+    march keeps its scheme's order with an interface on no even grid."""
+
+    @pytest.mark.parametrize("scheme", cw.SCHEME_NAMES)
+    def test_two_layer_convergence_reaches_nominal_order(self, scheme):
+        # against the closed-form fold of the two TI layers; before the
+        # march cut its span at the interface, every scheme read about 1
+        inner = cw.LayerTI(0.5, 2 / 3, 1.0, 20.0, 12.0, 0.0, 20.0, 4.0)
+        outer = cw.LayerTI(2 / 3, 1.0, 2.0, 20.0, 12.0, 0.0, 20.0, 4.0)
+        ctx = cw.WaveContext(omega=3.0, n=2)
+        z_in = cw.ti_conditional_impedance(1, inner, ctx, 0.5)
+        want = cw.conditional_from_twopoint(
+            cw.global_twopoint([inner, outer], ctx), z_in).z
+        prof = cw.RadialProfile.piecewise(
+            [(lay.r_inner, lay.r_outer, lay.material())
+             for lay in (inner, outer)])
+        steps = np.array([50, 100, 200, 400])
+        err = [np.abs(cw.integrate_impedance(prof, ctx, z_in, 0.5, 1.0, s,
+                                             scheme).z - want).max()
+               for s in steps]
+        slope = -np.polyfit(np.log(steps), np.log(err), 1)[0]
+        order = cw.get_scheme(scheme).nominal_order
+        assert abs(slope - order) <= 0.3, f"{scheme}: slope {slope:.2f}"
+
+
 class TestGauge:
     """The march steps with D^-1 Q D, D = diag(i^p), and advances
     w = -i D2^-1 z D1; lossless orthotropic samples are then real."""
@@ -575,7 +601,7 @@ class TestGauge:
         prof = cw.RadialProfile.uniform(mp, 0.5, 1.0)
         ctxs = [cw.WaveContext(omega=3.0, n=n, kz=kz, m=m) for n in (1, 2, 3)]
         r = np.linspace(0.5, 1.0, 7)
-        q = _q_sampler(prof, ctxs)(r, r)
+        q = _q_sampler(prof, ctxs)(r, 0)
         d = _D6[_state_index(m)]
         qt = d.conj()[:, None] * q * d
         assert np.iscomplexobj(q) and np.abs(q.imag).max() > 0
@@ -587,7 +613,7 @@ class TestGauge:
         prof = cw.RadialProfile.smooth(_rotated_law, 0.6, 1.0)
         ctxs = [cw.WaveContext(omega=3.0, n=n, kz=kz) for n in (1, 2, 3)]
         r = np.linspace(0.7, 1.0, 4)
-        qt = _q_sampler(prof, ctxs)(r, r) * _gauge(3)[0]
+        qt = _q_sampler(prof, ctxs)(r, 0) * _gauge(3)[0]
         assert np.abs(qt.imag).max() > 1e-3 * np.abs(qt).max()
 
     def test_golden_solve_marches_in_float64(self, al_layer, monkeypatch):
@@ -638,13 +664,14 @@ class TestGauge:
             for j, ev in found:
                 events[j].append(ev)
         assert faults.ok.all()
-        h = (span[1] - span[0]) / steps
+        grid = matricant._segments(prof, span[0], span[1] - span[0], steps)
         crossed = 0
         for j, ctx in enumerate(ctxs):
             chain = cw.ConditionalImpedance(z0s[j], span[0])
-            for i in range(steps):
-                chain = cw.mobius_step(chain, cw.matricant_step(
-                    prof, ctx, span[0] + i * h, h, scheme))
+            for a, h, n, _ in grid:
+                for i in range(n):
+                    chain = cw.mobius_step(chain, cw.matricant_step(
+                        prof, ctx, a + i * h, h, scheme))
             scale = np.abs(chain.z).max()
             assert np.abs(z[j] - chain.z).max() <= 1e-13 * scale, j
             assert r == chain.r

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import cylwave as cw
 from cylwave.errors import (DuplicatePoints, MatricantOverflow, OutOfSupport,
                             StepTooLarge)
-from cylwave.matricant import _bound
+from cylwave.matricant import _bound, _segments
 
 NOMINAL_ORDER = {"ts1": 1, "ts2": 2, "exp2a": 2, "lp2": 2, "exp2b": 2,
                  "lp3": 3, "lp4": 4, "exp2c": 2, "mg4": 4}
@@ -297,18 +297,20 @@ def test_overflow_warning_high_order(al_profile):
 
 
 def test_global_equals_per_step_product(al):
-    # the blocked composition is the product of single steps, bit for bit,
-    # and warns at the same radius; 57 steps leave a partial last block
+    # the blocked composition is the product of single steps over each
+    # layer's grid, bit for bit, and warns at the same radius; 57 steps
+    # leave a partial last block in each layer
     steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
     prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
     ctx = cw.WaveContext(omega=10.0, n=30)
     for scheme, steps in (("exp2a", 57), ("lp4", 57), ("mg4", 20)):
-        h = 0.5 / steps
         want, warn_at = np.eye(6), None
-        for i in range(steps):
-            want = cw.matricant_step(prof, ctx, 0.5 + i * h, h, scheme).m @ want
-            if warn_at is None and np.max(np.abs(want)) > 1e12:
-                warn_at = f"r={0.5 + (i + 1) * h:.6g};"
+        for a, h, n, _ in _segments(prof, 0.5, 0.5, steps):
+            for i in range(n):
+                want = cw.matricant_step(prof, ctx, a + i * h, h,
+                                         scheme).m @ want
+                if warn_at is None and np.max(np.abs(want)) > 1e12:
+                    warn_at = f"r={a + (i + 1) * h:.6g};"
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             got = cw.matricant_global(prof, ctx, 0.5, 1.0, steps, scheme)
@@ -316,6 +318,39 @@ def test_global_equals_per_step_product(al):
         assert warn_at is not None and len(seen) == 1
         assert seen[0].category is MatricantOverflow
         assert warn_at in str(seen[0].message)
+
+
+def test_segments_cut_at_interfaces(al):
+    # one piece, h = span / steps, where no interface lies inside the span;
+    # otherwise a piece per layer, the steps shared by largest remainder
+    steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
+    fibre = cw.MaterialPoint(1.6, cw.ti_stiffness(6.6, 3.2, 2.8, 64.8, 3.2))
+    prof = cw.RadialProfile.piecewise([(0.3, 0.6, al), (0.6, 0.8, fibre),
+                                       (0.8, 1.0, steel)])
+    assert _segments(prof, 0.3, 0.7, 500) == [
+        (0.3, (0.6 - 0.3) / 214, 214, 0), (0.6, (0.8 - 0.6) / 143, 143, 1),
+        (0.8, (0.3 + 0.7 - 0.8) / 143, 143, 2)]
+    assert _segments(prof, 0.6, 0.2, 7) == [(0.6, 0.2 / 7, 7, 1)]
+    assert _segments(prof, 0.35, 0.25, 9) == [(0.35, 0.25 / 9, 9, 0)]
+    assert [n for _, _, n, _ in _segments(prof, 0.3, 0.7, 2)] == [1, 1, 1]
+    assert [n for _, _, n, _ in _segments(prof, 0.59, 0.41, 10)] == [1, 5, 4]
+    smooth = cw.RadialProfile.smooth(lambda r: al, 0.5, 1.0)
+    assert _segments(smooth, 0.5, 0.5, 57) == [(0.5, 0.5 / 57, 57, 0)]
+    with pytest.raises(OutOfSupport):
+        _segments(prof, 0.2, 0.5, 10)
+
+
+@pytest.mark.parametrize("scheme", cw.SCHEME_NAMES)
+def test_step_across_interface_is_product_of_layer_steps(al, scheme):
+    steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
+    prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
+    ctx = cw.WaveContext(omega=5.0, n=2, kz=0.4)
+    r, h = 0.71, 0.09
+    whole = cw.matricant_step(prof, ctx, r, h, scheme)
+    inner = cw.matricant_step(prof, ctx, r, 0.75 - r, scheme)
+    outer = cw.matricant_step(prof, ctx, 0.75, (r + h) - 0.75, scheme)
+    assert np.array_equal(whole.m, outer.m @ inner.m)
+    assert (whole.r_from, whole.r_to) == (r, r + h)
 
 
 def test_step_guard(al_profile):

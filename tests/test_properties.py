@@ -18,11 +18,10 @@ def lossless_stacks(draw):
     kz = 0.
     """
     r_in = draw(st.floats(0.3, 0.6))
-    # interfaces sit on the grid of the integrate route's 500 steps, which
-    # samples one material per step
-    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    steps = np.round(500 * np.cumsum([0] + weights) / sum(weights))
-    edges = r_in + (1.0 - r_in) * steps / 500
+    # the interfaces fall anywhere in (r_in, 1), on no step grid; no layer
+    # is thinner than 3 % of the stack
+    weights = draw(st.lists(st.floats(0.2, 3.0), min_size=1, max_size=3))
+    edges = r_in + (1.0 - r_in) * np.cumsum([0] + weights) / sum(weights)
     edges[-1] = 1.0
     layers = []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -207,6 +207,16 @@ class TestSolve:
                                              cw.scalar_impedance_z0(za))
             assert abs(bn - want) <= 1e-13, n
 
+    @pytest.mark.parametrize("ka", [1.0, 3.0])
+    def test_three_layer_routes_agree(self, al_layer, ka):
+        # the default 500 lp4 steps put neither interface on an even grid;
+        # each layer's own grid keeps the march at fourth order
+        layers = _three_layer_stack(al_layer)
+        integ = cw.solve_scattering(cw.ScatteringConfig(layers, ka=ka))
+        recur = cw.solve_scattering(cw.ScatteringConfig(layers, ka=ka,
+                                                        method="recursion"))
+        assert integ.sigma_tot == pytest.approx(recur.sigma_tot, rel=1e-9)
+
     @pytest.mark.parametrize("steps, n_max, n_bad, error, sigma", [
         # order 20 on fails the step guard at h = 0.25
         (2, 60, 20, StepTooLarge, 3.6093494578422787),

@@ -414,7 +414,6 @@ class TestGlobal:
         prof = cw.RadialProfile.piecewise([
             (0.5, 0.75, layer_a.material()),
             (0.75, 1.0, layer_b.material())])
-        # 2000 even steps put the interface exactly on the marching grid
         via_march = cw.integrate_impedance(prof, ctx, z_in, 0.5, 1.0, 2000,
                                            "exp2a")
         err = np.max(np.abs(via_join.z - via_march.z)) \
