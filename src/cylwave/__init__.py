@@ -34,7 +34,7 @@ from .numkernel import hermitian_residual, mat_exp, mat_inverse
 from .scatter import (FluidHalfSpace, ScatteringConfig, ScatteringResult,
                       form_function, pressure_field, scalar_impedance_z0,
                       scattering_coefficient, solve_scattering,
-                      total_cross_section)
+                      solve_sweep, total_cross_section)
 from .tilayers import (LayerTI, TIWavenumbers, global_twopoint, join_twopoint,
                        layer_twopoint, ti_conditional_impedance,
                        ti_displacement_matrix, ti_traction_matrix,
@@ -63,7 +63,8 @@ __all__ = [
     "matricant_step", "mobius_step", "naive_riccati_integrate",
     "pressure_field", "profile_from_json", "q_matrix", "riccati_rhs",
     "scalar_impedance_z0", "scattering_coefficient", "solve_scattering",
-    "ti_conditional_impedance", "ti_displacement_matrix", "ti_stiffness",
-    "ti_traction_matrix", "ti_wavenumbers", "total_cross_section",
+    "solve_sweep", "ti_conditional_impedance", "ti_displacement_matrix",
+    "ti_stiffness", "ti_traction_matrix", "ti_wavenumbers",
+    "total_cross_section",
     "twopoint_from_matricant", "voigt_blocks",
 ]

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastodyn import (RadialProfile, WaveContext, profile_from_json,
-                        ti_stiffness)
+from .elastodyn import (RadialProfile, WaveContext, _is_number,
+                        profile_from_json, ti_stiffness)
 from .errors import (CylwaveError, DomainError, EntryFaults, SchemaError,
                      UsageError)
 from .impedance import _march, integrate_impedance
 from .matricant import SCHEME_NAMES, get_scheme
-from .scatter import (ScatteringConfig, pressure_field, solve_scattering)
+from .scatter import (ScatteringConfig, pressure_field, solve_scattering,
+                      solve_sweep)
 from .tilayers import LayerTI, ti_conditional_impedance
 
 _COMMANDS = ("impedance-trace", "convergence", "scatter", "field")
@@ -107,12 +108,21 @@ def _pick(flag, run_defaults: dict, key: str, fallback):
     return fallback
 
 
+def _numeric(value):
+    """value if it is a JSON number (a boolean is not one, see
+    elastodyn._is_number) or text from the command line or environment;
+    a TypeError otherwise."""
+    if not (_is_number(value) or isinstance(value, str)):
+        raise TypeError(f"not a number: {value!r}")
+    return value
+
+
 def _whole(value, flag: str) -> int:
     """An integer setting; a float must be finite and integral."""
     if isinstance(value, float) and not value.is_integer():
         raise UsageError(f"{flag} must be an integer")
     try:
-        return int(value)
+        return int(_numeric(value))
     except (TypeError, ValueError):
         raise UsageError(f"{flag} must be an integer") from None
 
@@ -120,7 +130,7 @@ def _whole(value, flag: str) -> int:
 def _real(value, flag: str) -> float:
     """A real setting; it must be a finite number."""
     try:
-        value = float(value)
+        value = float(_numeric(value))
     except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value):
@@ -161,7 +171,8 @@ def parse_config(argv) -> RunConfig:
             raise UsageError("--sweep only applies to the scatter command")
         try:
             lo, hi, cnt = sweep_raw
-            lo, hi, cnt = float(lo), float(hi), _whole(cnt, "--sweep N")
+            lo, hi = float(_numeric(lo)), float(_numeric(hi))
+            cnt = _whole(cnt, "--sweep N")
         except (TypeError, ValueError, OverflowError):
             raise UsageError("--sweep expects MIN MAX N") from None
         if not (0 < lo <= hi < math.inf) or cnt < 1:
@@ -294,14 +305,11 @@ def _run_scatter(cfg: RunConfig) -> list:
     else:
         kas = list(np.linspace(cfg.sweep[0], cfg.sweep[1], cfg.sweep[2]))
 
-    lines = []
-    for ka in kas:
-        res = solve_scattering(ScatteringConfig(
-            layers=layers, ka=ka, scheme=cfg.scheme, steps=cfg.steps,
-            method=cfg.method))
-        f_pi = res.f_samples[-1][1]
-        lines.append(f"{_g17(ka)},{_g17(res.sigma_tot)},{_g17(abs(f_pi))}")
-    return lines
+    results = solve_sweep(ScatteringConfig(
+        layers=layers, ka=kas[0], scheme=cfg.scheme, steps=cfg.steps,
+        method=cfg.method), kas)
+    return [f"{_g17(res.ka)},{_g17(res.sigma_tot)},"
+            f"{_g17(abs(res.f_samples[-1][1]))}" for res in results]
 
 
 def _run_field(cfg: RunConfig) -> list:

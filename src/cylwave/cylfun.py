@@ -7,10 +7,13 @@ and large-argument asymptotics internally; the guarantees exposed here
 (accuracy over the validated range, Wronskian/recurrence identities) are
 checked in the test suite against an independent high-precision oracle.
 
-Values come in tables over a set of orders: one scipy call per (kind,
-argument) gives every order the set needs, and f_n' = (f_(n-1) - f_(n+1))/2
-comes from neighbouring orders of the same table, with f_0' = -f_1.  cyl_f
-and cyl_f_prime are tables of one order.
+Values come in tables over a stack of entries, each an order n at one of
+several frequencies: an argument is a vector with one value per frequency
+(k r over a sweep's omegas, say), and one scipy call per (kind, argument
+vector) gives every entry the orders it needs, n - 1 to n + 1 over each
+frequency's own orders and no more.  f_n' = (f_(n-1) - f_(n+1))/2 comes from
+neighbouring orders of the same table, with f_0' = -f_1.  cyl_f and
+cyl_f_prime are tables of one entry.
 """
 from __future__ import annotations
 
@@ -38,15 +41,17 @@ _RATIO_DEPTH = 40
 _SCIPY = {KIND_J: "jv", KIND_Y: "yv", KIND_H1: "hankel1", KIND_H2: "hankel2"}
 
 
-def _values(kind: int, orders: np.ndarray, x: complex) -> np.ndarray:
+def _values(kind: int, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f_orders[i](x[i]) in one scipy call."""
     # scipy's real-argument paths are faster and exact for real x; its
-    # complex path differs from them in the last digits
-    real = x.imag == 0.0 and (kind == KIND_J or x.real > 0)
+    # complex path differs from them in the last digits.  A vector takes
+    # the real path only if all of it can, as one k r over real omegas does
+    real = not x.imag.any() and (kind == KIND_J or (x.real > 0).all())
     fn = getattr(special, _SCIPY[kind])
     return np.asarray(fn(orders, x.real if real else x), dtype=complex)
 
 
-def _j_ratio(n: np.ndarray, x: complex) -> np.ndarray:
+def _j_ratio(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     """J_(n+1)(x) / J_n(x) for |x| < n, from the backward recurrence
     rho_k = x / (2(k+1) - x rho_(k+1)) of the ratio (Gautschi, SIAM Rev. 9
     (1967) 24), which never forms J and so cannot underflow."""
@@ -56,53 +61,75 @@ def _j_ratio(n: np.ndarray, x: complex) -> np.ndarray:
     return rho
 
 
-class Tables:
-    """Cylinder functions over one set of orders; each (kind, argument)
-    costs one scipy call, kept for reuse.  Tables carry the (entry,
-    message) AccuracyLoss notes of the orders outside the validated range,
-    for the caller to raise or defer."""
+def _vector(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=complex))
 
-    def __init__(self, orders):
+
+class Tables:
+    """Cylinder functions over a stack of entries, entry i the order n[i]
+    at frequency f[i]; an argument holds one value per frequency.  Each
+    (kind, argument) costs one scipy call over the pairs (order, value) the
+    entries need, orders min(n) - 1 to max(n) + 1 of each frequency's
+    entries, kept for reuse.  Tables carry the (entry, message)
+    AccuracyLoss notes of the entries outside the validated range, for the
+    caller to raise or defer."""
+
+    def __init__(self, orders, freq=None):
         self.n = np.atleast_1d(np.asarray(orders, dtype=int))
         if np.any(self.n < 0):
             raise ValueError("order must be a nonnegative integer")
-        self._lo = max(int(self.n.min()) - 1, 0)
-        self._i = self.n - self._lo
-        self._span = np.arange(self._lo, int(self.n.max()) + 2)
-        self._high = self.n.max() > _N_MAX
+        self.f = np.zeros_like(self.n) if freq is None else np.asarray(
+            freq, dtype=int)
+        nf = int(self.f.max()) + 1
+        lo = np.full(nf, self.n.max())
+        hi = np.full(nf, -1)
+        np.minimum.at(lo, self.f, self.n)
+        np.maximum.at(hi, self.f, self.n + 1)
+        lo = np.maximum(lo - 1, 0)
+        count = np.maximum(hi - lo + 1, 0)
+        start = np.cumsum(count) - count
+        # the (order, frequency) pairs of one scipy call, and per entry
+        # the pair of its order
+        self._order = np.arange(count.sum()) - np.repeat(start - lo, count)
+        self._freq = np.repeat(np.arange(nf), count)
+        self._i = start[self.f] + self.n - lo[self.f]
+        self._n0 = np.flatnonzero(self.n == 0)
+        self._high = self.n > _N_MAX
         self._cache = {}
 
-    def _raw(self, kind: int, x: complex) -> np.ndarray:
-        key = (kind, x)
+    def _raw(self, kind: int, x: np.ndarray) -> tuple:
+        """(values over the pairs, notes) of kind at the vector x."""
+        key = (kind, x.tobytes())
         if key not in self._cache:
             if kind not in _SCIPY:
                 raise ValueError(f"unknown cylinder-function kind {kind!r}")
-            if x == 0 and kind != KIND_J:
+            if kind != KIND_J and not x.all():
                 raise DomainError(f"kind {kind} is singular at x=0")
-            self._cache[key] = _values(kind, self._span, x)
+            self._cache[key] = (_values(kind, self._order, x[self._freq]),
+                                self._notes(kind, x))
         return self._cache[key]
 
-    def _notes(self, kind: int, x: complex) -> list:
-        ax = abs(x)
-        out_x = ax != 0 and not _X_LO <= ax <= _X_HI
-        if not (out_x or self._high):
+    def _notes(self, kind: int, x: np.ndarray) -> list:
+        ax = np.abs(x)
+        out_x = (ax != 0) & ~((_X_LO <= ax) & (ax <= _X_HI))
+        bad = out_x[self.f] | self._high
+        if not bad.any():
             return []
-        return [(i, f"cyl_f(kind={kind}, n={n}, |x|={ax:.3g}) outside "
+        return [(i, f"cyl_f(kind={kind}, n={n}, |x|={ax[f]:.3g}) outside "
                     f"validated range (n<={_N_MAX}, {_X_LO}<=|x|<={_X_HI})")
-                for i, n in enumerate(self.n) if out_x or n > _N_MAX]
+                for i, n, f in zip(np.flatnonzero(bad).tolist(),
+                                   self.n[bad].tolist(), self.f[bad])]
 
-    def __call__(self, kind: int, x: complex) -> tuple:
-        """(f, f', notes) of kind at x over the orders."""
-        x = complex(x)
-        v, i = self._raw(kind, x), self._i
+    def __call__(self, kind: int, x) -> tuple:
+        """(f, f', notes) of kind at x over the entries."""
+        (v, notes), i = self._raw(kind, _vector(x)), self._i
         with np.errstate(invalid="ignore"):
             fp = 0.5 * (v[i - 1] - v[i + 1])
-        if self._lo == 0:
-            fp[self.n == 0] = -v[1]
-        return v[i], fp, self._notes(kind, x)
+        fp[self._n0] = -v[i[self._n0] + 1]
+        return v[i], fp, notes
 
-    def log_derivative(self, kind: int, x: complex) -> tuple:
-        """(d, zero, notes) with x f_n'/f_n = n + d; zero marks the orders
+    def log_derivative(self, kind: int, x) -> tuple:
+        """(d, zero, notes) with x f_n'/f_n = n + d; zero marks the entries
         where f has a true zero.
 
         d = -x f_(n+1)/f_n follows from f_n' = (n/x) f_n - f_(n+1).  Kept
@@ -110,17 +137,18 @@ class Tables:
         need at orders n >> |x|, where x f'/f is n to many places.  Where
         J_n(x) or J_(n+1)(x) underflows with |x| < n, a region free of zeros
         of J_n, the ratio comes from its backward recurrence instead."""
-        x = complex(x)
-        v, i = self._raw(kind, x), self._i
+        x = _vector(x)
+        (v, notes), i = self._raw(kind, x), self._i
+        xe = x[self.f]
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = -x * v[i + 1] / v[i]
+            d = -xe * v[i + 1] / v[i]
         zero = v[i] == 0
         if kind == KIND_J:
-            under = (zero | (v[i + 1] == 0)) & (abs(x) < self.n)
+            under = (zero | (v[i + 1] == 0)) & (np.abs(xe) < self.n)
             if under.any():
-                d[under] = -x * _j_ratio(self.n[under], x)
+                d[under] = -xe[under] * _j_ratio(self.n[under], xe[under])
                 zero &= ~under
-        return d, zero, self._notes(kind, x)
+        return d, zero, notes
 
 
 def _one(kind: int, n: int, x: complex) -> tuple:

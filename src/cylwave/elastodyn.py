@@ -466,6 +466,11 @@ def _q_sampler(profile, ctxs):
 # JSON profile schema (consumed by the CLI)
 
 
+def _is_number(x) -> bool:
+    """A JSON number: int or float, not a boolean (which is an int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _material_from_json(node: dict, where: str) -> MaterialPoint:
     if not isinstance(node, dict):
         raise SchemaError(f"{where}: expected object")
@@ -473,35 +478,38 @@ def _material_from_json(node: dict, where: str) -> MaterialPoint:
     if mtype not in ("isotropic", "ti", "full"):
         raise SchemaError(f"{where}/type: expected 'isotropic', 'ti' or 'full'")
     rho = node.get("rho")
-    if not isinstance(rho, (int, float)) or not 0 < rho < math.inf:
+    if not _is_number(rho) or not 0 < rho < math.inf:
         raise SchemaError(f"{where}/rho: expected positive finite number")
     params = node.get("params")
     if not isinstance(params, dict):
         raise SchemaError(f"{where}/params: expected object")
 
-    def modulus(x) -> float:
-        if not math.isfinite(x):
-            raise SchemaError(f"{where}/params: moduli must be finite")
-        return float(x)
+    def modulus(key) -> float:
+        if not _is_number(params[key]) or not math.isfinite(params[key]):
+            raise SchemaError(f"{where}/params/{key}: expected finite number")
+        return float(params[key])
 
     if mtype == "isotropic":
         if "lambda" in params and "mu" in params:
-            lam, mu = params["lambda"], params["mu"]
+            lam, mu = modulus("lambda"), modulus("mu")
         elif "E" in params and "G" in params:
-            e, g = params["E"], params["G"]
+            e, g = modulus("E"), modulus("G")
             if 3 * g - e == 0:
                 raise SchemaError(f"{where}/params: E = 3G is degenerate")
             mu = g
             lam = g * (e - 2 * g) / (3 * g - e)
+            if not math.isfinite(lam):
+                raise SchemaError(f"{where}/params: lambda from E, G "
+                                  "is not finite")
         else:
             raise SchemaError(
                 f"{where}/params: need ('lambda','mu') or ('E','G')")
-        stiff = isotropic_stiffness(modulus(lam), modulus(mu))
+        stiff = isotropic_stiffness(lam, mu)
     elif mtype == "ti":
         need = ("c11", "c12", "c13", "c33", "c44")
         if not all(k in params for k in need):
             raise SchemaError(f"{where}/params: need {need}")
-        stiff = ti_stiffness(*(modulus(params[k]) for k in need))
+        stiff = ti_stiffness(*(modulus(k) for k in need))
     else:
         c = np.zeros((6, 6))
         for i in range(1, 7):
@@ -509,7 +517,7 @@ def _material_from_json(node: dict, where: str) -> MaterialPoint:
                 key = f"c{i}{j}"
                 if key not in params:
                     raise SchemaError(f"{where}/params/{key}: missing")
-                c[i - 1, j - 1] = c[j - 1, i - 1] = modulus(params[key])
+                c[i - 1, j - 1] = c[j - 1, i - 1] = modulus(key)
         stiff = StiffnessVoigt(c)
 
     if not stiff.is_positive_definite():
@@ -538,9 +546,10 @@ def profile_from_json(source) -> RadialProfile:
         for key in ("r_in", "r_out", "material"):
             if key not in layer:
                 raise SchemaError(f"/layers/{i}/{key}: missing")
+        for key in ("r_in", "r_out"):
+            if not _is_number(layer[key]):
+                raise SchemaError(f"/layers/{i}/{key}: expected number")
         r_in, r_out = layer["r_in"], layer["r_out"]
-        if not isinstance(r_in, (int, float)) or not isinstance(r_out, (int, float)):
-            raise SchemaError(f"/layers/{i}: r_in/r_out must be numbers")
         mp = _material_from_json(layer["material"], f"/layers/{i}/material")
         items.append((float(r_in), float(r_out), mp))
     try:

@@ -63,9 +63,9 @@ class EntryFaults:
         for i in np.flatnonzero(rows):
             self.notes[i] += other.notes[i]
 
-    def check(self, i: int) -> None:
+    def check(self, i: int, stacklevel: int = 3) -> None:
         for msg in self.notes[i]:
-            warnings.warn(msg, AccuracyLoss, stacklevel=3)
+            warnings.warn(msg, AccuracyLoss, stacklevel=stacklevel)
         if self.errors[i] is not None:
             raise self.errors[i]
 

@@ -11,13 +11,14 @@ through poles projectively.  A deliberately naive Runge-Kutta integrator is
 kept for demonstrating the instability.
 
 The march is sequential in r only, and the package has one.  It advances a
-stack of entries (the partial-wave orders of one solve, or the single entry
-of integrate_impedance or of the impedance-trace command) by the Moebius
-update, step by step, on the propagators that cylwave.matricant's block
-stepper samples, guards and forms.  An entry past the step guard or with a
-singular Moebius denominator records its typed error in the caller's
-EntryFaults and leaves the stack; integrate_impedance raises it, a
-scattering solve only when its truncation walk reaches that order.
+stack of entries (the (ka, n) entries of a scattering sweep, each with its
+own WaveContext, or the single entry of integrate_impedance or of the
+impedance-trace command) by the Moebius update, step by step, on the
+propagators that cylwave.matricant's block stepper samples, guards and
+forms.  An entry past the step guard or with a singular Moebius denominator
+records its typed error in the caller's EntryFaults and leaves the stack;
+integrate_impedance raises it, a scattering solve only when the truncation
+walk of its ka reaches that order.
 
 The Moebius update is closed form, with no LAPACK call: for den = M1 + M2 w
 (m <= 3), w' = ((M3 + M4 w) adj(den)) * (1 / det(den)), the adjugate from

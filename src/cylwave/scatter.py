@@ -8,20 +8,24 @@ The elastic side enters only through the scalar surface impedance z0,
 obtained from the conditional impedance matrix at r = a by eliminating the
 tangential displacement components under zero tangential traction.
 
-Both routes compute every order up to the cap before one truncation walk
-over the orders n: the integrate route in one stacked Moebius march, the
-recursion route as array code over the orders (closed-form layers, joins,
-inner impedance), and both then z0 and B_n over the orders.  A typed error
-of an order (a cylinder-function zero or impedance pole, a degenerate
-basis, an interface or inner resonance, the step guard, a singular Moebius
-denominator) and its AccuracyLoss warnings are kept in the stack's record
-and surface only if the walk reaches that order, so orders past the early
-stop never fail a solve; the march skips an order that already failed.
+A solve runs on one stack of entries (ka, n): every order up to the cap of
+every ka of a sweep, consecutive ka sharing a stack up to _STACK_ENTRIES
+entries.  Each stage runs once per stack, not once per ka: the integrate
+route in one Moebius march, the recursion route as array code over the
+entries (closed-form layers, joins, inner impedance), and both then z0 and
+B_n.  A truncation walk over each ka's own orders n follows, ka by ka in
+sweep order.  A typed error of an entry (a cylinder-function zero or
+impedance pole, a degenerate basis, an interface or inner resonance, the
+step guard, a singular Moebius denominator) and its AccuracyLoss warnings
+are kept in the stack's record and surface only if the walk of its ka
+reaches that order, so orders past the early stop never fail a solve and
+the first failing ka of a sweep raises; the march skips an entry that
+already failed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -32,11 +36,15 @@ from .errors import (DomainError, EntryFaults, InteriorPoint,
                      TangentialResonance)
 from .impedance import ConditionalImpedance, _conditional_stack, _march
 from .numkernel import _inverse_each
-from .tilayers import (OrderStack, _global_stack, _impedance,
-                       _wavenumbers)
+from .tilayers import OrderStack, _global_stack, _impedance
 
 A_OUTER = 1.0
 _B_TAIL = 1e-10
+# most entries (ka, n) on one stack: a sweep is solved in runs of
+# consecutive ka under this cap.  Any 10 ka up to ka = 12 (at most 370
+# entries) fit one stack; an integrate march holds about 25 kB per entry,
+# so larger caps cost memory and gained no time in measurement (README)
+_STACK_ENTRIES = 512
 
 
 @dataclass(frozen=True)
@@ -109,19 +117,21 @@ def scalar_impedance_z0(z2) -> complex:
     return complex(z0[0])
 
 
-def _coefficients(stack: OrderStack, ka: float, K: float,
+def _coefficients(stack: OrderStack, ka, K: float,
                   z0: np.ndarray) -> np.ndarray:
+    """B_n of every entry; ka holds one value per frequency of the stack."""
     jn, jnp = stack.table(KIND_J, ka)
     hn, hnp = stack.table(KIND_H1, ka)
+    kae = np.atleast_1d(ka)[stack.f]
     with np.errstate(all="ignore"):
-        return -(K * ka * jn - z0 * jnp) / (K * ka * hn - z0 * hnp)
+        return -(K * kae * jn - z0 * jnp) / (K * kae * hn - z0 * hnp)
 
 
 def scattering_coefficient(n: int, ka: float, K: float, z0: complex) -> complex:
     """Partial-wave coefficient B_n of the scattered (H1) series."""
     if ka <= 0:
         raise ValueError("ka must be positive")
-    stack = OrderStack(ka, 0.0, [n])
+    stack = OrderStack([ka], 0.0, [n])
     b = _coefficients(stack, ka, K, z0)
     stack.faults.check(0)
     return complex(b[0])
@@ -180,11 +190,11 @@ _F_ANGLES = (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi, math.pi)
 
 def _inner_impedances(config: ScatteringConfig,
                       stack: OrderStack) -> np.ndarray:
-    """The 3x3 inner impedance of every order of the stack."""
+    """The 3x3 inner impedance of every entry of the stack."""
     first = config.layers[0]
     if config.inner_impedance is None:
-        return _impedance(1, first, stack, _wavenumbers(
-            first, stack.omega, stack.kz), first.r_inner)
+        return _impedance(1, first, stack, stack.wavenumbers(first),
+                          first.r_inner)
     given = np.asarray(config.inner_impedance, dtype=complex)
     if given.ndim == 0:
         z = complex(given) * np.eye(3)
@@ -200,15 +210,15 @@ def _inner_impedances(config: ScatteringConfig,
 
 def _integrated_orders(config: ScatteringConfig,
                        stack: OrderStack) -> np.ndarray:
-    """z(a) of every order from one stacked march of the in-plane system;
-    an order whose inner impedance or march fails keeps its error in the
+    """z(a) of every entry from one stacked march of the in-plane system;
+    an entry whose inner impedance or march fails keeps its error in the
     stack's record."""
     layers = config.layers
     z_in = _inner_impedances(config, stack)
     profile = RadialProfile.piecewise(
         [(lay.r_inner, lay.r_outer, lay.material()) for lay in layers])
-    ctxs = [WaveContext(omega=stack.omega, n=int(n), kz=0.0, m=2)
-            for n in stack.n]
+    ctxs = [WaveContext(omega=stack.omega[f], n=n, kz=0.0, m=2)
+            for f, n in zip(stack.f.tolist(), stack.n.tolist())]
     z = np.zeros((len(stack.n), 2, 2), dtype=complex)
     for _, live, z_live, _ in _march(profile, ctxs, z_in[:, :2, :2],
                                      layers[0].r_inner, layers[-1].r_outer,
@@ -222,10 +232,86 @@ def _integrated_orders(config: ScatteringConfig,
 
 def _recursion_orders(config: ScatteringConfig,
                       stack: OrderStack) -> np.ndarray:
-    """z(a) of every order from the closed-form layers joined recursively."""
+    """z(a) of every entry from the closed-form layers joined recursively."""
     z_in = _inner_impedances(config, stack)
     return _conditional_stack(_global_stack(config.layers, stack), z_in,
                               stack.faults)
+
+
+def _runs(caps: list):
+    """Consecutive runs of the ka whose entries, cap + 1 orders each, fit
+    _STACK_ENTRIES; a ka that alone passes it is a run of its own."""
+    run, size = [], 0
+    for i, cap in enumerate(caps):
+        if run and size + cap + 1 > _STACK_ENTRIES:
+            yield run
+            run, size = [], 0
+        run.append(i)
+        size += cap + 1
+    if run:
+        yield run
+
+
+def _walk(config: ScatteringConfig, faults: EntryFaults, b_all: np.ndarray,
+          first: int, cap: int) -> ScatteringResult:
+    """The truncation walk of one ka over its entries first..first + cap."""
+    bs = []
+    small_run = 0
+    for n in range(cap + 1):
+        # warnings point past _walk and _solve_kas at the line that called
+        # solve_scattering or solve_sweep
+        faults.check(first + n, stacklevel=5)
+        bn = complex(b_all[first + n])
+        bs.append(bn)
+        if abs(bn) < _B_TAIL:
+            small_run += 1
+            if small_run >= 2:
+                break
+        else:
+            small_run = 0
+
+    b = tuple(bs)
+    f = form_function(np.array(_F_ANGLES), b, config.ka)
+    # total_cross_section's (4 pi / ka) Im f(0), from _F_ANGLES[0] = 0
+    sigma = 4.0 * math.pi / config.ka * float(f[0].imag)
+    return ScatteringResult(b=b, ka=config.ka, sigma_tot=sigma,
+                            f_samples=tuple(zip(_F_ANGLES, map(complex, f))))
+
+
+def _solve_kas(config: ScatteringConfig, kas) -> list:
+    """The body of solve_sweep and solve_scattering, one frame below each so
+    that the walk's warnings name their caller's line."""
+    configs = [replace(config, ka=ka) for ka in kas]
+    a = config.layers[-1].r_outer
+    caps = [c.n_max if c.n_max is not None else 2 * math.ceil(c.ka) + 12
+            for c in configs]
+    out = []
+    for run in _runs(caps):
+        ka = [configs[i].ka for i in run]
+        sizes = [caps[i] + 1 for i in run]
+        stack = OrderStack([k / a for k in ka], 0.0,
+                           np.concatenate([np.arange(s) for s in sizes]),
+                           np.repeat(np.arange(len(run)), sizes))
+        if config.method == "integrate":
+            z = _integrated_orders(config, stack)
+        else:
+            z = _recursion_orders(config, stack)
+        b_all = _coefficients(stack, np.array(ka), FluidHalfSpace.K,
+                              _surface_impedances(z, stack.faults))
+        first = 0
+        for i in run:
+            out.append(_walk(configs[i], stack.faults, b_all, first, caps[i]))
+            first += caps[i] + 1
+    return out
+
+
+def solve_sweep(config: ScatteringConfig, kas) -> list:
+    """solve_scattering at each ka of kas with the other settings of config,
+    in order, every ka of a run of consecutive ones on one stack (see the
+    module docstring); each result equals its one-ka solve bit for bit.
+    Each ka is validated before any is solved; then the first ka in order
+    whose walk meets a typed error raises it."""
+    return _solve_kas(config, kas)
 
 
 def solve_scattering(config: ScatteringConfig) -> ScatteringResult:
@@ -241,38 +327,7 @@ def solve_scattering(config: ScatteringConfig) -> ScatteringResult:
 
     Truncation: hard cap n_max (default 2*ceil(ka) + 12), early stop once
     |B_n| < 1e-10 twice in a row; an order's typed error is raised only if
-    the walk reaches it (see the module docstring).
+    the walk reaches it (see the module docstring).  This is the one-ka
+    case of the stacked sweep solve.
     """
-    layers = config.layers
-    a = layers[-1].r_outer
-    n_cap = config.n_max
-    if n_cap is None:
-        n_cap = 2 * math.ceil(config.ka) + 12
-    fluid = FluidHalfSpace(k=config.ka / a)
-    stack = OrderStack(config.ka / a, 0.0, np.arange(n_cap + 1))
-    if config.method == "integrate":
-        z = _integrated_orders(config, stack)
-    else:
-        z = _recursion_orders(config, stack)
-    b_all = _coefficients(stack, config.ka, fluid.K,
-                          _surface_impedances(z, stack.faults))
-
-    bs = []
-    small_run = 0
-    for n in range(n_cap + 1):
-        stack.faults.check(n)
-        bn = complex(b_all[n])
-        bs.append(bn)
-        if abs(bn) < _B_TAIL:
-            small_run += 1
-            if small_run >= 2:
-                break
-        else:
-            small_run = 0
-
-    b = tuple(bs)
-    f = form_function(np.array(_F_ANGLES), b, config.ka)
-    # total_cross_section's (4 pi / ka) Im f(0), from _F_ANGLES[0] = 0
-    sigma = 4.0 * math.pi / config.ka * float(f[0].imag)
-    return ScatteringResult(b=b, ka=config.ka, sigma_tot=sigma,
-                            f_samples=tuple(zip(_F_ANGLES, map(complex, f))))
+    return _solve_kas(config, [config.ka])[0]

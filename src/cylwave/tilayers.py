@@ -8,11 +8,13 @@ closed form in cylinder functions.  Stacking layers is done by joining
 two-point impedances across interfaces, which stays well-conditioned no
 matter how many layers are folded in (unlike transfer-matrix products).
 
-Every kernel runs on a stack of partial-wave orders at once, each on
-(orders, 3, 3) or (orders, 6, 6) arrays built from one cylinder-function
-table per (kind, argument); a failing order leaves its typed error in the
-stack's record and the others go on.  The public functions are stacks of
-one order.
+Every kernel runs on a stack of entries at once, each a partial-wave order
+at one of several frequencies (the orders of every ka of a sweep), on
+(entries, 3, 3) or (entries, 6, 6) arrays.  The wavenumbers are vectors
+over the frequencies, and each (kind, k r) is one cylinder-function table
+over all entries; a failing entry leaves its typed error in the stack's
+record and the others go on.  The public functions are stacks of one
+entry.
 """
 from __future__ import annotations
 
@@ -135,30 +137,47 @@ def ti_wavenumbers(layer, omega: float, kz: float) -> TIWavenumbers:
 
 
 class OrderStack:
-    """The partial-wave orders of one (omega, kz), evaluated together: their
-    cylinder-function tables, and the record into which the stacked kernels
-    put per order what a scalar call would raise or warn."""
+    """Entries (frequency, order) of one kz, evaluated together: entry i is
+    the partial-wave order n[i] at omega[f[i]], omega a list of the
+    frequencies as given.  The stack holds their cylinder-function tables
+    and the record into which the stacked kernels put per entry what a
+    scalar call would raise or warn."""
 
-    def __init__(self, omega: float, kz: float, orders, tables=None):
+    def __init__(self, omega: list, kz: float, orders, freq=None,
+                 tables=None):
         self.omega, self.kz = omega, kz
-        self.tables = Tables(orders) if tables is None else tables
-        self.n = self.tables.n
+        self.tables = Tables(orders, freq) if tables is None else tables
+        self.n, self.f = self.tables.n, self.tables.f
         self.faults = EntryFaults(len(self.n))
 
     def fresh(self) -> "OrderStack":
-        """The same orders and tables with an empty record."""
-        return OrderStack(self.omega, self.kz, self.n, self.tables)
+        """The same entries and tables with an empty record."""
+        return OrderStack(self.omega, self.kz, self.n, self.f, self.tables)
 
-    def table(self, l: int, x: complex) -> tuple:
+    def table(self, l: int, x: np.ndarray) -> tuple:
         f, fp, notes = self.tables(l, x)
         self.faults.note(notes)
         return f, fp
+
+    def wavenumbers(self, layer) -> tuple:
+        """_wavenumbers of layer, each a list over the frequencies (None at
+        kz = 0 for the kappas): the scalar results as they are, so an
+        entry's numbers, rounding included, are those of its frequency
+        alone."""
+        each = zip(*(_wavenumbers(layer, w, self.kz) for w in self.omega))
+        return tuple(None if v[0] is None else list(v) for v in each)
+
+
+def _each(fn, *lists) -> np.ndarray:
+    """fn of each frequency's scalars, as a vector over the frequencies: the
+    scalar arithmetic of a one-frequency stack, bit for bit."""
+    return np.array([fn(*v) for v in zip(*lists)])
 
 
 def _single(ctx: WaveContext, kernel):
     """Entry 0 of kernel(stack) on the one order of ctx, after raising or
     warning what the stack recorded."""
-    stack = OrderStack(ctx.omega, ctx.kz, [ctx.n])
+    stack = OrderStack([ctx.omega], ctx.kz, [ctx.n])
     out = kernel(stack)
     stack.faults.check(0)
     return out[0]
@@ -167,10 +186,11 @@ def _single(ctx: WaveContext, kernel):
 def _displacement(l: int, stack: OrderStack, wn: tuple,
                   r: float) -> np.ndarray:
     n = stack.n
-    k1, k2, k3, kap1, kap2, _, _ = wn
+    k1, k2, k3 = (np.array(k) for k in wn[:3])
     f1, fp1 = stack.table(l, k1 * r)
     f2, fp2 = stack.table(l, k2 * r)
     f3, fp3 = stack.table(l, k3 * r)
+    k1, k2, k3 = k1[stack.f], k2[stack.f], k3[stack.f]
     x = np.zeros((len(n), 3, 3), dtype=complex)
     with np.errstate(all="ignore"):
         x[:, 0, 0] = fp1
@@ -182,8 +202,10 @@ def _displacement(l: int, stack: OrderStack, wn: tuple,
             return x
         x[:, 0, 1] = fp2
         x[:, 1, 1] = 1j * n / (k2 * r) * f2
-        x[:, 2, 0] = 1j * kap1 / k1 * f1
-        x[:, 2, 1] = 1j * kap2 / k2 * f2
+        x[:, 2, 0] = _each(lambda kap, k: 1j * kap / k,
+                           wn[3], wn[0])[stack.f] * f1
+        x[:, 2, 1] = _each(lambda kap, k: 1j * kap / k,
+                           wn[4], wn[1])[stack.f] * f2
     return x
 
 
@@ -197,21 +219,22 @@ def ti_displacement_matrix(l: int, layer, ctx: WaveContext,
     the pair (X, Y).
     """
     return _single(ctx, lambda s: _displacement(
-        l, s, _wavenumbers(layer, s.omega, s.kz), r))
+        l, s, s.wavenumbers(layer), r))
 
 
 def _impedance(l: int, layer, stack: OrderStack, wn: tuple,
                r: float) -> np.ndarray:
     rho, c11, c13, c33, c44, c66 = _moduli(layer)
     n = stack.n
-    k1, k2, k3, kap1, kap2, _, _ = wn
     ds = []
-    for k in (k1, k2, k3):
-        d, zero, notes = stack.tables.log_derivative(l, k * r)
+    for k in wn[:3]:
+        d, zero, notes = stack.tables.log_derivative(l, np.array(k) * r)
         stack.faults.note(notes)
-        stack.faults.fail(zero, ModeResonance(
-            f"cylinder function zero at k*r={k * r}"))
+        for fz in set(stack.f[zero].tolist()):
+            stack.faults.fail(zero & (stack.f == fz), ModeResonance(
+                f"cylinder function zero at k*r={k[fz] * r}"))
         ds.append(d)
+    c3 = _each(lambda k: c66 * (k * r) ** 2, wn[2])[stack.f]
     # x_i = k_i r f'/f = n + d_i; the denominators and the differences
     # x1 - x2 are formed from the d_i, which at n >> k r keeps the digits
     # that x_i - n would lose
@@ -225,7 +248,7 @@ def _impedance(l: int, layer, stack: OrderStack, wn: tuple,
             scale = np.maximum(np.maximum(np.abs(x1 * x3), n * n), 1.0)
             stack.faults.fail(np.abs(den) < 1e-12 * scale, ModeResonance(
                 "in-plane impedance pole (denominator ~ 0)"))
-            e = c66 * (k3 * r) ** 2 / den
+            e = c3 / den
             z[:, 0, 0] = 2 * c66 + x3 * e
             z[:, 0, 1] = 1j * n * (2 * c66 + e)
             z[:, 1, 0] = -1j * n * (2 * c66 + e)
@@ -233,8 +256,8 @@ def _impedance(l: int, layer, stack: OrderStack, wn: tuple,
             z[:, 2, 2] = -c44 * x2
             return z
 
-        y1 = kap1 * r
-        y2 = kap2 * r
+        y1 = np.array(wn[3])[stack.f] * r
+        y2 = np.array(wn[4])[stack.f] * r
         dy = y1 - y2
         cross = d2 * y1 - d1 * y2
         den = n * d3 * dy + x3 * cross
@@ -242,7 +265,7 @@ def _impedance(l: int, layer, stack: OrderStack, wn: tuple,
                                       np.abs(n * n * dy)), 1.0)
         stack.faults.fail(np.abs(den) < 1e-12 * scale, ModeResonance(
             "impedance pole (shared denominator ~ 0)"))
-        c0 = c66 * (k3 * r) ** 2 / den
+        c0 = c3 / den
         zz = -c44 * (n * n * (cross + d3 * dy) + dy * (
             n * (d1 * d2 + d1 * d3 + d2 * d3) + d1 * d2 * d3)) / den
         kzr = stack.kz * r
@@ -266,7 +289,7 @@ def ti_conditional_impedance(l: int, layer, ctx: WaveContext,
     l=3 (outgoing Hankel) the radiating exterior one.
     """
     return ConditionalImpedance(_single(ctx, lambda s: _impedance(
-        l, layer, s, _wavenumbers(layer, s.omega, s.kz), r)), float(r))
+        l, layer, s, s.wavenumbers(layer), r)), float(r))
 
 
 def ti_traction_matrix(l: int, layer, ctx: WaveContext, r: float) -> np.ndarray:
@@ -310,7 +333,7 @@ def _twopoint_for_basis(layer: LayerTI, stack: OrderStack, wn: tuple,
 
 def _layer_stack(layer: LayerTI, stack: OrderStack,
                  basis: tuple | None = None) -> np.ndarray:
-    wn = _wavenumbers(layer, stack.omega, stack.kz)
+    wn = stack.wavenumbers(layer)
     if basis is not None:
         z, bad = _twopoint_for_basis(layer, stack, wn, tuple(basis))
         stack.faults.fail(bad, BasisDegenerate(f"basis {basis} degenerate"))

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import cylwave as cw
 from cylwave import cli
-from cylwave.errors import SchemaError, UsageError
+from cylwave.errors import AccuracyLoss, SchemaError, UsageError
 
 AL_LAM = 27.072053311120367
 AL_MU = 12.032023693831274
@@ -159,6 +160,10 @@ class TestParseConfig:
         {"ka": 1.0, "kz": "x"}, {"ka": 1.0, "r0": "x"},
         {"ka": 1.0, "kz": None}, {"ka": "x"}, {"ka": [1]},
         {"ka": 1.0, "scheme": 4}, {"ka": 1.0, "threads": 2.5},
+        # JSON booleans are ints to Python; none is taken as 1
+        {"ka": True}, {"ka": 1.0, "steps": True}, {"ka": 1.0, "n": True},
+        {"ka": 1.0, "kz": False}, {"ka": 1.0, "threads": True},
+        {"sweep": [True, 2, 3]}, {"sweep": [1, 2, True]},
     ])
     def test_non_finite_run_object(self, tmp_path, run, capsys):
         # a wrong value is a UsageError naming its key, exit code 1
@@ -183,6 +188,16 @@ class TestParseConfig:
         with pytest.raises(SchemaError):
             cli.parse_config(["scatter", "--profile", str(runlist),
                               "--ka", "1"])
+
+        boolean = tmp_path / "boolean.json"
+        layer = _iso_layer(0.5, 1.0)
+        layer["r_out"] = True
+        boolean.write_text(json.dumps({"layers": [layer]}))
+        with pytest.raises(SchemaError, match="r_out"):
+            cli.parse_config(["scatter", "--profile", str(boolean),
+                              "--ka", "1"])
+        assert cli.main(["scatter", "--profile", str(boolean),
+                         "--ka", "1"]) == 1
 
         badmethod = tmp_path / "badmethod.json"
         badmethod.write_text(json.dumps(
@@ -209,6 +224,28 @@ class TestExitCodes:
         rc = cli.main(["scatter", "--profile", full_json, "--ka", "1"])
         assert rc == 2
         assert "cylwave:" in capsys.readouterr().err
+
+    def test_failing_ka_of_a_sweep_is_two(self, al_rec_json, capsys):
+        # ka = 0.001 meets a spurious in-plane pole; the sweep stops there
+        # with its typed error and writes no row
+        assert cli.main(["scatter", "--profile", al_rec_json,
+                         "--sweep", "0.001", "1", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("cylwave: in-plane impedance pole "
+                                "(denominator ~ 0)\n")
+        assert captured.out == ""
+
+    def test_sweep_warnings_point_at_the_runner(self, al_rec_json, capsys):
+        # ka = 250 is past the validated argument range of the fluid's
+        # tables; each warning names the line of _run_scatter that called
+        # the solve, as when the runner solved one ka per call
+        with pytest.warns(AccuracyLoss) as record:
+            assert cli.main(["scatter", "--profile", al_rec_json,
+                             "--sweep", "249", "250", "2"]) == 0
+        source, first = inspect.getsourcelines(cli._run_scatter)
+        assert {(w.filename, first < w.lineno < first + len(source))
+                for w in record} == {(cli.__file__, True)}
+        assert len(_lines(capsys)) > 2
 
     def test_missing_file_is_three(self, tmp_path, capsys):
         ghost = str(tmp_path / "ghost.json")

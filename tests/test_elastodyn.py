@@ -509,6 +509,20 @@ class TestJsonProfiles:
                 "mu", np.inf), "/layers/0/material/params", id="inf-modulus"),
         (lambda d: d["layers"][0]["material"]["params"].pop("mu"),
          "/layers/0/material/params"),
+        # JSON booleans are ints to Python; none is taken as 1.0
+        pytest.param(lambda d: d["layers"][0].__setitem__("r_out", True),
+                     "/layers/0/r_out", id="bool-radius"),
+        pytest.param(
+            lambda d: d["layers"][0]["material"].__setitem__("rho", True),
+            "/layers/0/material/rho", id="bool-density"),
+        pytest.param(
+            lambda d: d["layers"][0]["material"]["params"].__setitem__(
+                "mu", True), "/layers/0/material/params/mu",
+            id="bool-modulus"),
+        pytest.param(
+            lambda d: d["layers"][0]["material"]["params"].__setitem__(
+                "lambda", "x"), "/layers/0/material/params/lambda",
+            id="string-modulus"),
     ])
     def test_schema_errors_carry_pointers(self, mutate, pointer):
         doc = self._doc()

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 import cylwave as cw
+from cylwave import scatter
 from cylwave.errors import (AccuracyLoss, BasisDegenerate, DomainError,
-                            InteriorPoint, StepTooLarge, TangentialResonance)
+                            InteriorPoint, ModeResonance, StepTooLarge,
+                            TangentialResonance)
 
 GOLDEN_SIGMA_KA5 = 2.4680822290702498
 
@@ -392,3 +395,74 @@ class TestSolve:
         with pytest.raises(ValueError):
             cw.FluidHalfSpace(k=0.0)
         assert cw.FluidHalfSpace(k=2.0).K == 1.0
+
+
+class TestStackedSweep:
+    """solve_sweep puts every (ka, n) of a run of consecutive ka on one
+    stack; each ka must come out as solve_scattering at that ka alone."""
+
+    @pytest.mark.parametrize("method", ["recursion", "integrate"])
+    @pytest.mark.parametrize("case", ["three-layer", "n_max", "two-stacks"])
+    def test_each_ka_equals_its_own_solve(self, al_layer, method, case):
+        steps = 500
+        if case == "three-layer":  # n_cap differs from ka to ka
+            layers, kas, n_max = (_three_layer_stack(al_layer),
+                                  np.linspace(0.5, 12.0, 10), None)
+        elif case == "n_max":
+            layers, kas, n_max = (al_layer,), np.linspace(1.0, 6.0, 5), 20
+        else:
+            layers, kas, n_max = (al_layer,), np.linspace(0.5, 20.0, 30), None
+            steps = 100
+        config = cw.ScatteringConfig(layers, ka=1.0, method=method,
+                                     steps=steps, n_max=n_max)
+        caps = [n_max or 2 * math.ceil(ka) + 12 for ka in kas]
+        runs = list(scatter._runs(caps))
+        assert len(runs) == (1 if case != "two-stacks" else 3)
+        got = cw.solve_sweep(config, kas)
+        assert [res.ka for res in got] == list(kas)
+        for ka, res in zip(kas, got):
+            want = cw.solve_scattering(replace(config, ka=ka))
+            assert res.b == want.b, ka
+            assert res.sigma_tot == want.sigma_tot, ka
+            assert res.f_samples == want.f_samples, ka
+
+    @pytest.mark.parametrize("method", ["recursion", "integrate"])
+    def test_first_failing_ka_raises(self, al_layer, method):
+        # ka = 0.001 meets a spurious in-plane pole at its inner surface;
+        # at ka = 100 one step trips the step guard on the integrate route
+        config = cw.ScatteringConfig((al_layer,), ka=1.0, method=method,
+                                     steps=1, n_max=3)
+        with pytest.raises(ModeResonance):
+            cw.solve_sweep(config, [0.5, 0.001])
+        with pytest.raises(ModeResonance):
+            cw.solve_sweep(config, [0.001, 100.0])
+        if method == "integrate":
+            with pytest.raises(StepTooLarge):
+                cw.solve_sweep(config, [100.0, 0.001])
+
+    @pytest.mark.parametrize("solve", [
+        lambda config: cw.solve_scattering(config),
+        lambda config: cw.solve_sweep(config, [1.0, config.ka])],
+        ids=["solve_scattering", "solve_sweep"])
+    def test_deferred_warnings_point_at_the_caller(self, al_layer, solve):
+        # ka = 250 is past the validated argument range of the fluid's
+        # tables; the walk's warnings name the line that called the solve
+        with pytest.warns(AccuracyLoss) as record:
+            solve(cw.ScatteringConfig(
+                (al_layer,), ka=250.0, method="recursion", n_max=3))
+        assert {w.filename for w in record} == {__file__}
+
+    @pytest.mark.parametrize("method, steps", [("recursion", 500),
+                                               ("integrate", 20)])
+    def test_orders_past_each_stop_never_fail(self, al_layer, method, steps):
+        # both ka share a stack of 402 entries; orders past 60 warn, and
+        # from 107 (recursion) or 185 (integrate, 20 steps) they fail, but
+        # each walk stops after n = 8
+        config = cw.ScatteringConfig((al_layer,), ka=1.0, method=method,
+                                     steps=steps, n_max=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyLoss)
+            got = cw.solve_sweep(config, [1.0, 1.0])
+            want = cw.solve_scattering(config)
+        assert got == [want, want]
+        assert len(want.b) == 9

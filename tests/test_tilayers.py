@@ -1,5 +1,7 @@
+import math
 import types
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -9,7 +11,7 @@ from scipy import special
 from scipy.special import jn_zeros
 
 import cylwave as cw
-from cylwave import cylfun
+from cylwave import cylfun, scatter
 from cylwave.errors import (AccuracyLoss, BasisDegenerate,
                             InterfaceResonance, KzZeroCoupling, ModeResonance)
 from cylwave.tilayers import _wavenumbers
@@ -262,15 +264,16 @@ class TestLayerTwoPoint:
         assert cw.hermitian_residual(zz.z) < 1e-8
 
     def test_each_bessel_table_evaluated_once(self, al_layer, monkeypatch):
-        # a whole recursion solve makes one scipy call per (kind, argument),
-        # each over the orders 0..n_cap+1
+        # a recursion solve makes one scipy call per (kind, argument
+        # vector), an argument holding one value per ka of the stack; the
+        # call covers orders 0..n_cap+1 of each ka and no more
         calls = []
 
         def counted(name):
             fn = getattr(special, name)
 
             def wrapper(orders, x):
-                calls.append((name, x, tuple(orders)))
+                calls.append((name, np.array(orders), np.array(x)))
                 return fn(orders, x)
             return wrapper
 
@@ -283,21 +286,40 @@ class TestLayerTwoPoint:
                              al_layer.c44),
                   cw.LayerTI(0.6, 0.8, 1.6, 6.6, 3.2, 2.8, 64.8, 3.2),
                   cw.LayerTI.isotropic(0.8, 1.0, 7.85, 37.0, 37.0))
-        cw.solve_scattering(cw.ScatteringConfig(layers, ka=4.0,
-                                                method="recursion"))
-        keys = [(name, complex(x)) for name, x, _ in calls]
+        config = cw.ScatteringConfig(layers, ka=4.0, method="recursion")
+        cw.solve_scattering(config)
+        keys = [(name, x.tobytes()) for name, _, x in calls]
         assert len(set(keys)) == len(keys)
-        assert {orders for _, _, orders in calls} == {tuple(range(22))}
+        assert all(np.array_equal(orders, np.arange(22))
+                   for _, orders, _ in calls)
+        assert all(np.all(x == x[0]) for _, _, x in calls)
         # J and H1 at each layer's wavenumbers and radii, and at ka; Y only
         # where the {J, H1} blocks of some order are degenerate
         want = {4.0 + 0j}
         for lay in layers:
             want |= {k * r for k in _wavenumbers(lay, 4.0, 0.0)[:3]
                      for r in (lay.r_inner, lay.r_outer)}
-        args = {name: {x for kind, x in keys if kind == name}
+        args = {name: {complex(x[0]) for kind, _, x in calls if kind == name}
                 for name in ("jv", "yv", "hankel1", "hankel2")}
         assert args["jv"] == args["hankel1"] == want
         assert args["yv"] < want and not args["hankel2"]
+
+        # the 10 ka of a benchmark window on one stack: as many calls as
+        # about one ka alone, where solving them one by one costs ten times
+        kas = np.linspace(0.5, 12.0, 10)
+        one_by_one = 0
+        for ka in kas:
+            calls.clear()
+            cw.solve_scattering(replace(config, ka=ka))
+            one_by_one += len(calls)
+        calls.clear()
+        cw.solve_sweep(config, kas)
+        keys = [(name, x.tobytes()) for name, _, x in calls]
+        assert len(set(keys)) == len(keys)
+        pairs = np.concatenate([np.arange(2 * math.ceil(ka) + 14)
+                                for ka in kas])
+        assert all(np.array_equal(orders, pairs) for _, orders, _ in calls)
+        assert 8 * len(calls) <= one_by_one
 
     def test_degenerate_basis_pair_rejected(self, al_layer):
         ctx = cw.WaveContext(omega=5.0, n=1, kz=0.3)
