@@ -108,21 +108,21 @@ def _pick(flag, run_defaults: dict, key: str, fallback):
     return fallback
 
 
-def _numeric(value):
+def _numeric(value, text: bool = False):
     """value if it is a JSON number (a boolean is not one, see
-    elastodyn._is_number) or text from the command line or environment;
-    a TypeError otherwise."""
-    if not (_is_number(value) or isinstance(value, str)):
+    elastodyn._is_number) or, with text, a string from the command line or
+    the environment; a TypeError otherwise."""
+    if not (_is_number(value) or text and isinstance(value, str)):
         raise TypeError(f"not a number: {value!r}")
     return value
 
 
-def _whole(value, flag: str) -> int:
+def _whole(value, flag: str, text: bool = False) -> int:
     """An integer setting; a float must be finite and integral."""
     if isinstance(value, float) and not value.is_integer():
         raise UsageError(f"{flag} must be an integer")
     try:
-        return int(_numeric(value))
+        return int(_numeric(value, text))
     except (TypeError, ValueError):
         raise UsageError(f"{flag} must be an integer") from None
 
@@ -169,10 +169,11 @@ def parse_config(argv) -> RunConfig:
     if sweep_raw is not None:
         if command != "scatter":
             raise UsageError("--sweep only applies to the scatter command")
+        text = ns.sweep is not None  # the flag's values are text
         try:
             lo, hi, cnt = sweep_raw
-            lo, hi = float(_numeric(lo)), float(_numeric(hi))
-            cnt = _whole(cnt, "--sweep N")
+            lo, hi = float(_numeric(lo, text)), float(_numeric(hi, text))
+            cnt = _whole(cnt, "--sweep N", text)
         except (TypeError, ValueError, OverflowError):
             raise UsageError("--sweep expects MIN MAX N") from None
         if not (0 < lo <= hi < math.inf) or cnt < 1:
@@ -212,8 +213,10 @@ def parse_config(argv) -> RunConfig:
     if method not in ("integrate", "recursion"):
         raise SchemaError("/run/method: expected 'integrate' or 'recursion'")
 
+    from_env = ns.threads is None and "threads" not in run_defaults
     threads = _whole(_pick(ns.threads, run_defaults, "threads",
-                           os.environ.get("CYLWAVE_THREADS", 1)), "--threads")
+                           os.environ.get("CYLWAVE_THREADS", 1)), "--threads",
+                     from_env)
     if threads < 1:
         raise UsageError("--threads must be >= 1")
 

@@ -21,15 +21,17 @@ integrate_impedance raises it, a scattering solve only when the truncation
 walk of its ka reaches that order.
 
 The Moebius update is closed form, with no LAPACK call: for den = M1 + M2 w
-(m <= 3), w' = ((M3 + M4 w) adj(den)) * (1 / det(den)), the adjugate from
-fixed index tables.  Each denominator's 1-norm condition number
-|den|_1 |adj(den)|_1 / |det(den)| is the pole test: above 1e14 the step is a
-PoleCrossing, which the map passes finitely.  A denominator is singular
-when det(den) or w' is not finite (det = 0 makes w' infinite).  The march
-runs a block's updates step by step, then takes the condition numbers, the
-singular mask, the crossings and z = w * t for the whole block in one pass;
-a failing entry's NaNs stay in its own rows, and it leaves the yields at
-its first singular step.
+(m <= 3), w' = ((M3 + M4 w) adj(den)) * (1 / det(den)), the 2x2 adjugate
+from a reversed view, the 3x3 one from fixed index tables.  Each
+denominator's 1-norm condition number |den|_1 |adj(den)|_1 / |det(den)| is
+the pole test: above 1e14 the step is a PoleCrossing, which the map passes
+finitely.  A denominator is singular when det(den) or w' is not finite
+(det = 0 makes w' infinite).  The march runs a block's updates step by
+step, then takes the condition numbers, the singular mask, the crossings
+and z = w * t for the whole block in one pass; a failing entry's NaNs stay
+in its own rows, and it leaves the yields at its first singular step.  A
+block in which no entry fails yields its rows of z as they are, with no
+gather per step; no later step writes them.
 
 The state carries fixed powers of i, so the march steps with the gauged
 samples D^-1 Q D, D = diag(i^p) with p = (0, 1, 1, 1, 0, 0) over (u_r, u_th,
@@ -138,11 +140,11 @@ def admittance_rhs(a, q) -> np.ndarray:
     return -1j * (am @ q3 @ am) - am @ q4 + q1 @ am - 1j * q2
 
 
-# index tables of the adjugate: for m = 2, adj[i, j] = s_ij a[1-j, 1-i];
-# for m = 3, adj[i, j] = a[j1, i1] a[j2, i2] - a[j1, i2] a[j2, i1] with
-# i1, i2 = i+1, i+2 and j1, j2 = j+1, j+2 (mod 3)
+# adjugate of a 2x2 matrix: the transpose of its reversed view times a sign
+# table; of a 3x3 one from index tables, adj[i, j] = a[j1, i1] a[j2, i2] -
+# a[j1, i2] a[j2, i1] with i1, i2 = i+1, i+2 and j1, j2 = j+1, j+2 (mod 3)
+_SIGN2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _I, _J = np.indices((3, 3))
-_ADJ2 = (1 - _J[:2, :2], 1 - _I[:2, :2], (-1.0) ** (_I + _J)[:2, :2])
 _ADJ3 = (np.stack([_J + 1, _J + 2, _J + 1, _J + 2]) % 3,
          np.stack([_I + 1, _I + 2, _I + 2, _I + 1]) % 3)
 
@@ -153,8 +155,7 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
     if k == 1:
         return np.ones_like(a)
     if k == 2:
-        rows, cols, sign = _ADJ2
-        return a[..., rows, cols] * sign
+        return a[..., ::-1, ::-1].swapaxes(-1, -2) * _SIGN2
     x = a[..., _ADJ3[0], _ADJ3[1]]
     return (x[..., 0, :, :] * x[..., 1, :, :]
             - x[..., 2, :, :] * x[..., 3, :, :])
@@ -259,13 +260,15 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
         for k, j in np.argwhere((cond > _POLE_COND) & ~failed):
             found[k].append((live[j], PoleCrossing(float(radii[k]),
                                                    float(cond[k, j]))))
-        if failed[-1].any():
-            faults.errors[live[failed[-1]]] = SingularMatrix(
-                "Moebius denominator singular")
-        for rk, zk, fk, gone in zip(radii, zs, found, failed):
+        if not failed[-1].any():  # every entry steps on: no gather
+            yield from zip(radii.tolist(), [live] * len(zs), zs, found)
+            continue
+        faults.errors[live[failed[-1]]] = SingularMatrix(
+            "Moebius denominator singular")
+        for rk, zk, fk, gone in zip(radii.tolist(), zs, found, failed):
             if gone.all():
                 return
-            yield float(rk), live[~gone], zk[~gone], fk
+            yield rk, live[~gone], zk[~gone], fk
 
 
 def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
@@ -287,7 +290,8 @@ def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
                                  faults):
         events += tuple(ev for _, ev in found)
     faults.check(0)
-    return ConditionalImpedance(z[0], r, events)
+    # a copy: z is a view of the march's whole block of steps
+    return ConditionalImpedance(z[0].copy(), r, events)
 
 
 def twopoint_from_matricant(m: Matricant) -> TwoPointImpedance:

@@ -11,6 +11,8 @@ inverts its 1x1 to 3x3 denominators in closed form (see cylwave.impedance).
 """
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import Overflow, SingularMatrix
@@ -73,8 +75,16 @@ def _demoted(a: np.ndarray) -> np.ndarray:
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
-    """Matrix 1-norm (largest column sum) of each matrix of a stack."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
+    """Matrix 1-norm (largest column sum) of each matrix of a stack.
+
+    The column sums and their maximum run over slices, a chain of adds and
+    np.maximum, which is bitwise equal to np.abs(a).sum(-2).max(-1): the
+    axis sum adds the rows in the same order, and a maximum is exact and
+    keeps a NaN.  numpy reduces over a 2- to 6-wide axis slowly when the
+    stack holds many matrices."""
+    aq = np.abs(a)
+    cols = reduce(np.add, (aq[..., i, :] for i in range(aq.shape[-2])))
+    return reduce(np.maximum, (cols[..., j] for j in range(cols.shape[-1])))
 
 
 def _cond_estimate(a: np.ndarray) -> float:

@@ -108,6 +108,13 @@ class TestParseConfig:
         cfg = cli.parse_config(["scatter", "--profile", al_json, "--ka", "1"])
         assert cfg.threads == 4
 
+    def test_command_line_text_parses(self, al_json, monkeypatch):
+        # the --sweep values and CYLWAVE_THREADS arrive as text
+        monkeypatch.setenv("CYLWAVE_THREADS", "2")
+        cfg = cli.parse_config(["scatter", "--profile", al_json,
+                                "--sweep", "1", "2", "3"])
+        assert cfg.sweep == (1.0, 2.0, 3) and cfg.threads == 2
+
     def test_scheme_resolved(self, al_json):
         cfg = cli.parse_config(["scatter", "--profile", al_json,
                                 "--ka", "1", "--scheme", "mg4"])
@@ -164,6 +171,11 @@ class TestParseConfig:
         {"ka": True}, {"ka": 1.0, "steps": True}, {"ka": 1.0, "n": True},
         {"ka": 1.0, "kz": False}, {"ka": 1.0, "threads": True},
         {"sweep": [True, 2, 3]}, {"sweep": [1, 2, True]},
+        # JSON strings are not numbers; only command-line text is parsed
+        {"ka": "2"}, {"ka": 1.0, "kz": "0"}, {"ka": 1.0, "r0": "0.5"},
+        {"ka": 1.0, "r1": "1"}, {"ka": 1.0, "steps": "100"},
+        {"ka": 1.0, "n": "3"}, {"ka": 1.0, "threads": "2"},
+        {"sweep": ["1", 2, 3]}, {"sweep": [1, "2", 3]}, {"sweep": [1, 2, "3"]},
     ])
     def test_non_finite_run_object(self, tmp_path, run, capsys):
         # a wrong value is a UsageError naming its key, exit code 1

@@ -479,6 +479,28 @@ class TestIntegrate:
                 == [(e.r, e.cond) for e in alone.events]
         assert events[1] and not (events[0] or events[2] or events[3])
 
+    def test_yields_survive_later_steps(self):
+        # three blocks of steps (10, 10, 5) and no failure: what each step
+        # yields must not be a buffer that a later step writes over
+        ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
+        z0s = [np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0]),
+               np.diag([0.2j, -0.1j])]
+        faults = EntryFaults(3)
+        kept, copies = [], []
+        for r, live, z, _ in _march(_Turn(), ctxs, z0s, 0.5, 0.75, 25,
+                                    "exp2a", faults):
+            kept.append((r, live, z))
+            copies.append((r, live.copy(), z.copy()))
+        assert faults.ok.all() and len(kept) == 25
+        for (r, live, z), (r_c, live_c, z_c) in zip(kept, copies):
+            assert type(r) is float and r == r_c
+            assert np.array_equal(live, live_c) and list(live) == [0, 1, 2]
+            assert np.array_equal(z, z_c)
+        # integrate_impedance keeps its own z, not a view of a whole block
+        out = cw.integrate_impedance(_Turn(), ctxs[1], z0s[1], 0.5, 0.75, 25,
+                                     "exp2a")
+        assert out.z.base is None and np.array_equal(out.z, kept[-1][2][1])
+
     def test_smooth_law_called_once_per_sample_radius(self):
         # a stacked march samples a smooth law once per radius, however many
         # contexts share the stack

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import cylwave as cw
 from cylwave.errors import (DuplicatePoints, MatricantOverflow, OutOfSupport,
                             StepTooLarge)
-from cylwave.matricant import _bound, _segments
+from cylwave.matricant import _bound, _guard, _segments
 
 NOMINAL_ORDER = {"ts1": 1, "ts2": 2, "exp2a": 2, "lp2": 2, "exp2b": 2,
                  "lp3": 3, "lp4": 4, "exp2c": 2, "mg4": 4}
@@ -426,3 +426,55 @@ def test_bound_equals_axis_sums(size, kind):
         want = 0.3 * np.sqrt(np.abs(stack).sum(-2).max(-1)
                              * np.abs(stack).sum(-1).max(-1))
         assert np.array_equal(_bound(0.3, stack), want)
+
+
+def _guard_reference(h, q):
+    # the guard's formula with axis sums and np.linalg.norm's Frobenius norms
+    def bound(x):
+        ax = np.abs(x)
+        return h * np.sqrt(ax.sum(-2).max(-1) * ax.sum(-1).max(-1))
+
+    nrm = np.zeros(q.shape[:-2])
+    over = bound(q) > 20.0
+    if not over.any():
+        return nrm
+    qo = q[over]
+    k = q.shape[-1] // 2
+    q2 = np.linalg.norm(qo[:, :k, k:], axis=(-2, -1))
+    q3 = np.linalg.norm(qo[:, k:, :k], axis=(-2, -1))
+    both = (q2 > 0) & (q3 > 0)
+    s = np.sqrt(np.divide(q3, q2, out=np.ones_like(q2), where=both))
+    d = np.concatenate([np.ones((len(qo), k)), np.repeat(s[:, None], k, 1)],
+                       axis=1)
+    qb = qo * d[:, None, :] / d[:, :, None]
+    still = bound(qb) > 20.0
+    if still.any():
+        nrm.flat[np.flatnonzero(over)[still]] = h * np.linalg.norm(
+            qb[still], 2, axis=(-2, -1))
+    return nrm
+
+
+@pytest.mark.parametrize("size", [4, 6])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_guard_equals_reference(size, kind):
+    # samples that pass the first bound, that fail it but pass the balanced
+    # one (off-diagonal blocks scaled by 1e4 and 1e-4, as at kz = 0), and
+    # that trip the guard (everything large, or a zero off-diagonal block)
+    rng = np.random.default_rng(size)
+    shape = (3, 10, 9, size, size)
+    q = rng.standard_normal(shape) * 10.0 ** rng.uniform(-1, 1, shape)
+    if kind == "complex":
+        q = q + 1j * rng.standard_normal(shape)
+    k = size // 2
+    case = rng.integers(0, 4, shape[:-2])
+    q[..., :k, k:] *= np.where(case == 1, 1e4, 1.0)[..., None, None]
+    q[..., k:, :k] *= np.where(case == 1, 1e-4, 1.0)[..., None, None]
+    q *= np.where(case >= 2, 1e5, 1.0)[..., None, None]
+    q[..., k:, :k] *= np.where(case == 3, 0.0, 1.0)[..., None, None]
+    h = 0.01
+    got = _guard(h, q)
+    assert np.array_equal(got, _guard_reference(h, q))
+    first = _bound(h, q) > 20.0
+    assert (~first).any()  # passes the first bound
+    assert (first & (got == 0)).any()  # passes the balanced one
+    assert (got > 20.0).any()  # trips the guard
