@@ -272,8 +272,8 @@ def _run_impedance_trace(cfg: RunConfig) -> list:
     z0 = _inner_z(cfg, m, cfg.n, omega)
     faults = EntryFaults(1)
     rows = [(cfg.r0, _det2(z0) / norm)]
-    for r, _, z, _ in _march(cfg.profile, [ctx], [z0], cfg.r0, cfg.r1,
-                             cfg.steps, cfg.scheme, faults):
+    for r, z, _ in _march(cfg.profile, [ctx], [z0], cfg.r0, cfg.r1,
+                          cfg.steps, cfg.scheme, faults):
         rows.append((r, _det2(z[0]) / norm))
     faults.check(0)
     return [f"{_g17(r)},{_g17(d.real)},{_g17(d.imag)}" for (r, d) in rows]

@@ -16,9 +16,9 @@ own WaveContext, or the single entry of integrate_impedance or of the
 impedance-trace command) by the Moebius update, step by step, on the
 propagators that cylwave.matricant's block stepper samples, guards and
 forms.  An entry past the step guard or with a singular Moebius denominator
-records its typed error in the caller's EntryFaults and leaves the stack;
-integrate_impedance raises it, a scattering solve only when the truncation
-walk of its ka reaches that order.
+records its typed error in the caller's EntryFaults and then steps by the
+identity, keeping its index; integrate_impedance raises the error, a
+scattering solve only when the truncation walk of its ka reaches that order.
 
 The Moebius update is closed form, with no LAPACK call: for den = M1 + M2 w
 (m <= 3), w' = ((M3 + M4 w) adj(den)) * (1 / det(den)), the 2x2 adjugate
@@ -28,10 +28,9 @@ the pole test: above 1e14 the step is a PoleCrossing, which the map passes
 finitely.  A denominator is singular when det(den) or w' is not finite
 (det = 0 makes w' infinite).  The march runs a block's updates step by
 step, then takes the condition numbers, the singular mask, the crossings
-and z = w * t for the whole block in one pass; a failing entry's NaNs stay
-in its own rows, and it leaves the yields at its first singular step.  A
-block in which no entry fails yields its rows of z as they are, with no
-gather per step; no later step writes them.
+and z = w * t for the whole block in one pass, and yields the block's rows
+of z as they are; no later step writes them.  A failing entry's NaNs stay
+in its own rows, and it records no crossing from its first singular step.
 
 The state carries fixed powers of i, so the march steps with the gauged
 samples D^-1 Q D, D = diag(i^p) with p = (0, 1, 1, 1, 0, 0) over (u_r, u_th,
@@ -227,24 +226,21 @@ def _gauge(k: int) -> tuple:
 
 def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
            faults: EntryFaults):
-    """March the entries (ctxs[j], z0s[j]) with no error in faults from r0 to
-    r1 on the steps of matricant._segments, yielding after each the radius,
-    the live entries, their z as one array and the step's (entry,
-    PoleCrossing) records.  An entry past the step guard or with a singular
-    Moebius denominator gets that StepTooLarge or SingularMatrix in faults
-    and leaves the stack, and the yields from the step where it failed.  A
+    """March every entry (ctxs[j], z0s[j]) from r0 to r1 on the steps of
+    matricant._segments, yielding after each the radius, the z of every
+    entry as one array and the step's (entry, PoleCrossing) records.  An
+    entry with an error in faults starts from z = 0; one past the step
+    guard or with a singular Moebius denominator gets that StepTooLarge or
+    SingularMatrix in faults.  Either steps by the identity (see
+    matricant._blocks), records no crossing and its rows mean nothing.  A
     block's updates run under one np.errstate and are yielded after it, so
     the consumer keeps its own floating-point error settings."""
-    live = np.flatnonzero(faults.ok)
-    if not len(live):
-        return
-    z = np.array([_zmat(z0s[j]) for j in live])
+    z = np.array([_zmat(z0) for z0 in z0s])
+    z[~faults.ok] = 0
     gauge, to_z = _gauge(z.shape[-1])
     w = _demoted(z * to_z.conj())
-    for radii, ids, mats in _blocks(profile, ctxs, r0, r1 - r0, steps, scheme,
-                                    faults, gauge):
-        if len(ids) < len(live):  # entries that failed have left
-            w, live = w[np.isin(live, ids)], ids
+    for radii, mats in _blocks(profile, ctxs, r0, r1 - r0, steps, scheme,
+                               faults, gauge):
         with np.errstate(all="ignore"):
             block = []
             for mk in mats:
@@ -253,22 +249,14 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
             ws, dens, adjs, dets = map(np.array, zip(*block))
             cond, singular = _verdict(ws, dens, adjs, dets)
             zs = ws * to_z
-        # (step, entry): failed at this step or before; a failed entry's
-        # NaNs stay in its own rows, and it leaves at its first failed step
+        # (step, entry): failed at this step or before
         failed = np.logical_or.accumulate(singular)
+        faults.fail(failed[-1], SingularMatrix("Moebius denominator singular"))
         found = [[] for _ in radii]
         for k, j in np.argwhere((cond > _POLE_COND) & ~failed):
-            found[k].append((live[j], PoleCrossing(float(radii[k]),
-                                                   float(cond[k, j]))))
-        if not failed[-1].any():  # every entry steps on: no gather
-            yield from zip(radii.tolist(), [live] * len(zs), zs, found)
-            continue
-        faults.errors[live[failed[-1]]] = SingularMatrix(
-            "Moebius denominator singular")
-        for rk, zk, fk, gone in zip(radii.tolist(), zs, found, failed):
-            if gone.all():
-                return
-            yield rk, live[~gone], zk[~gone], fk
+            found[k].append((j, PoleCrossing(float(radii[k]),
+                                             float(cond[k, j]))))
+        yield from zip(radii.tolist(), zs, found)
 
 
 def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
@@ -282,12 +270,10 @@ def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
     """
     if not r0 < r1:
         raise ValueError("need r0 < r1")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     faults = EntryFaults(1)
     events = tuple(getattr(z0, "events", ()))
-    for r, _, z, found in _march(profile, [ctx], [z0], r0, r1, steps, scheme,
-                                 faults):
+    for r, z, found in _march(profile, [ctx], [z0], r0, r1, steps, scheme,
+                              faults):
         events += tuple(ev for _, ev in found)
     faults.check(0)
     # a copy: z is a view of the march's whole block of steps
@@ -365,8 +351,6 @@ def naive_riccati_integrate(profile, ctx, z0, r0: float, r1: float,
     """
     if not r0 < r1:
         raise ValueError("need r0 < r1")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     grid = [(a + i * h, h, layer)
             for a, h, n, layer in _segments(profile, r0, r1 - r0, steps)
             for i in range(n)]

@@ -20,14 +20,14 @@ the exponential series truncated after (hQ)^p / p!.
 
 One stepper forms every propagator of the package: the impedance march,
 matricant_step and matricant_global.  Per block of _BLOCK_STEPS steps it
-samples Q at every node, step and entry in one array (nodes, steps,
-entries, 2m, 2m), runs the step guard, which gives each entry its own
-StepTooLarge, and forms the block's propagators in one kernel call.  The
-march hands its gauge to the stepper, and the stepper to the sampler, which
-applies it; the guard and the kernels then see the gauged samples, in
-float64 where they are real (see cylwave.impedance).  matricant_step and
-matricant_global are stacks of one that raise their entry's error, and
-sample Q ungauged and stay complex.
+samples Q at every node, step and entry in one array (nodes, steps, entries,
+2m, 2m), runs the step guard, which gives each entry its own StepTooLarge,
+and forms the block's propagators in one kernel call; a failed entry steps
+by the identity.  The march hands its gauge to the stepper, and the stepper
+to the sampler, which applies it; the guard and the kernels then see the
+gauged samples, in float64 where they are real (see cylwave.impedance).
+matricant_step and matricant_global are stacks of one that raise their
+entry's error, and sample Q ungauged and stay complex.
 
 No scheme needs derivatives of Q, but each interpolates Q within its step,
 so no step may contain a jump in Q.  _segments cuts each span at the
@@ -37,6 +37,7 @@ keeps its nominal order.
 """
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -214,13 +215,25 @@ def get_scheme(name: str | Scheme) -> Scheme:
             f"unknown scheme {name!r}; choose from {', '.join(SCHEMES)}") from None
 
 
+def _count(value, name: str, least: int) -> int:
+    """value as an int if operator.index takes it and it is >= least."""
+    try:
+        if operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be >= {least} and integral: {value!r}")
+
+
 def _segments(profile, r0: float, span: float, steps: int) -> list:
     """The pieces (start, h, steps, layer) that step [r0, r0 + span]: one
     per layer between the interfaces more than 1e-12 inside the span, the
     steps shared in proportion to length, at least one each and the rest by
     largest remainder (the earlier piece on a tie).  With no cut, as for a
     smooth law or q_at hook (layer 0), one piece with h = span / steps in
-    the layer the span starts in, the outer one at an interface."""
+    the layer the span starts in, the outer one at an interface.  A step
+    count that is not an integer >= 1 is a ValueError."""
+    steps = _count(steps, "steps", 1)
     lo, hi = getattr(profile, "support", None) or (-np.inf, np.inf)
     if r0 < lo - 1e-12 or r0 + span > hi + 1e-12:
         raise OutOfSupport(
@@ -291,43 +304,37 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
 def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
             faults: EntryFaults, gauge=None):
     """Propagators of the steps of [r0, r0 + span], _BLOCK_STEPS steps of a
-    _segments piece at a time, for the entries ctxs[j] with no error in
-    faults: per block the step-end radii, the live entries and their
-    propagators as one array (steps, live, s, s).  An entry with a sample
-    past the step guard gets its StepTooLarge in faults and leaves the
-    block, which steps on with the others' samples; the next block rebuilds
-    the sampler without it.  With a gauge the sampler applies it, so the
-    guard and the kernels see Q * gauge, in float64 where it is real."""
+    _segments piece at a time, for every entry ctxs[j]: per block the
+    step-end radii and the propagators (steps, entries, s, s).  The samples
+    of an entry with an error in faults are zeroed before the guard, and
+    those of an entry that trips it once it has its StepTooLarge, so a
+    failed entry steps by the identity and keeps its index; the stepper
+    stops once every entry has failed.  With a gauge the sampler applies
+    it, so the guard and the kernels see Q * gauge, float64 where real."""
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
     blocks = [(a + np.arange(i, min(i + _BLOCK_STEPS, n)) * h, h, layer)
               for a, h, n, layer in _segments(profile, r0, span, steps)
               for i in range(0, n, _BLOCK_STEPS)]
-    built = None
+    sample = _q_sampler(profile, ctxs)
     for r, h, layer in blocks:
-        ok = np.flatnonzero(faults.ok)
-        if not len(ok):
+        if not faults.ok.any():
             return
-        if built is None or len(ok) < len(built):
-            built, sample = ok, _q_sampler(profile, [ctxs[j] for j in ok])
         qs = sample(r + (np.array(nodes) * h)[:, None], layer, gauge)
+        qs[:, :, ~faults.ok] = 0
         nrm = _guard(h, qs).max(axis=0)
         over = nrm > 20.0
         tripped = over.any(axis=0)
         for i in np.flatnonzero(tripped):
-            faults.errors[built[i]] = StepTooLarge(
+            faults.errors[i] = StepTooLarge(
                 f"||h*Q|| = {nrm[over[:, i], i][0]:.3g} exceeds 20 (exp "
                 "overflow guard); reduce the step or increase the step count")
-        if tripped.all():
-            return
-        if tripped.any():  # the others step on, the next block without it
-            qs = qs[:, :, ~tripped]
+        qs[:, :, tripped] = 0
         # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent by 20, a
         # Magnus one (nodes sharing D) by 20 + (sqrt(3)/6) 20^2 ~ 135, so
         # mat_exp stays below e^135 max(s, 1/s), finite unless s > 1e249, and
         # its Pade denominator is regular: no entry needs an Overflow path.
-        yield r + h, built[~tripped], kernel(h, qs, nodes, order)
-        # no block's samples outlive it into the next
-        del qs
+        yield r + h, kernel(h, qs, nodes, order)
+        del qs  # no block's samples outlive it into the next
 
 
 def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
@@ -342,7 +349,7 @@ def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
         raise ValueError("step must be positive")
     faults = EntryFaults(1)
     blocks = _blocks(profile, [ctx], r, h, 1, scheme, faults)
-    mats = [s for _, _, block in blocks for s in block[:, 0]]
+    mats = [s for _, block in blocks for s in block[:, 0]]
     faults.check(0)
     return Matricant(reduce(lambda m, s: s @ m, mats), r, r + h)
 
@@ -357,11 +364,9 @@ def matricant_global(profile, ctx, r0: float, r1: float, steps: int,
     """
     if not r0 < r1:
         raise ValueError("need r0 < r1")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     faults, m, warned = EntryFaults(1), None, False
-    for radii, _, mats in _blocks(profile, [ctx], r0, r1 - r0, steps, scheme,
-                                  faults):
+    for radii, mats in _blocks(profile, [ctx], r0, r1 - r0, steps, scheme,
+                               faults):
         for rk, step in zip(radii, mats[:, 0]):
             m = step if m is None else step @ m
             if not warned and np.max(np.abs(m)) > 1e12:

@@ -19,8 +19,8 @@ impedance pole, a degenerate basis, an interface or inner resonance, the
 step guard, a singular Moebius denominator) and its AccuracyLoss warnings
 are kept in the stack's record and surface only if the walk of its ka
 reaches that order, so orders past the early stop never fail a solve and
-the first failing ka of a sweep raises; the march skips an entry that
-already failed.
+the first failing ka of a sweep raises; an entry that already failed
+steps through the march by the identity.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ from .elastodyn import RadialProfile, WaveContext
 from .errors import (DomainError, EntryFaults, InteriorPoint,
                      TangentialResonance)
 from .impedance import ConditionalImpedance, _conditional_stack, _march
+from .matricant import _count, get_scheme
 from .numkernel import _inverse_each
 from .tilayers import OrderStack, _global_stack, _impedance
 
@@ -82,10 +83,16 @@ class ScatteringConfig:
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ValueError("need at least one layer")
+        # RadialProfile.piecewise's rule; lossy layers cannot build a profile
+        for inner, outer in zip(self.layers, self.layers[1:]):
+            if abs(outer.r_inner - inner.r_outer) > 1e-12:
+                raise ValueError("layers must be contiguous")
         if not 0 < self.ka < math.inf:
             raise ValueError("ka must be positive and finite")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        _count(self.steps, "steps", 1)
+        if self.n_max is not None:
+            _count(self.n_max, "n_max", 0)
+        get_scheme(self.scheme)
         if self.method not in ("integrate", "recursion"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "integrate" and np.iscomplexobj(
@@ -212,7 +219,7 @@ def _integrated_orders(config: ScatteringConfig,
                        stack: OrderStack) -> np.ndarray:
     """z(a) of every entry from one stacked march of the in-plane system;
     an entry whose inner impedance or march fails keeps its error in the
-    stack's record."""
+    stack's record, and its rows of z mean nothing."""
     layers = config.layers
     z_in = _inner_impedances(config, stack)
     profile = RadialProfile.piecewise(
@@ -220,13 +227,10 @@ def _integrated_orders(config: ScatteringConfig,
     ctxs = [WaveContext(omega=stack.omega[f], n=n, kz=0.0, m=2)
             for f, n in zip(stack.f.tolist(), stack.n.tolist())]
     z = np.zeros((len(stack.n), 2, 2), dtype=complex)
-    for _, live, z_live, _ in _march(profile, ctxs, z_in[:, :2, :2],
-                                     layers[0].r_inner, layers[-1].r_outer,
-                                     config.steps, config.scheme,
-                                     stack.faults):
+    for _, z, _ in _march(profile, ctxs, z_in[:, :2, :2], layers[0].r_inner,
+                          layers[-1].r_outer, config.steps, config.scheme,
+                          stack.faults):
         pass
-    if stack.faults.ok.any():
-        z[live] = z_live
     return z
 
 

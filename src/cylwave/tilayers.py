@@ -79,14 +79,18 @@ class LayerTI:
 
 
 def _moduli(layer) -> tuple:
-    """(rho, c11, c13, c33, c44, c66) from a LayerTI or MaterialPoint."""
+    """(rho, c11, c13, c33, c44, c66) of a LayerTI or MaterialPoint as Python
+    scalars, whose complex division rounds alike whatever the caller used."""
     if isinstance(layer, LayerTI):
-        return (layer.rho, layer.c11, layer.c13, layer.c33,
-                layer.c44, layer.c66)
-    if isinstance(layer, MaterialPoint):
+        m = (layer.rho, layer.c11, layer.c13, layer.c33, layer.c44, layer.c66)
+    elif isinstance(layer, MaterialPoint):
         c = layer.stiffness
-        return (layer.rho, c[1, 1], c[1, 3], c[3, 3], c[4, 4], c[6, 6])
-    raise TypeError(f"expected LayerTI or MaterialPoint, got {type(layer)!r}")
+        m = (layer.rho, c[1, 1], c[1, 3], c[3, 3], c[4, 4], c[6, 6])
+    else:
+        raise TypeError(
+            f"expected LayerTI or MaterialPoint, got {type(layer)!r}")
+    return tuple(complex(x) if isinstance(x, (complex, np.complexfloating))
+                 else float(x) for x in m)
 
 
 def _sqrt_branch(w: complex) -> complex:
@@ -98,8 +102,10 @@ def _sqrt_branch(w: complex) -> complex:
 
 
 def _wavenumbers(layer, omega: float, kz: float):
-    """(k1, k2, k3, kappa1, kappa2, a_aux, b_aux); kappas None at kz=0."""
+    """(k1, k2, k3, kappa1, kappa2, a_aux, b_aux); kappas None at kz=0.
+    Every operand is a Python scalar (see _moduli)."""
     rho, c11, c13, c33, c44, c66 = _moduli(layer)
+    omega, kz = float(omega), float(kz)
     w2 = rho * omega * omega
     a = (c11 + c44) * w2 + (c13 * c13 + 2 * c13 * c44 - c11 * c33) * kz * kz
     b = 4 * c11 * c44 * (w2 - c33 * kz * kz) * (w2 - c44 * kz * kz)

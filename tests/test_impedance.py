@@ -320,8 +320,12 @@ class TestIntegrate:
         z = cw.ConditionalImpedance(np.zeros((3, 3)), 1.0)
         with pytest.raises(ValueError):
             cw.integrate_impedance(al_profile, AL_CTX, z, 1.0, 0.5, 10, "lp4")
-        with pytest.raises(ValueError):
-            cw.integrate_impedance(al_profile, AL_CTX, z, 0.5, 1.0, 0, "lp4")
+        # matricant._segments owns the step count: a float is refused like
+        # a count below 1, never a TypeError from range
+        for steps in (0, 10.0, np.float64(10.0), "10"):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                cw.integrate_impedance(al_profile, AL_CTX, z, 0.5, 1.0, steps,
+                                       "lp4")
 
     def test_events_survive_marching(self, al_profile):
         ev = PoleCrossing(0.4, 2e15)
@@ -341,11 +345,11 @@ class TestIntegrate:
         z0s = [np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0])]
         faults = EntryFaults(2)
         events = [[], []]
-        for r, live, z, found in _march(prof, [ctx, ctx], z0s, 0.5, 0.62, 12,
-                                        "exp2a", faults):
+        for r, z, found in _march(prof, [ctx, ctx], z0s, 0.5, 0.62, 12,
+                                  "exp2a", faults):
             for j, ev in found:
                 events[j].append(ev)
-        assert faults.ok.all() and list(live) == [0, 1]
+        assert faults.ok.all() and z.shape == (2, 2, 2)
         alone = [cw.integrate_impedance(prof, ctx, z0, 0.5, 0.62, 12, "exp2a")
                  for z0 in z0s]
         # the steps onto and off the pole both have a near-singular
@@ -362,10 +366,11 @@ class TestIntegrate:
         # order 0 trips the step guard and order 1 starts from a NaN z0, so
         # its first Moebius denominator is singular; order 2 crosses the
         # pole of the turn and must march exactly as it does alone; order 3
-        # failed before the march and must never be sampled
+        # failed before the march, starts from z = 0 and steps by the
+        # identity.  Every entry stays on the stack; the failed ones keep
+        # their first error and record no crossing
         class _PerOrder(_Turn):
             def q_at(self, r, ctx):
-                assert ctx.n != 3
                 return 1e6 * np.eye(4) if ctx.n == 0 else super().q_at(r, ctx)
 
         prof = _PerOrder()
@@ -377,20 +382,23 @@ class TestIntegrate:
         faults = EntryFaults(4)
         inner = ResonantInner("failed before the march")
         faults.errors[3] = inner
-        events = []
-        for r, live, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12,
-                                        "exp2a", faults):
-            events += [ev for j, ev in found if j == 2]
+        events, shapes = [[], [], [], []], set()
+        for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12, "exp2a",
+                                  faults):
+            shapes.add(z.shape)
+            for j, ev in found:
+                events[j].append(ev)
         assert isinstance(faults.errors[0], StepTooLarge)
         assert isinstance(faults.errors[1], SingularMatrix)
         assert faults.errors[2] is None and faults.errors[3] is inner
-        assert list(live) == [2]
+        assert shapes == {(4, 2, 2)} and not z[3].any()
         alone = cw.integrate_impedance(prof, ctxs[2], z0s[2], 0.5, 0.62, 12,
                                        "exp2a")
         assert len(alone.events) == 2
-        assert [(e.r, e.cond) for e in events] \
+        assert [(e.r, e.cond) for e in events[2]] \
             == [(e.r, e.cond) for e in alone.events]
-        assert np.array_equal(z[0], alone.z) and r == alone.r
+        assert not (events[0] or events[1] or events[3])
+        assert np.array_equal(z[2], alone.z) and r == alone.r
 
 
     def test_guard_trips_mid_span(self, monkeypatch):
@@ -410,25 +418,61 @@ class TestIntegrate:
         ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
         z0s = [np.zeros((2, 2), dtype=complex)] * 2 + [np.diag([-0.3j, 0.0])]
         faults = EntryFaults(3)
-        lives, events = [], [[], [], []]
-        for r, live, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12,
-                                        "exp2a", faults):
-            lives.append(list(live))
+        shapes, events = [], [[], [], []]
+        for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12, "exp2a",
+                                  faults):
+            shapes.append(z.shape)
             for j, ev in found:
                 events[j].append(ev)
         assert isinstance(faults.errors[0], StepTooLarge)
-        assert lives == [[0, 1, 2]] * 10 + [[1, 2]] * 2
-        assert built == [3]  # the trip is in the last block
+        assert shapes == [(3, 2, 2)] * 12
+        assert built == [3]
         for j in (1, 2):
             alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5, 0.62,
                                            12, "exp2a")
-            assert np.array_equal(z[j - 1], alone.z) and r == alone.r
+            assert np.array_equal(z[j], alone.z) and r == alone.r
             assert [(e.r, e.cond) for e in events[j]] \
                 == [(e.r, e.cond) for e in alone.events]
         assert len(events[1]) == 2 and not events[2]
         with pytest.raises(StepTooLarge) as err:
             cw.matricant_global(prof, ctxs[0], 0.5, 0.62, 12, "exp2a")
         assert str(err.value) == str(faults.errors[0])
+
+    def test_guard_trips_in_first_block(self, monkeypatch):
+        # order 0 trips the step guard in the first of three blocks of
+        # steps (10, 10, 5); the sampler is still built once, order 0 then
+        # steps by the identity from the z it had before that block, and
+        # the others march as they do alone
+        class _EarlyTrip(_Turn):
+            def q_at(self, r, ctx):
+                q = super().q_at(r, ctx)
+                return 1e6 * q if ctx.n == 0 and r > 0.53 else q
+
+        built = []
+        sampler = matricant._q_sampler
+        monkeypatch.setattr(matricant, "_q_sampler", lambda prof, ctxs: (
+            built.append(len(ctxs)) or sampler(prof, ctxs)))
+        prof = _EarlyTrip()
+        ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
+        z0s = [np.diag([0.1j, 0.0])] * 2 + [np.diag([-0.3j, 0.0])]
+        faults = EntryFaults(3)
+        zs, events = [], [[], [], []]
+        for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.75, 25, "exp2a",
+                                  faults):
+            zs.append(z)
+            for j, ev in found:
+                events[j].append(ev)
+        assert isinstance(faults.errors[0], StepTooLarge)
+        assert built == [3]
+        assert [zk.shape for zk in zs] == [(3, 2, 2)] * 25
+        assert all(np.array_equal(zk[0], z0s[0]) for zk in zs)
+        assert not events[0]
+        for j in (1, 2):
+            alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5, 0.75,
+                                           25, "exp2a")
+            assert np.array_equal(z[j], alone.z) and r == alone.r
+            assert [(e.r, e.cond) for e in events[j]] \
+                == [(e.r, e.cond) for e in alone.events]
 
     def test_failures_mid_block(self):
         # h = 1/64.  Order 0's w grows by e^31.25 per step from 1e140 and
@@ -458,23 +502,24 @@ class TestIntegrate:
                np.diag([-4.0, 0.0]) * _gauge(2)[1]]
         span = (0.5, 0.5 + 25 / 64)
         faults = EntryFaults(4)
-        lives, events, zs = [], [[], [], [], []], []
-        for r, live, z, found in _march(prof, ctxs, z0s, *span, 25, "exp2a",
-                                        faults):
-            lives.append(list(live))
+        events, zs = [[], [], [], []], []
+        for r, z, found in _march(prof, ctxs, z0s, *span, 25, "exp2a",
+                                  faults):
             zs.append(z)
             for j, ev in found:
                 events[j].append(ev)
         assert isinstance(faults.errors[0], SingularMatrix)
         assert isinstance(faults.errors[3], SingularMatrix)
-        assert lives == ([[0, 1, 2, 3]] + [[0, 1, 2]] * 11
-                         + [[1, 2]] * 13)
-        assert np.isfinite(zs[11]).all() and np.abs(zs[11][0]).max() > 1e300
+        assert [zk.shape for zk in zs] == [(4, 2, 2)] * 25
+        assert np.isfinite(zs[11][:3]).all()
+        assert np.abs(zs[11][0]).max() > 1e300
+        assert not np.isfinite(zs[12][0]).all()
         assert zs[0][3][0, 0] == -8.0 * _gauge(2)[1][0, 0]
+        assert not np.isfinite(zs[1][3]).all()
         for j in (1, 2):
             alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], *span, 25,
                                            "exp2a")
-            assert np.array_equal(z[j - 1], alone.z) and r == alone.r
+            assert np.array_equal(z[j], alone.z) and r == alone.r
             assert [(e.r, e.cond) for e in events[j]] \
                 == [(e.r, e.cond) for e in alone.events]
         assert events[1] and not (events[0] or events[2] or events[3])
@@ -487,19 +532,18 @@ class TestIntegrate:
                np.diag([0.2j, -0.1j])]
         faults = EntryFaults(3)
         kept, copies = [], []
-        for r, live, z, _ in _march(_Turn(), ctxs, z0s, 0.5, 0.75, 25,
-                                    "exp2a", faults):
-            kept.append((r, live, z))
-            copies.append((r, live.copy(), z.copy()))
+        for r, z, _ in _march(_Turn(), ctxs, z0s, 0.5, 0.75, 25, "exp2a",
+                              faults):
+            kept.append((r, z))
+            copies.append((r, z.copy()))
         assert faults.ok.all() and len(kept) == 25
-        for (r, live, z), (r_c, live_c, z_c) in zip(kept, copies):
+        for (r, z), (r_c, z_c) in zip(kept, copies):
             assert type(r) is float and r == r_c
-            assert np.array_equal(live, live_c) and list(live) == [0, 1, 2]
-            assert np.array_equal(z, z_c)
+            assert z.shape == (3, 2, 2) and np.array_equal(z, z_c)
         # integrate_impedance keeps its own z, not a view of a whole block
         out = cw.integrate_impedance(_Turn(), ctxs[1], z0s[1], 0.5, 0.75, 25,
                                      "exp2a")
-        assert out.z.base is None and np.array_equal(out.z, kept[-1][2][1])
+        assert out.z.base is None and np.array_equal(out.z, kept[-1][1][1])
 
     def test_smooth_law_called_once_per_sample_radius(self):
         # a stacked march samples a smooth law once per radius, however many
@@ -517,10 +561,10 @@ class TestIntegrate:
         radii.clear()
         faults = EntryFaults(3)
         steps = 25
-        for r, live, _, _ in _march(prof, ctxs, z0s, 0.5, 1.0, steps, "mg4",
-                                    faults):
+        for r, z, _ in _march(prof, ctxs, z0s, 0.5, 1.0, steps, "mg4",
+                              faults):
             pass
-        assert faults.ok.all() and list(live) == [0, 1, 2] and r == 1.0
+        assert faults.ok.all() and z.shape == (3, 3, 3) and r == 1.0
         assert len(radii) == 2 * steps
 
 
@@ -542,14 +586,14 @@ class TestIntegrate:
                for ctx in ctxs]
         radii.clear()
         faults = EntryFaults(3)
-        steps, lives = 25, []
-        for r, live, z, _ in _march(prof, ctxs, z0s, 0.5, 1.0, steps, "mg4",
-                                    faults):
-            lives.append(list(live))
+        steps, shapes = 25, []
+        for r, z, _ in _march(prof, ctxs, z0s, 0.5, 1.0, steps, "mg4",
+                              faults):
+            shapes.append(z.shape)
         assert len(radii) == 2 * steps
         assert isinstance(faults.errors[2], StepTooLarge)
         assert faults.ok[:2].all()
-        assert lives == [[0, 1, 2]] * 10 + [[0, 1]] * 15
+        assert shapes == [(3, 3, 3)] * steps
         for j in (0, 1):
             alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5, 1.0,
                                            steps, "mg4")
@@ -572,16 +616,16 @@ class TestIntegrate:
         yields = 0
         with np.errstate(all="raise"):
             outer = np.geterr()
-            for r, live, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12,
-                                            "exp2a", faults):
+            for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12,
+                                      "exp2a", faults):
                 assert np.geterr() == outer
                 yields += 1
         assert isinstance(faults.errors[0], StepTooLarge)
         assert isinstance(faults.errors[1], SingularMatrix)
-        assert faults.errors[2] is None and list(live) == [2]
+        assert faults.errors[2] is None and z.shape == (3, 2, 2)
         alone = cw.integrate_impedance(prof, ctxs[2], z0s[2], 0.5, 0.62, 12,
                                        "exp2a")
-        assert yields == 12 and np.array_equal(z[0], alone.z)
+        assert yields == 12 and np.array_equal(z[2], alone.z)
         assert r == alone.r
 
 
@@ -681,8 +725,8 @@ class TestGauge:
             span, steps, scheme = (0.5, 0.62), 12, "exp2a"
         faults = EntryFaults(len(ctxs))
         events = [[] for _ in ctxs]
-        for r, live, z, found in _march(prof, ctxs, z0s, *span, steps, scheme,
-                                        faults):
+        for r, z, found in _march(prof, ctxs, z0s, *span, steps, scheme,
+                                  faults):
             for j, ev in found:
                 events[j].append(ev)
         assert faults.ok.all()
@@ -816,7 +860,8 @@ class TestNaiveRiccati:
         assert trace.radii[-1] == trace.blowup_radius
         assert len(trace.values) == len(trace.radii)
 
-    @pytest.mark.parametrize("steps", [0, -1])
+    @pytest.mark.parametrize("steps", [0, -1, 10.0, 2.5, np.float64(10.0)],
+                             ids=["0", "-1", "10.0", "2.5", "float64"])
     def test_rejects_step_count_below_one(self, al_profile, steps):
         z0 = np.zeros((3, 3), dtype=complex)
         with pytest.raises(ValueError, match="steps must be >= 1"):

@@ -405,8 +405,9 @@ def test_global_argument_validation(al_profile):
     ctx = cw.WaveContext(omega=5.0)
     with pytest.raises(ValueError):
         cw.matricant_global(al_profile, ctx, 0.9, 0.6, 10, "exp2a")
-    with pytest.raises(ValueError):
-        cw.matricant_global(al_profile, ctx, 0.5, 1.0, 0, "exp2a")
+    for steps in (0, 10.0):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            cw.matricant_global(al_profile, ctx, 0.5, 1.0, steps, "exp2a")
     for h in (-0.1, 0.0, float("nan")):
         with pytest.raises(ValueError, match="step must be positive"):
             cw.matricant_step(al_profile, ctx, 0.6, h, "exp2a")

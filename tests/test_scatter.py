@@ -391,6 +391,38 @@ class TestSolve:
         with pytest.raises(ValueError):
             cw.ScatteringConfig(layers=(al_layer,), ka=1.0, method="magic")
 
+    @pytest.mark.parametrize("method", ["integrate", "recursion"])
+    @pytest.mark.parametrize("bad, match", [
+        (dict(gap=1e-10), "layers must be contiguous"),
+        (dict(steps=2.5), "steps must be >= 1"),
+        (dict(steps=np.float64(10.0)), "steps must be >= 1"),
+        (dict(n_max=2.5), "n_max must be >= 0"),
+        (dict(n_max=-1), "n_max must be >= 0"),
+        (dict(scheme="nope"), "unknown scheme"),
+    ], ids=["gap", "float-steps", "float64-steps", "float-n_max",
+            "negative-n_max", "scheme"])
+    def test_config_refuses_what_a_route_fails_on(self, al_layer, method,
+                                                  bad, match):
+        # both routes refuse the same settings when the config is built,
+        # before either solves: a gap past RadialProfile.piecewise's 1e-12,
+        # a step count or order cap that is not an integer in range, an
+        # unknown scheme
+        bad = dict(bad)
+        gap = bad.pop("gap", 0.0)
+        inner = replace(al_layer, r_outer=0.75)
+        outer = replace(al_layer, r_inner=0.75 + gap)
+        with pytest.raises(ValueError, match=match):
+            cw.ScatteringConfig((inner, outer), ka=1.0, method=method, **bad)
+
+    @pytest.mark.parametrize("method", ["integrate", "recursion"])
+    def test_config_takes_numpy_integers(self, al_layer, method):
+        want = cw.solve_scattering(cw.ScatteringConfig(
+            (al_layer,), ka=1.0, steps=40, n_max=4, method=method))
+        got = cw.solve_scattering(cw.ScatteringConfig(
+            (al_layer,), ka=1.0, steps=np.int64(40), n_max=np.int32(4),
+            method=method))
+        assert got == want
+
     def test_fluid_halfspace_validation(self):
         with pytest.raises(ValueError):
             cw.FluidHalfSpace(k=0.0)

@@ -23,6 +23,27 @@ def _ti_layer_b(r_in=0.75, r_out=1.0):
 
 
 class TestWavenumbers:
+    def test_scalar_type_does_not_change_the_numbers(self):
+        # a lossy layer's complex divisions round the same whether omega,
+        # kz, r and the moduli come as Python or numpy scalars
+        lam, mu = 26.7 * (1 - 0.02j), 11.8 * (1 - 0.02j)
+        layer = cw.LayerTI.isotropic(0.5, 1.0, 2.7, lam, mu)
+        solve = [cw.solve_scattering(cw.ScatteringConfig(
+            (layer,), ka=ka, method="recursion"))
+            for ka in (0.5, np.float64(0.5))]
+        assert solve[0] == solve[1]
+        layer64 = cw.LayerTI(*(np.asarray(getattr(layer, f))[()]
+                               for f in ("r_inner", "r_outer", "rho", "c11",
+                                         "c12", "c13", "c33", "c44")))
+        assert isinstance(layer64.c11, np.complex128)
+        assert isinstance(layer64.rho, np.float64)
+        z = [cw.ti_conditional_impedance(1, lay, cw.WaveContext(
+            omega=w, n=2, kz=kz), r).z
+            for lay, w, kz, r in ((layer, 2.0, 0.7, 0.8),
+                                  (layer64, np.float64(2.0), np.float64(0.7),
+                                   np.float64(0.8)))]
+        assert np.array_equal(z[0], z[1])
+
     def test_vieta_relations(self, ti_sampler):
         rng = np.random.default_rng(53)
         for _ in range(25):
