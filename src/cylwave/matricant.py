@@ -19,13 +19,16 @@ ts2 is I + hQ + (hQ)^2 / 2 at the midpoint, and for constant Q an lp step is
 the exponential series truncated after (hQ)^p / p!.
 
 One stepper forms every propagator of the package: the impedance march,
-matricant_step and matricant_global.  Per block of _BLOCK_STEPS steps it
-samples Q at every node, step and entry in one array (nodes, steps, entries,
-2m, 2m), runs the step guard, which gives each entry its own StepTooLarge,
-and forms the block's propagators in one kernel call; a failed entry steps
-by the identity.  The march hands its gauge to the stepper, and the stepper
-to the sampler, which applies it; the guard and the kernels then see the
-gauged samples, in float64 where they are real (see cylwave.impedance).
+matricant_step and matricant_global.  Per block of steps it samples Q at
+every node, step and entry in one array (nodes, steps, entries, 2m, 2m),
+runs the step guard, which gives each entry its own StepTooLarge, and forms
+the block's propagators in one kernel call; a failed entry steps by the
+identity.  A block holds as many steps as _BLOCK_SAMPLES sampled matrices
+allow, but at least _BLOCK_STEPS, so a large stack's memory stays bounded
+and a small one pays the per-block overheads only a few times.  The march
+hands its gauge to the stepper, and the stepper to the sampler, which
+applies it; the guard and the kernels then see the gauged samples, in
+float64 where they are real (see cylwave.impedance).
 matricant_step and matricant_global are stacks of one that raise their
 entry's error, and sample Q ungauged and stay complex.
 
@@ -51,8 +54,10 @@ from .errors import (DuplicatePoints, EntryFaults, MatricantOverflow,
 from .numkernel import _mat_exp, _norm1
 
 _SQ3 = np.sqrt(3.0)
-# steps whose propagators are held at once: it bounds a march's memory at
-# (nodes x 10 x contexts) sampled matrices
+# a block's sampled matrices (nodes x steps x entries): at most
+# _BLOCK_SAMPLES, which bounds a march's memory, unless the block needs more
+# to hold _BLOCK_STEPS steps
+_BLOCK_SAMPLES = 4096
 _BLOCK_STEPS = 10
 
 
@@ -303,18 +308,20 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
 
 def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
             faults: EntryFaults, gauge=None):
-    """Propagators of the steps of [r0, r0 + span], _BLOCK_STEPS steps of a
-    _segments piece at a time, for every entry ctxs[j]: per block the
-    step-end radii and the propagators (steps, entries, s, s).  The samples
-    of an entry with an error in faults are zeroed before the guard, and
-    those of an entry that trips it once it has its StepTooLarge, so a
-    failed entry steps by the identity and keeps its index; the stepper
-    stops once every entry has failed.  With a gauge the sampler applies
-    it, so the guard and the kernels see Q * gauge, float64 where real."""
+    """Propagators of the steps of [r0, r0 + span] for every entry ctxs[j],
+    in blocks within a _segments piece of as many steps as _BLOCK_SAMPLES
+    samples hold, but at least _BLOCK_STEPS: per block the step-end radii
+    and the propagators (steps, entries, s, s).  The samples of an entry
+    with an error in faults are zeroed before the guard, and those of an
+    entry that trips it once it has its StepTooLarge, so a failed entry
+    steps by the identity and keeps its index; the stepper stops once
+    every entry has failed.  With a gauge the sampler applies it, so the
+    guard and the kernels see Q * gauge, float64 where real."""
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
-    blocks = [(a + np.arange(i, min(i + _BLOCK_STEPS, n)) * h, h, layer)
+    size = max(_BLOCK_STEPS, _BLOCK_SAMPLES // (len(nodes) * len(ctxs)))
+    blocks = [(a + np.arange(i, min(i + size, n)) * h, h, layer)
               for a, h, n, layer in _segments(profile, r0, span, steps)
-              for i in range(0, n, _BLOCK_STEPS)]
+              for i in range(0, n, size)]
     sample = _q_sampler(profile, ctxs)
     for r, h, layer in blocks:
         if not faults.ok.any():
@@ -342,8 +349,10 @@ def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
     contains an interface, the product of one step in each layer.
 
     Each call builds its own sampler, fault record and block stepper, so
-    chaining it step by step costs about 10 to 20 times a step of
-    matricant_global over the same span.
+    chaining it step by step costs about 20 to 30 times a step of
+    matricant_global over the same span on a piecewise profile, whose long
+    blocks share those costs, and 5 to 20 times on a smooth law, whose
+    calls per sample radius both pay.
     """
     if not h > 0:
         raise ValueError("step must be positive")

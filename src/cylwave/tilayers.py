@@ -370,7 +370,8 @@ def layer_twopoint(layer: LayerTI, ctx: WaveContext,
 
 
 def _check_contiguous(r_to: float, r_from: float) -> None:
-    if abs(r_to - r_from) > 1e-9 * max(1.0, abs(r_to)):
+    # RadialProfile.piecewise's rule, which ScatteringConfig applies too
+    if abs(r_to - r_from) > 1e-12:
         raise ValueError(f"layers not contiguous: {r_to} vs {r_from}")
 
 

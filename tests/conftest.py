@@ -2,12 +2,37 @@ import numpy as np
 import pytest
 
 import cylwave as cw
+from cylwave import impedance, matricant
 from cylwave.tilayers import _wavenumbers
 
 
 @pytest.fixture(scope="session")
 def al():
     return cw.aluminium()
+
+
+@pytest.fixture
+def block_budgets(monkeypatch):
+    """Runs a block-structure test's body at two sample budgets, each set in
+    turn as matricant._BLOCK_SAMPLES while the test iterates: 0 first, which
+    forces blocks of matricant._BLOCK_STEPS steps, then the default.  Each
+    pass yields a list that records the steps of every block formed in it."""
+    stepper, lengths = matricant._blocks, []
+
+    def counted(*args, **kwargs):
+        for radii, mats in stepper(*args, **kwargs):
+            lengths.append(len(radii))
+            yield radii, mats
+
+    monkeypatch.setattr(matricant, "_blocks", counted)
+    monkeypatch.setattr(impedance, "_blocks", counted)
+
+    def each():
+        for budget in (0, matricant._BLOCK_SAMPLES):
+            monkeypatch.setattr(matricant, "_BLOCK_SAMPLES", budget)
+            lengths.clear()
+            yield lengths
+    return each()
 
 
 @pytest.fixture(scope="session")

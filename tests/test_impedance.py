@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cylwave as cw
-from cylwave.errors import (DegenerateSpan, EntryFaults, PoleCrossing,
-                            ResonantInner, SingularMatrix, StepTooLarge)
+from cylwave.errors import (DegenerateSpan, EntryFaults, MatricantOverflow,
+                            PoleCrossing, ResonantInner, SingularMatrix,
+                            StepTooLarge)
 from cylwave import impedance, matricant
 from cylwave.elastodyn import _q_sampler, _state_index
 from cylwave.impedance import _adjugate, _gauge, _march, _mobius, _verdict
@@ -35,6 +36,39 @@ class _Turn:
     def q_at(self, r, ctx):
         d = np.diag([self.w, 1.0])
         return np.block([[np.zeros((2, 2)), d], [-d, np.zeros((2, 2))]])
+
+
+class _Mixed(_Turn):
+    """Order 0 grows as e^(2000 r), order 3 shears, the others turn."""
+
+    def q_at(self, r, ctx):
+        if ctx.n == 0:
+            return np.diag([-1e3, -1e3, 1e3, 1e3])
+        if ctx.n == 3:  # gauged, M = [[I, I/8], [0, I]] exactly
+            d = np.array([1.0, 1j, 1j, 1.0])
+            q = np.zeros((4, 4))
+            q[:2, 2:] = 8.0 * np.eye(2)
+            return d[:, None] * q * d.conj()
+        return super().q_at(r, ctx)
+
+
+# order 3 starts from w = diag(-4, 0): w = -8 after step 1, so
+# den = 1 + w / 8 = 0 at step 2
+_MIXED_ENTRIES = ([cw.WaveContext(omega=1.0, n=n, m=2) for n in range(4)],
+                  [1e140 * np.eye(2, dtype=complex),
+                   np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0]),
+                   np.diag([-4.0, 0.0]) * _gauge(2)[1]])
+_MIXED_SPAN = (0.5, 0.5 + 25 / 64)
+
+
+def _climbing_law(r):
+    """A smooth law whose density climbs steeply past r = 0.7."""
+    return cw.MaterialPoint(2.0 + r + 1e5 * max(r - 0.7, 0.0) ** 2,
+                            cw.isotropic_stiffness(3.0, 1.0 + r))
+
+
+_CLIMBING_CTXS = [cw.WaveContext(omega=w, n=n, kz=0.4)
+                  for w, n in ((3.0, 0), (3.0, 2), (300.0, 1))]
 
 
 class _GaugedTurn(_Turn):
@@ -401,10 +435,11 @@ class TestIntegrate:
         assert np.array_equal(z[2], alone.z) and r == alone.r
 
 
-    def test_guard_trips_mid_span(self, monkeypatch):
-        # order 0 passes the step guard over the first block of 10 steps,
-        # [0.5, 0.6], and trips it in the second; order 1 crosses the pole
-        # of the turn, order 2 does not, and both must march as they do alone
+    def test_guard_trips_mid_span(self, monkeypatch, block_budgets):
+        # in blocks of 10 steps order 0 passes the step guard over the
+        # first, [0.5, 0.6], and trips it in the second; at the default
+        # budget the 12 steps are one block.  Order 1 crosses the pole of
+        # the turn, order 2 does not, and both must march as they do alone
         class _LateTrip(_Turn):
             def q_at(self, r, ctx):
                 q = super().q_at(r, ctx)
@@ -417,32 +452,36 @@ class TestIntegrate:
         prof = _LateTrip()
         ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
         z0s = [np.zeros((2, 2), dtype=complex)] * 2 + [np.diag([-0.3j, 0.0])]
-        faults = EntryFaults(3)
-        shapes, events = [], [[], [], []]
-        for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12, "exp2a",
-                                  faults):
-            shapes.append(z.shape)
-            for j, ev in found:
-                events[j].append(ev)
-        assert isinstance(faults.errors[0], StepTooLarge)
-        assert shapes == [(3, 2, 2)] * 12
-        assert built == [3]
-        for j in (1, 2):
-            alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5, 0.62,
-                                           12, "exp2a")
-            assert np.array_equal(z[j], alone.z) and r == alone.r
-            assert [(e.r, e.cond) for e in events[j]] \
-                == [(e.r, e.cond) for e in alone.events]
-        assert len(events[1]) == 2 and not events[2]
-        with pytest.raises(StepTooLarge) as err:
-            cw.matricant_global(prof, ctxs[0], 0.5, 0.62, 12, "exp2a")
-        assert str(err.value) == str(faults.errors[0])
+        for lengths, blocks in zip(block_budgets, ([10, 2], [12])):
+            built.clear()
+            faults = EntryFaults(3)
+            shapes, events = [], [[], [], []]
+            for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.62, 12,
+                                      "exp2a", faults):
+                shapes.append(z.shape)
+                for j, ev in found:
+                    events[j].append(ev)
+            assert lengths == blocks
+            assert isinstance(faults.errors[0], StepTooLarge)
+            assert shapes == [(3, 2, 2)] * 12
+            assert built == [3]
+            for j in (1, 2):
+                alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5,
+                                               0.62, 12, "exp2a")
+                assert np.array_equal(z[j], alone.z) and r == alone.r
+                assert [(e.r, e.cond) for e in events[j]] \
+                    == [(e.r, e.cond) for e in alone.events]
+            assert len(events[1]) == 2 and not events[2]
+            with pytest.raises(StepTooLarge) as err:
+                cw.matricant_global(prof, ctxs[0], 0.5, 0.62, 12, "exp2a")
+            assert str(err.value) == str(faults.errors[0])
 
-    def test_guard_trips_in_first_block(self, monkeypatch):
-        # order 0 trips the step guard in the first of three blocks of
-        # steps (10, 10, 5); the sampler is still built once, order 0 then
-        # steps by the identity from the z it had before that block, and
-        # the others march as they do alone
+    def test_guard_trips_in_first_block(self, monkeypatch, block_budgets):
+        # order 0 trips the step guard in the first block: of three,
+        # (10, 10, 5), in blocks of 10 steps, and of one at the default
+        # budget.  The sampler is still built once, order 0 then steps by
+        # the identity from the z it had before that block, and the others
+        # march as they do alone
         class _EarlyTrip(_Turn):
             def q_at(self, r, ctx):
                 q = super().q_at(r, ctx)
@@ -455,95 +494,89 @@ class TestIntegrate:
         prof = _EarlyTrip()
         ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
         z0s = [np.diag([0.1j, 0.0])] * 2 + [np.diag([-0.3j, 0.0])]
-        faults = EntryFaults(3)
-        zs, events = [], [[], [], []]
-        for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.75, 25, "exp2a",
-                                  faults):
-            zs.append(z)
-            for j, ev in found:
-                events[j].append(ev)
-        assert isinstance(faults.errors[0], StepTooLarge)
-        assert built == [3]
-        assert [zk.shape for zk in zs] == [(3, 2, 2)] * 25
-        assert all(np.array_equal(zk[0], z0s[0]) for zk in zs)
-        assert not events[0]
-        for j in (1, 2):
-            alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5, 0.75,
-                                           25, "exp2a")
-            assert np.array_equal(z[j], alone.z) and r == alone.r
-            assert [(e.r, e.cond) for e in events[j]] \
-                == [(e.r, e.cond) for e in alone.events]
+        for lengths, blocks in zip(block_budgets, ([10, 10, 5], [25])):
+            built.clear()
+            faults = EntryFaults(3)
+            zs, events = [], [[], [], []]
+            for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.75, 25,
+                                      "exp2a", faults):
+                zs.append(z)
+                for j, ev in found:
+                    events[j].append(ev)
+            assert lengths == blocks
+            assert isinstance(faults.errors[0], StepTooLarge)
+            assert built == [3]
+            assert [zk.shape for zk in zs] == [(3, 2, 2)] * 25
+            assert all(np.array_equal(zk[0], z0s[0]) for zk in zs)
+            assert not events[0]
+            for j in (1, 2):
+                alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5,
+                                               0.75, 25, "exp2a")
+                assert np.array_equal(z[j], alone.z) and r == alone.r
+                assert [(e.r, e.cond) for e in events[j]] \
+                    == [(e.r, e.cond) for e in alone.events]
 
-    def test_failures_mid_block(self):
+    def test_failures_mid_block(self, block_budgets):
         # h = 1/64.  Order 0's w grows by e^31.25 per step from 1e140 and
-        # overflows to inf at step 13, the third of block 2, while its
-        # denominator stays finite; it fails there.  Order 3's first channel
-        # meets an exact pole at step 2, where det(den) = 0 and the
+        # overflows to inf at step 13, the third of block 2 in blocks of 10
+        # steps and mid-block in the one block of the default budget, while
+        # its denominator stays finite; it fails there.  Order 3's first
+        # channel meets an exact pole at step 2, where det(den) = 0 and the
         # condition number is inf; it fails and records no PoleCrossing.
         # Orders 1 and 2 march the turn, order 1 across its poles, and must
         # give what they give alone
-        class _Mixed(_Turn):
-            def q_at(self, r, ctx):
-                if ctx.n == 0:
-                    return np.diag([-1e3, -1e3, 1e3, 1e3])
-                if ctx.n == 3:  # gauged, M = [[I, I/8], [0, I]] exactly
-                    d = np.array([1.0, 1j, 1j, 1.0])
-                    q = np.zeros((4, 4))
-                    q[:2, 2:] = 8.0 * np.eye(2)
-                    return d[:, None] * q * d.conj()
-                return super().q_at(r, ctx)
-
         prof = _Mixed()
-        ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(4)]
-        # order 3 starts from w = diag(-4, 0): w = -8 after step 1, so
-        # den = 1 + w / 8 = 0 at step 2
-        z0s = [1e140 * np.eye(2, dtype=complex),
-               np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0]),
-               np.diag([-4.0, 0.0]) * _gauge(2)[1]]
-        span = (0.5, 0.5 + 25 / 64)
-        faults = EntryFaults(4)
-        events, zs = [[], [], [], []], []
-        for r, z, found in _march(prof, ctxs, z0s, *span, 25, "exp2a",
-                                  faults):
-            zs.append(z)
-            for j, ev in found:
-                events[j].append(ev)
-        assert isinstance(faults.errors[0], SingularMatrix)
-        assert isinstance(faults.errors[3], SingularMatrix)
-        assert [zk.shape for zk in zs] == [(4, 2, 2)] * 25
-        assert np.isfinite(zs[11][:3]).all()
-        assert np.abs(zs[11][0]).max() > 1e300
-        assert not np.isfinite(zs[12][0]).all()
-        assert zs[0][3][0, 0] == -8.0 * _gauge(2)[1][0, 0]
-        assert not np.isfinite(zs[1][3]).all()
-        for j in (1, 2):
-            alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], *span, 25,
-                                           "exp2a")
-            assert np.array_equal(z[j], alone.z) and r == alone.r
-            assert [(e.r, e.cond) for e in events[j]] \
-                == [(e.r, e.cond) for e in alone.events]
-        assert events[1] and not (events[0] or events[2] or events[3])
+        ctxs, z0s = _MIXED_ENTRIES
+        span = _MIXED_SPAN
+        for lengths, blocks in zip(block_budgets, ([10, 10, 5], [25])):
+            faults = EntryFaults(4)
+            events, zs = [[], [], [], []], []
+            for r, z, found in _march(prof, ctxs, z0s, *span, 25, "exp2a",
+                                      faults):
+                zs.append(z)
+                for j, ev in found:
+                    events[j].append(ev)
+            assert lengths == blocks
+            assert isinstance(faults.errors[0], SingularMatrix)
+            assert isinstance(faults.errors[3], SingularMatrix)
+            assert [zk.shape for zk in zs] == [(4, 2, 2)] * 25
+            assert np.isfinite(zs[11][:3]).all()
+            assert np.abs(zs[11][0]).max() > 1e300
+            assert not np.isfinite(zs[12][0]).all()
+            assert zs[0][3][0, 0] == -8.0 * _gauge(2)[1][0, 0]
+            assert not np.isfinite(zs[1][3]).all()
+            for j in (1, 2):
+                alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], *span,
+                                               25, "exp2a")
+                assert np.array_equal(z[j], alone.z) and r == alone.r
+                assert [(e.r, e.cond) for e in events[j]] \
+                    == [(e.r, e.cond) for e in alone.events]
+            assert events[1] and not (events[0] or events[2] or events[3])
 
-    def test_yields_survive_later_steps(self):
-        # three blocks of steps (10, 10, 5) and no failure: what each step
-        # yields must not be a buffer that a later step writes over
+    def test_yields_survive_later_steps(self, block_budgets):
+        # three blocks of steps (10, 10, 5) in blocks of 10 steps, one at
+        # the default budget, and no failure: what each step yields must
+        # not be a buffer that a later step writes over
         ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
         z0s = [np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0]),
                np.diag([0.2j, -0.1j])]
-        faults = EntryFaults(3)
-        kept, copies = [], []
-        for r, z, _ in _march(_Turn(), ctxs, z0s, 0.5, 0.75, 25, "exp2a",
-                              faults):
-            kept.append((r, z))
-            copies.append((r, z.copy()))
-        assert faults.ok.all() and len(kept) == 25
-        for (r, z), (r_c, z_c) in zip(kept, copies):
-            assert type(r) is float and r == r_c
-            assert z.shape == (3, 2, 2) and np.array_equal(z, z_c)
-        # integrate_impedance keeps its own z, not a view of a whole block
-        out = cw.integrate_impedance(_Turn(), ctxs[1], z0s[1], 0.5, 0.75, 25,
-                                     "exp2a")
-        assert out.z.base is None and np.array_equal(out.z, kept[-1][1][1])
+        for lengths, blocks in zip(block_budgets, ([10, 10, 5], [25])):
+            faults = EntryFaults(3)
+            kept, copies = [], []
+            for r, z, _ in _march(_Turn(), ctxs, z0s, 0.5, 0.75, 25,
+                                  "exp2a", faults):
+                kept.append((r, z))
+                copies.append((r, z.copy()))
+            assert lengths == blocks
+            assert faults.ok.all() and len(kept) == 25
+            for (r, z), (r_c, z_c) in zip(kept, copies):
+                assert type(r) is float and r == r_c
+                assert z.shape == (3, 2, 2) and np.array_equal(z, z_c)
+            # integrate_impedance keeps its own z, not a view of a block
+            out = cw.integrate_impedance(_Turn(), ctxs[1], z0s[1], 0.5, 0.75,
+                                         25, "exp2a")
+            assert out.z.base is None
+            assert np.array_equal(out.z, kept[-1][1][1])
 
     def test_smooth_law_called_once_per_sample_radius(self):
         # a stacked march samples a smooth law once per radius, however many
@@ -568,36 +601,34 @@ class TestIntegrate:
         assert len(radii) == 2 * steps
 
 
-    def test_guard_trip_keeps_the_block_samples(self):
-        # the third order trips the step guard in block 2, where the density
-        # climbs; the others step on with the block's samples, so the law is
+    def test_guard_trip_keeps_the_block_samples(self, block_budgets):
+        # the third order trips the step guard where the density climbs, in
+        # block 2 of blocks of 10 steps and in the one block of the default
+        # budget; the others step on with the block's samples, so the law is
         # still called once per sample radius, and march as they do alone
         radii = []
-
-        def law(r):
-            radii.append(r)
-            return cw.MaterialPoint(2.0 + r + 1e5 * max(r - 0.7, 0.0) ** 2,
-                                    cw.isotropic_stiffness(3.0, 1.0 + r))
-
-        prof = cw.RadialProfile.smooth(law, 0.5, 1.0)
-        ctxs = [cw.WaveContext(omega=w, n=n, kz=0.4)
-                for w, n in ((3.0, 0), (3.0, 2), (300.0, 1))]
-        z0s = [cw.ti_conditional_impedance(1, law(0.5), ctx, 0.5).z
+        prof = cw.RadialProfile.smooth(
+            lambda r: radii.append(r) or _climbing_law(r), 0.5, 1.0)
+        ctxs = _CLIMBING_CTXS
+        z0s = [cw.ti_conditional_impedance(1, _climbing_law(0.5), ctx, 0.5).z
                for ctx in ctxs]
-        radii.clear()
-        faults = EntryFaults(3)
-        steps, shapes = 25, []
-        for r, z, _ in _march(prof, ctxs, z0s, 0.5, 1.0, steps, "mg4",
-                              faults):
-            shapes.append(z.shape)
-        assert len(radii) == 2 * steps
-        assert isinstance(faults.errors[2], StepTooLarge)
-        assert faults.ok[:2].all()
-        assert shapes == [(3, 3, 3)] * steps
-        for j in (0, 1):
-            alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5, 1.0,
-                                           steps, "mg4")
-            assert np.array_equal(z[j], alone.z) and r == alone.r
+        steps = 25
+        for lengths, blocks in zip(block_budgets, ([10, 10, 5], [25])):
+            radii.clear()
+            faults = EntryFaults(3)
+            shapes = []
+            for r, z, _ in _march(prof, ctxs, z0s, 0.5, 1.0, steps, "mg4",
+                                  faults):
+                shapes.append(z.shape)
+            assert lengths == blocks
+            assert len(radii) == 2 * steps
+            assert isinstance(faults.errors[2], StepTooLarge)
+            assert faults.ok[:2].all()
+            assert shapes == [(3, 3, 3)] * steps
+            for j in (0, 1):
+                alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5,
+                                               1.0, steps, "mg4")
+                assert np.array_equal(z[j], alone.z) and r == alone.r
 
     def test_march_keeps_the_callers_errstate(self):
         # test_failures_stay_per_entry's march, consumed under
@@ -627,6 +658,48 @@ class TestIntegrate:
                                        "exp2a")
         assert yields == 12 and np.array_equal(z[2], alone.z)
         assert r == alone.r
+
+
+def test_outputs_do_not_depend_on_block_length(al, al_layer, block_budgets):
+    # every output is the same bit for bit in blocks of 10 steps and at the
+    # default budget: each march's radii, crossings, error texts and the z
+    # of the entries that end ok (a failed entry's rows mean nothing), the
+    # aluminium B_n and a global matricant with its overflow radius
+    def march(prof, ctxs, z0s, span, steps, scheme):
+        faults = EntryFaults(len(ctxs))
+        out = [(r, z.copy(), [(j, ev.r, ev.cond) for j, ev in found])
+               for r, z, found in _march(prof, ctxs, z0s, *span, steps,
+                                         scheme, faults)]
+        return ([(r, z[faults.ok].tobytes(), found) for r, z, found in out],
+                [str(e) for e in faults.errors])
+
+    turn_z0s = [np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0]),
+                np.diag([0.2j, -0.1j])]
+    climbing = cw.RadialProfile.smooth(_climbing_law, 0.5, 1.0)
+    steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
+    two = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
+    outs, blocks = [], []
+    for lengths in block_budgets:
+        out = [
+            march(_Turn(), [cw.WaveContext(omega=1.0, n=n, m=2)
+                            for n in range(3)], turn_z0s, (0.5, 0.75), 25,
+                  "exp2a"),
+            march(_Mixed(), *_MIXED_ENTRIES, _MIXED_SPAN, 25, "exp2a"),
+            march(climbing, _CLIMBING_CTXS,
+                  [cw.ti_conditional_impedance(1, _climbing_law(0.5), ctx,
+                                               0.5).z
+                   for ctx in _CLIMBING_CTXS], (0.5, 1.0), 25, "mg4")]
+        for ka in (1.0, 2.5, 5.0):
+            out.append(np.array(cw.solve_scattering(cw.ScatteringConfig(
+                (al_layer,), ka=ka, scheme="lp4")).b).tobytes())
+        with pytest.warns(MatricantOverflow) as seen:
+            m = cw.matricant_global(two, cw.WaveContext(omega=10.0, n=30),
+                                    0.5, 1.0, 57, "lp4")
+        out.append((m.m.tobytes(), [str(w.message) for w in seen]))
+        outs.append(out)
+        blocks.append(list(lengths))
+    assert blocks[0] != blocks[1]
+    assert outs[0] == outs[1]
 
 
 class TestInterfaces:

@@ -7,9 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cylwave as cw
-from cylwave.errors import (DuplicatePoints, MatricantOverflow, OutOfSupport,
-                            StepTooLarge)
-from cylwave.matricant import _bound, _guard, _segments
+from cylwave import matricant
+from cylwave.errors import (DuplicatePoints, EntryFaults, MatricantOverflow,
+                            OutOfSupport, StepTooLarge)
+from cylwave.matricant import _blocks, _bound, _guard, _segments
 
 NOMINAL_ORDER = {"ts1": 1, "ts2": 2, "exp2a": 2, "lp2": 2, "exp2b": 2,
                  "lp3": 3, "lp4": 4, "exp2c": 2, "mg4": 4}
@@ -296,28 +297,68 @@ def test_overflow_warning_high_order(al_profile):
     assert np.max(np.abs(m.m)) > 1e12
 
 
-def test_global_equals_per_step_product(al):
+def test_global_equals_per_step_product(al, block_budgets):
     # the blocked composition is the product of single steps over each
-    # layer's grid, bit for bit, and warns at the same radius; 57 steps
-    # leave a partial last block in each layer
+    # layer's grid, bit for bit, and warns at the same radius; in blocks of
+    # 10 steps 57 steps leave a partial last block in each layer, and at
+    # the default budget each layer is one block
     steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
     prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
     ctx = cw.WaveContext(omega=10.0, n=30)
-    for scheme, steps in (("exp2a", 57), ("lp4", 57), ("mg4", 20)):
-        want, warn_at = np.eye(6), None
-        for a, h, n, _ in _segments(prof, 0.5, 0.5, steps):
-            for i in range(n):
-                want = cw.matricant_step(prof, ctx, a + i * h, h,
-                                         scheme).m @ want
-                if warn_at is None and np.max(np.abs(want)) > 1e12:
-                    warn_at = f"r={a + (i + 1) * h:.6g};"
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            got = cw.matricant_global(prof, ctx, 0.5, 1.0, steps, scheme)
-        assert np.array_equal(got.m, want)
-        assert warn_at is not None and len(seen) == 1
-        assert seen[0].category is MatricantOverflow
-        assert warn_at in str(seen[0].message)
+    for lengths, blocks in zip(block_budgets, ([10, 10, 9, 10, 10, 8],
+                                               [29, 28])):
+        for scheme, steps in (("exp2a", 57), ("lp4", 57), ("mg4", 20)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                lengths.clear()
+                got = cw.matricant_global(prof, ctx, 0.5, 1.0, steps, scheme)
+            if steps == 57:
+                assert lengths == blocks
+            want, warn_at = np.eye(6), None
+            for a, h, n, _ in _segments(prof, 0.5, 0.5, steps):
+                for i in range(n):
+                    want = cw.matricant_step(prof, ctx, a + i * h, h,
+                                             scheme).m @ want
+                    if warn_at is None and np.max(np.abs(want)) > 1e12:
+                        warn_at = f"r={a + (i + 1) * h:.6g};"
+            assert np.array_equal(got.m, want)
+            assert warn_at is not None and len(seen) == 1
+            assert seen[0].category is MatricantOverflow
+            assert warn_at in str(seen[0].message)
+
+
+@pytest.mark.parametrize("scheme, entries, steps, want", [
+    ("lp4", 1, 5000, [1024, 1024, 452]), ("lp4", 23, 300, [44, 44, 44, 18]),
+    ("lp4", 512, 60, [10, 10, 10]), ("mg4", 1, 5000, [2048, 452])],
+    ids=["lp4-1", "lp4-23", "lp4-512", "mg4-1"])
+def test_blocks_fit_the_sample_budget(al, scheme, entries, steps, want):
+    # the blocks of each _segments piece step its grid in order and never
+    # cross into the next piece; a block holds at most _BLOCK_SAMPLES
+    # samples (nodes x steps x entries) unless it has _BLOCK_STEPS steps,
+    # and all but a piece's last are as long as that rule allows
+    steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
+    prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
+    ctxs = [cw.WaveContext(omega=2.0, n=3, m=2)] * entries
+    samples = (4 if scheme == "lp4" else 2) * entries
+    blocks = iter([radii for radii, _ in _blocks(
+        prof, ctxs, 0.5, 0.5, steps, scheme, EntryFaults(entries))])
+    pieces = _segments(prof, 0.5, 0.5, steps)
+    assert len(pieces) == 2
+    for a, h, n, _ in pieces:
+        ends, lengths = [], []
+        while len(ends) < n:
+            radii = next(blocks)
+            ends += radii.tolist()
+            lengths.append(len(radii))
+        assert ends == (a + np.arange(n) * h + h).tolist()
+        assert lengths == want
+        for k, size in enumerate(lengths):
+            tenth = size == matricant._BLOCK_STEPS
+            assert size * samples <= matricant._BLOCK_SAMPLES or tenth
+            if k < len(lengths) - 1:
+                assert size >= matricant._BLOCK_STEPS
+                assert (size + 1) * samples > matricant._BLOCK_SAMPLES or tenth
+    assert next(blocks, None) is None
 
 
 def test_segments_cut_at_interfaces(al):

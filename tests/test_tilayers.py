@@ -402,6 +402,29 @@ class TestJoin:
         with pytest.raises(ValueError):
             cw.join_twopoint(za, zb)
 
+    def test_gap_rule_matches_the_profile(self, al_layer):
+        # join_twopoint and global_twopoint refuse a gap past 1e-12, as
+        # RadialProfile.piecewise does, and compose one of 1e-13
+        ctx = cw.WaveContext(omega=5.0, n=1, kz=0.3)
+        for gap, joins in ((1e-10, False), (1e-13, True)):
+            layers = [replace(al_layer, r_outer=0.75),
+                      replace(al_layer, r_inner=0.75 + gap)]
+            parts = [cw.layer_twopoint(lay, ctx) for lay in layers]
+            if joins:
+                joined = cw.join_twopoint(*parts)
+                whole = cw.global_twopoint(layers, ctx)
+                assert np.array_equal(joined.z, whole.z)
+                assert (whole.r_from, whole.r_to) == (0.5, 1.0)
+                continue
+            with pytest.raises(ValueError, match="not contiguous"):
+                cw.join_twopoint(*parts)
+            with pytest.raises(ValueError, match="not contiguous"):
+                cw.global_twopoint(layers, ctx)
+            with pytest.raises(ValueError, match="must be contiguous"):
+                cw.RadialProfile.piecewise([(lay.r_inner, lay.r_outer,
+                                             lay.material())
+                                            for lay in layers])
+
     def test_interface_resonance(self):
         rng = np.random.default_rng(71)
         x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
