@@ -327,18 +327,12 @@ def _run_field(cfg: RunConfig) -> list:
     r = np.hypot(xs, ys)
     theta = np.arctan2(ys, xs)
     outside = r >= 1.0
-    p = np.full(r.shape, np.nan + 0j, dtype=complex)
-    if np.any(outside):
-        pts = np.column_stack([r[outside], theta[outside]])
-        p[outside] = pressure_field(pts, res.b, cfg.ka)
-    lines = []
-    for i in range(xs.size):
-        if outside[i]:
-            lines.append(f"{_g17(xs[i])},{_g17(ys[i])},{_g17(p[i].real)},"
-                         f"{_g17(p[i].imag)},{_g17(abs(p[i]))}")
-        else:
-            lines.append(f"{_g17(xs[i])},{_g17(ys[i])},nan,nan,nan")
-    return lines
+    # a point inside the scatterer reads nan in every pressure column
+    p = np.full(r.shape, complex(math.nan, math.nan))
+    p[outside] = pressure_field(np.column_stack([r[outside], theta[outside]]),
+                                res.b, cfg.ka)
+    return [f"{_g17(x)},{_g17(y)},{_g17(v.real)},{_g17(v.imag)},{_g17(abs(v))}"
+            for x, y, v in zip(xs, ys, p)]
 
 
 _COLUMNS = {

@@ -386,32 +386,34 @@ def q_matrix(profile, ctx: WaveContext, r: float) -> SystemMatrix:
     return SystemMatrix(q=q6[np.ix_(idx, idx)], r=float(r))
 
 
-def _q_sampler(profile, ctxs):
+def _q_sampler(profile, ctxs, gauge=None):
     """Q at many radii for a stack of contexts that share m.
 
-    Returns ``sample(r, layer, gauge=None)``, an array of shape
+    Returns ``sample(r, layer)``, an array of shape
     r.shape + (len(ctxs), 2m, 2m) holding Q(r) for every radius and
     context in the profile's support, in a piecewise profile's layer
     ``layer`` at every radius (a smooth law and the ``q_at`` hook ignore
-    it).  With a gauge g, an elementwise factor of +-1 and +-i, it returns
-    Q * g, in float64 where its imaginary parts are exactly zero.
+    it).  With a gauge g, an elementwise factor of +-1 and +-i, the samples
+    are Q * g, in float64 where their imaginary parts are exactly zero.
 
     Samples are (1/r) (P0 + kz r P1 + r^2 P2) from _ig_terms' terms, equal
     to q_matrix's bit for bit.  A piecewise profile builds, gauges and
-    demotes each layer's terms once; products with g are exact, so its
-    samples are Q * g bit for bit, formed in float64 for lossless
-    orthotropic layers.  A smooth law, called once per radius, has the terms
-    of all radii and contexts built in one pass; it and the ``q_at`` hook,
-    which goes through q_matrix radius by radius, gauge and demote their
-    samples.
+    demotes each layer's terms once, when the sampler is built; products
+    with g are exact, so its samples are Q * g bit for bit, formed in
+    float64 for lossless orthotropic layers.  A smooth law, called once per
+    radius, has the terms of all radii and contexts built in one pass; it
+    and the ``q_at`` hook, which goes through q_matrix radius by radius,
+    gauge and demote their samples.
     """
+    def gauged(q):
+        return q if gauge is None else _demoted(q * gauge)
+
     if getattr(profile, "q_at", None) is not None:
-        def sample(r, layer, gauge=None):
+        def sample(r, layer):
             r = np.asarray(r, dtype=float)
             q = np.array([[q_matrix(profile, ctx, x).q for ctx in ctxs]
                           for x in r.ravel().tolist()])
-            q = q.reshape(r.shape + q.shape[1:])
-            return q if gauge is None else _demoted(q * gauge)
+            return gauged(q.reshape(r.shape + q.shape[1:]))
         return sample
 
     m = ctxs[0].m
@@ -432,32 +434,26 @@ def _q_sampler(profile, ctxs):
                            + (rr * rr) * terms[2])
 
     if getattr(profile, "layers", None) is None:
-        def sample(r, layer, gauge=None):
+        def sample(r, layer):
             r = np.asarray(r, dtype=float)
             terms = terms_of([profile.material_at(x)
                               for x in r.ravel().tolist()])
             terms = terms.reshape(terms.shape[:1] + r.shape + terms.shape[2:])
-            q = q_of(terms, r)
-            return q if gauge is None else _demoted(q * gauge)
+            return gauged(q_of(terms, r))
         return sample
 
-    layer_terms = terms_of([mp for (_, _, mp) in profile.layers])
-    plain, gauged = list(layer_terms.swapaxes(0, 1)), [None, None]
+    # each layer's terms (3, len(ctxs), 2m, 2m); a context with kz = 0 adds
+    # (kz r) P1 = 0, so its gauged P1 is zeroed lest it keep a real layer
+    # complex
+    terms = terms_of([mp for (_, _, mp) in profile.layers])
+    if gauge is not None:
+        terms = terms * gauge
+        terms[1] *= kz != 0
+    layer_terms = [t if gauge is None else _demoted(t)
+                   for t in terms.swapaxes(0, 1)]
 
-    def terms_in(gauge):
-        # each layer's terms (3, len(ctxs), 2m, 2m), gauged for the gauge
-        # the sampler last saw; a context with kz = 0 adds (kz r) P1 = 0, so
-        # its gauged P1 is zeroed lest it keep a real layer complex
-        if gauge is None:
-            return plain
-        if gauged[0] is not gauge:
-            t = layer_terms * gauge
-            t[1] *= kz != 0
-            gauged[:] = gauge, [_demoted(tl) for tl in t.swapaxes(0, 1)]
-        return gauged[1]
-
-    def sample(r, layer, gauge=None):
-        return q_of(terms_in(gauge)[layer], np.asarray(r, dtype=float))
+    def sample(r, layer):
+        return q_of(layer_terms[layer], np.asarray(r, dtype=float))
 
     return sample
 

@@ -26,9 +26,9 @@ the block's propagators in one kernel call; a failed entry steps by the
 identity.  A block holds as many steps as _BLOCK_SAMPLES sampled matrices
 allow, but at least _BLOCK_STEPS, so a large stack's memory stays bounded
 and a small one pays the per-block overheads only a few times.  The march
-hands its gauge to the stepper, and the stepper to the sampler, which
-applies it; the guard and the kernels then see the gauged samples, in
-float64 where they are real (see cylwave.impedance).
+hands its gauge to the stepper, which builds the sampler with it; the
+guard and the kernels then see the gauged samples, in float64 where they
+are real (see cylwave.impedance).
 matricant_step and matricant_global are stacks of one that raise their
 entry's error, and sample Q ungauged and stay complex.
 
@@ -322,11 +322,11 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
     blocks = [(a + np.arange(i, min(i + size, n)) * h, h, layer)
               for a, h, n, layer in _segments(profile, r0, span, steps)
               for i in range(0, n, size)]
-    sample = _q_sampler(profile, ctxs)
+    sample = _q_sampler(profile, ctxs, gauge)
     for r, h, layer in blocks:
         if not faults.ok.any():
             return
-        qs = sample(r + (np.array(nodes) * h)[:, None], layer, gauge)
+        qs = sample(r + (np.array(nodes) * h)[:, None], layer)
         qs[:, :, ~faults.ok] = 0
         nrm = _guard(h, qs).max(axis=0)
         over = nrm > 20.0

@@ -163,31 +163,34 @@ def total_cross_section(b, ka: float) -> float:
 def pressure_field(points, b, ka: float, K: float = 1.0) -> np.ndarray:
     """Total pressure (incident + scattered) at exterior (r, theta) points.
 
-    The incident plane wave travels along theta = 0; its partial-wave sum is
-    truncated adaptively (well past the kr turning point), the scattered sum
-    by the length of b.  Amplitude is per unit incident pressure amplitude
-    times K*k.
+    The incident plane wave travels along theta = 0 and is the closed form
+    exp(i k r cos theta); the scattered sum
+    sum_n eps_n i^n B_n H_n(kr) cos(n theta) runs over the orders of b, one
+    hankel1 call per order.  Amplitude is per unit incident pressure
+    amplitude times K*k.  A ka that is not positive and finite, or a
+    non-finite r or theta, raises ValueError; a point inside r = a raises
+    InteriorPoint.
     """
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != 2:
         raise ValueError("points must be (r, theta) pairs")
+    if not 0 < ka < math.inf:
+        raise ValueError("ka must be positive and finite")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     r = pts[:, 0]
     theta = pts[:, 1]
     if np.any(r < A_OUTER * (1 - 1e-12)):
         raise InteriorPoint("pressure_field is exterior-only (r >= a)")
     k = ka / A_OUTER
     x = k * r
-    xmax = float(np.max(x))
-    n_inc = max(len(b), int(math.ceil(xmax + 8.0 * xmax ** (1.0 / 3.0) + 20)))
-    p = np.zeros(r.shape, dtype=complex)
-    for n in range(n_inc + 1):
-        eps = 1.0 if n == 0 else 2.0
-        term = special.jv(n, x).astype(complex)
-        if n < len(b):
-            term = term + b[n] * special.hankel1(n, x)
-        p += eps * (1j ** n) * term * np.cos(n * theta)
+    p = np.exp(1j * x * np.cos(theta))
+    for n, bn in enumerate(b):
+        # eps_n i^n B_n, i^n from its period: 1j ** n is inexact past n = 100
+        c = (1.0 if n == 0 else 2.0) * 1j ** (n % 4) * bn
+        p += c * special.hankel1(n, x) * np.cos(n * theta)
     p *= K * k
     return p[0] if squeeze else p
 

@@ -329,8 +329,9 @@ class TestQMatrix:
         (1, 0.0, "fibre"), (2, 0.0, "fibre"), (3, 0.0, "fibre"),
         (3, 0.7, "fibre"), (3, 0.0, "c35"), (3, 0.7, "c35")])
     def test_gauged_sampler_on_three_layers(self, al, m, kz, middle):
-        # sample(r, layer, g) is sample(r, layer) * g demoted, bit for bit
-        # and dtype for dtype, and the ungauged samples are q_matrix's: in
+        # a sampler built with the gauge g samples the ungauged one's Q * g
+        # demoted, bit for bit and dtype for dtype, and the ungauged samples
+        # are q_matrix's: in
         # each layer, on both of its ends and inside.  A c35 coupling leaves
         # the gauged P0 and P2 real and P1 complex, so at kz = 0 the samples
         # are real
@@ -345,20 +346,20 @@ class TestQMatrix:
         ctxs = [cw.WaveContext(omega=2.5, n=n, kz=kz, m=m) for n in (1, 2, 3)]
         sample = _q_sampler(prof, ctxs)
         gauge = _gauge(m)[0]
+        gauged = _q_sampler(prof, ctxs, gauge)
         for layer, (lo, hi, mp) in enumerate(layers):
             r = np.array([[lo, hi], [0.5 * (lo + hi), 0.75 * lo + 0.25 * hi]])
             q = sample(r, layer)
-            for _ in range(2):  # the second call reuses the gauged terms
-                qg = sample(r, layer, gauge)
-                want = _demoted(q * gauge)
-                assert qg.dtype == want.dtype and np.array_equal(qg, want)
+            qg = gauged(r, layer)
+            want = _demoted(q * gauge)
+            assert qg.dtype == want.dtype and np.array_equal(qg, want)
             one = cw.RadialProfile.uniform(mp, 0.3, 1.0)
             for i in np.ndindex(r.shape):
                 for k, ctx in enumerate(ctxs):
                     assert np.array_equal(q[i][k],
                                           cw.q_matrix(one, ctx, r[i]).q)
         real = middle == "fibre" or kz == 0.0
-        assert (sample(np.full((2, 3), 0.7), 1, gauge).dtype
+        assert (gauged(np.full((2, 3), 0.7), 1).dtype
                 == np.float64) == real
 
     def test_smooth_sampler_refusals(self):

@@ -447,8 +447,8 @@ class TestIntegrate:
 
         built = []
         sampler = matricant._q_sampler
-        monkeypatch.setattr(matricant, "_q_sampler", lambda prof, ctxs: (
-            built.append(len(ctxs)) or sampler(prof, ctxs)))
+        monkeypatch.setattr(matricant, "_q_sampler", lambda prof, ctxs, g: (
+            built.append(len(ctxs)) or sampler(prof, ctxs, g)))
         prof = _LateTrip()
         ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
         z0s = [np.zeros((2, 2), dtype=complex)] * 2 + [np.diag([-0.3j, 0.0])]
@@ -489,8 +489,8 @@ class TestIntegrate:
 
         built = []
         sampler = matricant._q_sampler
-        monkeypatch.setattr(matricant, "_q_sampler", lambda prof, ctxs: (
-            built.append(len(ctxs)) or sampler(prof, ctxs)))
+        monkeypatch.setattr(matricant, "_q_sampler", lambda prof, ctxs, g: (
+            built.append(len(ctxs)) or sampler(prof, ctxs, g)))
         prof = _EarlyTrip()
         ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
         z0s = [np.diag([0.1j, 0.0])] * 2 + [np.diag([-0.3j, 0.0])]
@@ -700,6 +700,44 @@ def test_outputs_do_not_depend_on_block_length(al, al_layer, block_budgets):
         blocks.append(list(lengths))
     assert blocks[0] != blocks[1]
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("scheme", ["lp4", "mg4", "exp2a"])
+def test_entry_march_does_not_depend_on_its_stack(al, al_layer, scheme,
+                                                  block_budgets):
+    # every entry's march, step by step, is the same bit for bit on any
+    # stack that holds it, which the (frequency, order) stacks of a solve
+    # rely on.  Under the default sample budget the subsets march in blocks
+    # of other lengths than the whole stack, so this covers block length too
+    steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
+    two = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
+    ctxs = [cw.WaveContext(omega=w, n=n, m=2)
+            for w in (2.0, 5.0) for n in range(23)]
+    z0s = [cw.ti_conditional_impedance(
+        1, al_layer, cw.WaveContext(omega=c.omega, n=c.n, m=3), 0.5).z[:2, :2]
+        for c in ctxs]
+
+    def march(idx, lengths):
+        lengths.clear()
+        faults = EntryFaults(len(idx))
+        out = [(r, z.copy(), [(idx[j], ev.r, ev.cond) for j, ev in found])
+               for r, z, found in _march(two, [ctxs[i] for i in idx],
+                                         [z0s[i] for i in idx], 0.5, 1.0,
+                                         200, scheme, faults)]
+        return out, [str(e) for e in faults.errors], list(lengths)
+
+    every = list(range(len(ctxs)))
+    for lengths in block_budgets:
+        whole, errors, whole_blocks = march(every, lengths)
+        assert len(ctxs) == 46 and len(whole) == 200
+        for idx in (every[:10], every[10:], [17], every[::7]):
+            part, part_errors, blocks = march(idx, lengths)
+            assert (blocks != whole_blocks) == (matricant._BLOCK_SAMPLES > 0)
+            assert part_errors == [errors[i] for i in idx]
+            for (r, z, found), (rw, zw, foundw) in zip(part, whole):
+                assert r == rw
+                assert np.array_equal(z, zw[idx])
+                assert found == [ev for ev in foundw if ev[0] in idx]
 
 
 class TestInterfaces:

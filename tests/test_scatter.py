@@ -122,17 +122,43 @@ class TestFormFunction:
 
 class TestPressureField:
     def test_plane_wave_jacobi_anger(self):
-        # with no scatterer the sum must rebuild K k exp(i k r cos theta)
-        ka = 2.5
-        pts = [(r, th) for r in (1.0, 1.7, 3.0) for th in (0.0, 1.1, np.pi)]
-        got = cw.pressure_field(pts, (), ka)
-        want = np.array([ka * np.exp(1j * ka * r * np.cos(th))
-                         for r, th in pts])
-        assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+        # with no scatterer the field is K k exp(i k r cos theta); the
+        # reference is its Jacobi-Anger series sum_n eps_n i^n J_n(kr)
+        # cos(n theta), summed here to 200 orders past kr, where J_n(kr)
+        # is far below the rounding of the sum
+        ka = 0.8
+        for kr in (1.0, 3.7, 10.0, 55.0, 300.0, 1000.0, 2000.0):
+            r = kr / ka
+            x = ka * r  # the argument pressure_field forms
+            n = np.arange(int(x) + 200)
+            jn = special.jv(n, x)
+            assert abs(jn[-1]) < 1e-20
+            series = np.where(n == 0, 1.0, 2.0) * np.array(
+                [1, 1j, -1, -1j])[n % 4] * jn
+            for th in (0.0, 1.1, 2.5, np.pi, -0.4):
+                terms = series * np.cos(n * th)
+                want = ka * complex(math.fsum(terms.real),
+                                    math.fsum(terms.imag))
+                got = cw.pressure_field((r, th), (), ka)
+                assert abs(got - want) < 1e-12 * abs(want), (kr, th)
 
     def test_interior_rejected(self):
         with pytest.raises(InteriorPoint):
             cw.pressure_field((0.8, 0.0), (), 2.0)
+
+    @pytest.mark.parametrize("point, ka, text", [
+        ((math.nan, 0.0), 2.0, "points must be finite"),
+        ((math.inf, 0.0), 2.0, "points must be finite"),
+        ((1.5, math.nan), 2.0, "points must be finite"),
+        ((1.5, 0.0), -1.0, "ka must be positive and finite"),
+        ((1.5, 0.0), math.nan, "ka must be positive and finite"),
+        ((1.5, 0.0), 0.0, "ka must be positive and finite")])
+    def test_refuses_what_it_cannot_evaluate(self, ka5_recursion, point, ka,
+                                             text):
+        # refused before the interior test, never evaluated to NaN
+        for pts in (point, [(0.8, 0.0), point]):
+            with pytest.raises(ValueError, match=text):
+                cw.pressure_field(pts, ka5_recursion.b, ka)
 
     def test_point_and_batch_shapes(self):
         single = cw.pressure_field((1.5, 0.3), (), 2.0)
