@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastodyn import (RadialProfile, WaveContext, _is_number,
-                        profile_from_json, ti_stiffness)
+from .elastodyn import (RadialProfile, WaveContext, _is_number, _ti_moduli,
+                        profile_from_json)
 from .errors import (CylwaveError, DomainError, EntryFaults, SchemaError,
                      UsageError)
 from .impedance import _march, integrate_impedance
@@ -80,24 +80,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.add_argument("--threads", type=int)
     return p
-
-
-def _ti_layers(profile: RadialProfile) -> tuple | None:
-    """LayerTI view of a piecewise profile, or None if any layer is not TI."""
-    if profile.layers is None:
-        return None
-    out = []
-    for (r_in, r_out, mp) in profile.layers:
-        c = mp.stiffness
-        cand = (c[1, 1], c[1, 2], c[1, 3], c[3, 3], c[4, 4])
-        try:
-            ref = ti_stiffness(*cand)
-        except ValueError:
-            return None
-        if not np.allclose(c.c, ref.c, rtol=1e-9, atol=1e-12):
-            return None
-        out.append(LayerTI(r_in, r_out, mp.rho, *cand))
-    return tuple(out)
 
 
 def _pick(flag, run_defaults: dict, key: str, fallback):
@@ -220,8 +202,14 @@ def parse_config(argv) -> RunConfig:
     if threads < 1:
         raise UsageError("--threads must be >= 1")
 
+    try:  # the LayerTI view, None unless every layer is TI
+        layers = tuple(LayerTI(r_in, r_out, mp.rho, *_ti_moduli(mp))
+                       for (r_in, r_out, mp) in profile.layers)
+    except DomainError:
+        layers = None
+
     return RunConfig(command=command, profile_path=ns.profile, profile=profile,
-                     layers=_ti_layers(profile), ka=ka, sweep=sweep, n=n,
+                     layers=layers, ka=ka, sweep=sweep, n=n,
                      kz=kz, scheme=scheme, steps=steps, r0=r0, r1=r1,
                      method=method, threads=threads, out=ns.out)
 
@@ -245,22 +233,13 @@ def _header(cfg: RunConfig, columns: str) -> list:
     return lines
 
 
-def _require_ti(cfg: RunConfig) -> tuple:
-    if cfg.layers is None:
-        raise DomainError(
-            f"the {cfg.command} command needs a piecewise profile of "
-            "isotropic or transversely isotropic layers")
-    return cfg.layers
-
-
 def _det2(z: np.ndarray) -> complex:
     return complex(z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0])
 
 
 def _inner_z(cfg: RunConfig, m: int, n: int, omega: float) -> np.ndarray:
-    lay0 = _require_ti(cfg)[0]
     ctx3 = WaveContext(omega=omega, n=n, kz=cfg.kz, m=3)
-    z3 = ti_conditional_impedance(1, lay0, ctx3, cfg.r0).z
+    z3 = ti_conditional_impedance(1, cfg.layers[0], ctx3, cfg.r0).z
     return z3[:m, :m]
 
 
@@ -280,14 +259,13 @@ def _run_impedance_trace(cfg: RunConfig) -> list:
 
 
 def _run_convergence(cfg: RunConfig) -> list:
-    layers = _require_ti(cfg)
-    if len(layers) != 1:
+    if len(cfg.layers) != 1:
         raise DomainError("convergence needs a single uniform layer "
                           "(the reference solution is closed-form)")
     m = 2 if cfg.kz == 0.0 else 3
     omega = cfg.ka / cfg.r1
     ctx3 = WaveContext(omega=omega, n=cfg.n, kz=cfg.kz, m=3)
-    exact = ti_conditional_impedance(1, layers[0], ctx3, cfg.r1).z
+    exact = ti_conditional_impedance(1, cfg.layers[0], ctx3, cfg.r1).z
     det_exact = _det2(exact)
     ctx = WaveContext(omega=omega, n=cfg.n, kz=cfg.kz, m=m)
     z_in = _inner_z(cfg, m, cfg.n, omega)
@@ -302,23 +280,21 @@ def _run_convergence(cfg: RunConfig) -> list:
 
 
 def _run_scatter(cfg: RunConfig) -> list:
-    layers = _require_ti(cfg)
     if cfg.sweep is None:
         kas = [cfg.ka]
     else:
         kas = list(np.linspace(cfg.sweep[0], cfg.sweep[1], cfg.sweep[2]))
 
     results = solve_sweep(ScatteringConfig(
-        layers=layers, ka=kas[0], scheme=cfg.scheme, steps=cfg.steps,
+        layers=cfg.layers, ka=kas[0], scheme=cfg.scheme, steps=cfg.steps,
         method=cfg.method), kas)
     return [f"{_g17(res.ka)},{_g17(res.sigma_tot)},"
             f"{_g17(abs(res.f_samples[-1][1]))}" for res in results]
 
 
 def _run_field(cfg: RunConfig) -> list:
-    layers = _require_ti(cfg)
     res = solve_scattering(ScatteringConfig(
-        layers=layers, ka=cfg.ka, scheme=cfg.scheme, steps=cfg.steps,
+        layers=cfg.layers, ka=cfg.ka, scheme=cfg.scheme, steps=cfg.steps,
         method=cfg.method))
     axis = np.linspace(-_FIELD_EXTENT, _FIELD_EXTENT, _FIELD_POINTS)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
@@ -351,6 +327,11 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> int:
+    # every command needs the closed-form inner or layer impedances
+    if cfg.layers is None:
+        raise DomainError(
+            f"the {cfg.command} command needs a piecewise profile of "
+            "isotropic or transversely isotropic layers")
     lines = _header(cfg, _COLUMNS[cfg.command]) + _RUNNERS[cfg.command](cfg)
     text = "\n".join(lines) + "\n"
     if cfg.out is None or cfg.out == "-":

@@ -11,6 +11,10 @@ G has one formula, _ig_terms, array code over stacks of stiffness tables
 and contexts: g_matrix evaluates it at one radius, the marcher's sampler once
 per layer of a piecewise profile or per block of radii of a smooth law.
 
+Each input rule has one owner here, called by every entry point: _positive
+(density, omega, wavenumber, ka), _finite_moduli, _contiguous (the layer
+gap) and _ti_moduli (the TI test).
+
 All quantities are nondimensional: lengths by the outer radius, densities by
 the fluid density, speeds by the fluid sound speed, moduli by rho_w*c_w^2.
 """
@@ -23,13 +27,56 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DecouplingError, MaterialSingular, OutOfSupport, SchemaError
+from .errors import (DecouplingError, DomainError, MaterialSingular,
+                     OutOfSupport, SchemaError)
 from .numkernel import _demoted
 
 # reference fluid (water): 1000 kg/m^3, 1470 m/s
 RHO_W = 1000.0
 C_W = 1470.0
 MODULUS_SCALE = RHO_W * C_W * C_W  # Pa per dimensionless modulus unit
+
+
+# ---------------------------------------------------------------------------
+# input rules
+
+
+def _positive(value, name: str) -> None:
+    """Refuse a value that is not positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _finite_moduli(c):
+    """The largest |modulus| of c, real or complex; ValueError unless every
+    modulus is finite."""
+    scale = np.abs(c).max()
+    if not math.isfinite(scale):
+        raise ValueError("stiffness moduli must be finite")
+    return scale
+
+
+def _contiguous(spans) -> None:
+    """Refuse no (r_in, r_out) spans, or consecutive ones more than 1e-12
+    apart."""
+    if not spans:
+        raise ValueError("need at least one layer")
+    for (_, r_out), (r_in, _) in zip(spans, spans[1:]):
+        if abs(r_in - r_out) > 1e-12:
+            raise ValueError(f"layers must be contiguous: {r_out} vs {r_in}")
+
+
+def _ti_moduli(mp: MaterialPoint) -> tuple:
+    """(c11, c12, c13, c33, c44) of a material whose table is ti_stiffness's
+    of them to rtol 1e-9 and atol 1e-12; DomainError for any other."""
+    c = mp.stiffness
+    moduli = (c[1, 1], c[1, 2], c[1, 3], c[3, 3], c[4, 4])
+    try:
+        if np.allclose(c.c, ti_stiffness(*moduli).c, rtol=1e-9, atol=1e-12):
+            return moduli
+    except ValueError:  # c66 = (c11 - c12)/2 overflows
+        pass
+    raise DomainError("material is not transversely isotropic about z")
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +95,7 @@ class StiffnessVoigt:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (6, 6):
             raise ValueError("stiffness table must be 6x6")
-        scale = np.abs(c).max()
-        if not math.isfinite(scale):
-            raise ValueError("stiffness moduli must be finite")
+        scale = _finite_moduli(c)
         if np.abs(c - c.T).max() > 1e-12 * max(1.0, scale):
             raise ValueError("stiffness table must be symmetric")
         object.__setattr__(self, "c", 0.5 * (c + c.T))
@@ -98,8 +143,7 @@ class MaterialPoint:
     stiffness: StiffnessVoigt
 
     def __post_init__(self):
-        if not 0 < self.rho < math.inf:
-            raise ValueError("density must be positive and finite")
+        _positive(self.rho, "density")
 
 
 def aluminium() -> MaterialPoint:
@@ -127,16 +171,11 @@ class RadialProfile:
     @classmethod
     def piecewise(cls, layers) -> "RadialProfile":
         items = []
-        prev_out = None
         for (r_in, r_out, mp) in layers:
             if not (0 < r_in < r_out):
                 raise ValueError(f"bad layer bounds ({r_in}, {r_out})")
-            if prev_out is not None and abs(r_in - prev_out) > 1e-12:
-                raise ValueError("layers must be contiguous")
-            prev_out = r_out
             items.append((float(r_in), float(r_out), mp))
-        if not items:
-            raise ValueError("profile needs at least one layer")
+        _contiguous([item[:2] for item in items])
         return cls(layers=tuple(items),
                    support=(items[0][0], items[-1][1]))
 
@@ -175,8 +214,7 @@ class WaveContext:
     m: int = 3
 
     def __post_init__(self):
-        if not 0 < self.omega < math.inf:
-            raise ValueError("omega must be positive and finite")
+        _positive(self.omega, "omega")
         if not math.isfinite(self.kz):
             raise ValueError("kz must be finite")
         if not 0 <= self.n < math.inf or int(self.n) != self.n:
@@ -474,7 +512,7 @@ def _material_from_json(node: dict, where: str) -> MaterialPoint:
     if mtype not in ("isotropic", "ti", "full"):
         raise SchemaError(f"{where}/type: expected 'isotropic', 'ti' or 'full'")
     rho = node.get("rho")
-    if not _is_number(rho) or not 0 < rho < math.inf:
+    if not _is_number(rho):
         raise SchemaError(f"{where}/rho: expected positive finite number")
     params = node.get("params")
     if not isinstance(params, dict):
@@ -518,7 +556,10 @@ def _material_from_json(node: dict, where: str) -> MaterialPoint:
 
     if not stiff.is_positive_definite():
         raise SchemaError(f"{where}/params: moduli not positive definite")
-    return MaterialPoint(rho=float(rho), stiffness=stiff)
+    try:
+        return MaterialPoint(rho=float(rho), stiffness=stiff)
+    except ValueError as exc:
+        raise SchemaError(f"{where}/rho: {exc}") from None
 
 
 def profile_from_json(source) -> RadialProfile:

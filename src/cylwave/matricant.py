@@ -268,18 +268,6 @@ def _bound(h: float, q: np.ndarray) -> np.ndarray:
     return h * np.sqrt(_norm1(q) * _norm1(q.swapaxes(-1, -2)))
 
 
-def _frobenius(x: np.ndarray) -> np.ndarray:
-    # |x|_F of each k x k matrix, k <= 3, summed from slices in the order
-    # np.linalg.norm sums k * k contiguous squares: one by one below eight,
-    # else eight lanes added pairwise, then the ninth
-    sq = (x.conj() * x).real if np.iscomplexobj(x) else x * x
-    t = [sq[..., i, j] for i in range(x.shape[-2]) for j in range(x.shape[-1])]
-    if len(t) >= 8:
-        t = [((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
-             ] + t[8:]
-    return np.sqrt(reduce(np.add, t))
-
-
 def _guard(h: float, q: np.ndarray) -> np.ndarray:
     # Each matrix's h |D^-1 Q D|_2, or 0 where its bounds show it below 20.
     # D = diag(I, sI) balances the off-diagonal blocks: at kz = 0 the U/V
@@ -292,8 +280,8 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
         return nrm
     qo = q[over]
     k = q.shape[-1] // 2
-    q2 = _frobenius(qo[:, :k, k:])
-    q3 = _frobenius(qo[:, k:, :k])
+    q2 = np.linalg.norm(qo[:, :k, k:], axis=(-2, -1))
+    q3 = np.linalg.norm(qo[:, k:, :k], axis=(-2, -1))
     both = (q2 > 0) & (q3 > 0)
     s = np.sqrt(np.divide(q3, q2, out=np.ones_like(q2), where=both))
     d = np.concatenate([np.ones((len(qo), k)), np.repeat(s[:, None], k, 1)],

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special
 
 from .cylfun import KIND_H1, KIND_J
-from .elastodyn import RadialProfile, WaveContext
+from .elastodyn import RadialProfile, WaveContext, _contiguous, _positive
 from .errors import (DomainError, EntryFaults, InteriorPoint,
                      TangentialResonance)
 from .impedance import ConditionalImpedance, _conditional_stack, _march
@@ -57,8 +57,7 @@ class FluidHalfSpace:
     rho_f: float = 1.0
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("wavenumber must be positive")
+        _positive(self.k, "wavenumber")
 
 
 @dataclass(frozen=True)
@@ -81,14 +80,8 @@ class ScatteringConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        if not self.layers:
-            raise ValueError("need at least one layer")
-        # RadialProfile.piecewise's rule; lossy layers cannot build a profile
-        for inner, outer in zip(self.layers, self.layers[1:]):
-            if abs(outer.r_inner - inner.r_outer) > 1e-12:
-                raise ValueError("layers must be contiguous")
-        if not 0 < self.ka < math.inf:
-            raise ValueError("ka must be positive and finite")
+        _contiguous([(x.r_inner, x.r_outer) for x in self.layers])
+        _positive(self.ka, "ka")
         _count(self.steps, "steps", 1)
         if self.n_max is not None:
             _count(self.n_max, "n_max", 0)
@@ -136,8 +129,7 @@ def _coefficients(stack: OrderStack, ka, K: float,
 
 def scattering_coefficient(n: int, ka: float, K: float, z0: complex) -> complex:
     """Partial-wave coefficient B_n of the scattered (H1) series."""
-    if ka <= 0:
-        raise ValueError("ka must be positive")
+    _positive(ka, "ka")
     stack = OrderStack([ka], 0.0, [n])
     b = _coefficients(stack, ka, K, z0)
     stack.faults.check(0)
@@ -176,8 +168,7 @@ def pressure_field(points, b, ka: float, K: float = 1.0) -> np.ndarray:
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != 2:
         raise ValueError("points must be (r, theta) pairs")
-    if not 0 < ka < math.inf:
-        raise ValueError("ka must be positive and finite")
+    _positive(ka, "ka")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     r = pts[:, 0]

@@ -15,6 +15,9 @@ over the frequencies, and each (kind, k r) is one cylinder-function table
 over all entries; a failing entry leaves its typed error in the stack's
 record and the others go on.  The public functions are stacks of one
 entry.
+
+The input rules are elastodyn's: LayerTI calls _positive and _finite_moduli,
+the joins _contiguous, and a MaterialPoint given as a TI layer _ti_moduli.
 """
 from __future__ import annotations
 
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylfun import Tables
-from .elastodyn import MaterialPoint, WaveContext, ti_stiffness
+from .elastodyn import (MaterialPoint, WaveContext, _contiguous,
+                        _finite_moduli, _positive, _ti_moduli, ti_stiffness)
 from .errors import (BasisDegenerate, EntryFaults, InterfaceResonance,
                      KzZeroCoupling, ModeResonance)
 from .impedance import ConditionalImpedance, TwoPointImpedance
@@ -57,8 +61,8 @@ class LayerTI:
     def __post_init__(self):
         if not (0 < self.r_inner < self.r_outer):
             raise ValueError("need 0 < r_inner < r_outer")
-        if self.rho <= 0:
-            raise ValueError("density must be positive")
+        _positive(self.rho, "density")
+        _finite_moduli([self.c11, self.c12, self.c13, self.c33, self.c44])
 
     @property
     def c66(self) -> float:
@@ -84,8 +88,8 @@ def _moduli(layer) -> tuple:
     if isinstance(layer, LayerTI):
         m = (layer.rho, layer.c11, layer.c13, layer.c33, layer.c44, layer.c66)
     elif isinstance(layer, MaterialPoint):
-        c = layer.stiffness
-        m = (layer.rho, c[1, 1], c[1, 3], c[3, 3], c[4, 4], c[6, 6])
+        c11, _, c13, c33, c44 = _ti_moduli(layer)
+        m = (layer.rho, c11, c13, c33, c44, layer.stiffness[6, 6])
     else:
         raise TypeError(
             f"expected LayerTI or MaterialPoint, got {type(layer)!r}")
@@ -369,12 +373,6 @@ def layer_twopoint(layer: LayerTI, ctx: WaveContext,
         layer.r_inner, layer.r_outer)
 
 
-def _check_contiguous(r_to: float, r_from: float) -> None:
-    # RadialProfile.piecewise's rule, which ScatteringConfig applies too
-    if abs(r_to - r_from) > 1e-12:
-        raise ValueError(f"layers not contiguous: {r_to} vs {r_from}")
-
-
 def _join(za: np.ndarray, zb: np.ndarray, faults: EntryFaults) -> np.ndarray:
     k = za.shape[-1] // 2
     z = np.empty_like(za)
@@ -396,7 +394,7 @@ def join_twopoint(za: TwoPointImpedance,
     Continuity of displacement and traction eliminates the interface degrees
     of freedom through the Schur complement of D = Z4a + Z1b.
     """
-    _check_contiguous(za.r_to, zb.r_from)
+    _contiguous([(za.r_from, za.r_to), (zb.r_from, zb.r_to)])
     faults = EntryFaults(1)
     z = _join(za.z[None], zb.z[None], faults)
     faults.check(0)
@@ -405,16 +403,14 @@ def join_twopoint(za: TwoPointImpedance,
 
 def _global_stack(layers, stack: OrderStack) -> np.ndarray:
     acc = _layer_stack(layers[0], stack)
-    for inner, layer in zip(layers, layers[1:]):
-        _check_contiguous(inner.r_outer, layer.r_inner)
+    for layer in layers[1:]:
         acc = _join(acc, _layer_stack(layer, stack), stack.faults)
     return acc
 
 
 def global_twopoint(layers, ctx: WaveContext) -> TwoPointImpedance:
     """Left-fold of join_twopoint over the per-layer impedances."""
-    if not layers:
-        raise ValueError("need at least one layer")
+    _contiguous([(x.r_inner, x.r_outer) for x in layers])
     return TwoPointImpedance(
         _single(ctx, lambda s: _global_stack(layers, s)),
         layers[0].r_inner, layers[-1].r_outer)

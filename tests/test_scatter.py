@@ -95,8 +95,10 @@ class TestCoefficient:
                 assert abs(abs(1 + 2 * b) - 1) < 1e-12
 
     def test_rejects_bad_ka(self):
-        with pytest.raises(ValueError):
-            cw.scattering_coefficient(0, -1.0, 1.0, 0.0)
+        for ka in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="^ka must be positive and finite$"):
+                cw.scattering_coefficient(0, ka, 1.0, 0.0)
 
 
 class TestFormFunction:
@@ -425,19 +427,26 @@ class TestSolve:
         (dict(n_max=2.5), "n_max must be >= 0"),
         (dict(n_max=-1), "n_max must be >= 0"),
         (dict(scheme="nope"), "unknown scheme"),
+        *((dict(layer=dict(rho=rho)), "density must be positive and finite")
+          for rho in (math.nan, math.inf, 0.0, -1.0)),
+        (dict(layer=dict(c44=math.nan)), "stiffness moduli must be finite"),
+        (dict(layer=dict(c11=math.inf)), "stiffness moduli must be finite"),
     ], ids=["gap", "float-steps", "float64-steps", "float-n_max",
-            "negative-n_max", "scheme"])
+            "negative-n_max", "scheme", "rho-nan", "rho-inf", "rho-zero",
+            "rho-negative", "c44-nan", "c11-inf"])
     def test_config_refuses_what_a_route_fails_on(self, al_layer, method,
                                                   bad, match):
-        # both routes refuse the same settings when the config is built,
-        # before either solves: a gap past RadialProfile.piecewise's 1e-12,
-        # a step count or order cap that is not an integer in range, an
-        # unknown scheme
+        # both routes refuse the same settings, with one message, before
+        # either solves: a layer whose density is not positive and finite or
+        # whose moduli are not finite, a gap past RadialProfile.piecewise's
+        # 1e-12, a step count or order cap that is not an integer in range,
+        # an unknown scheme
         bad = dict(bad)
         gap = bad.pop("gap", 0.0)
-        inner = replace(al_layer, r_outer=0.75)
-        outer = replace(al_layer, r_inner=0.75 + gap)
+        layer = bad.pop("layer", {})
         with pytest.raises(ValueError, match=match):
+            inner = replace(al_layer, r_outer=0.75, **layer)
+            outer = replace(al_layer, r_inner=0.75 + gap)
             cw.ScatteringConfig((inner, outer), ka=1.0, method=method, **bad)
 
     @pytest.mark.parametrize("method", ["integrate", "recursion"])
@@ -450,8 +459,10 @@ class TestSolve:
         assert got == want
 
     def test_fluid_halfspace_validation(self):
-        with pytest.raises(ValueError):
-            cw.FluidHalfSpace(k=0.0)
+        for k in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="wavenumber must be positive and finite"):
+                cw.FluidHalfSpace(k=k)
         assert cw.FluidHalfSpace(k=2.0).K == 1.0
 
 

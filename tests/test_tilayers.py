@@ -12,7 +12,8 @@ from scipy.special import jn_zeros
 
 import cylwave as cw
 from cylwave import cylfun, scatter
-from cylwave.errors import (AccuracyLoss, BasisDegenerate,
+from cylwave.elastodyn import _ti_moduli
+from cylwave.errors import (AccuracyLoss, BasisDegenerate, DomainError,
                             InterfaceResonance, KzZeroCoupling, ModeResonance)
 from cylwave.tilayers import _wavenumbers
 
@@ -403,8 +404,8 @@ class TestJoin:
             cw.join_twopoint(za, zb)
 
     def test_gap_rule_matches_the_profile(self, al_layer):
-        # join_twopoint and global_twopoint refuse a gap past 1e-12, as
-        # RadialProfile.piecewise does, and compose one of 1e-13
+        # join_twopoint and global_twopoint refuse a gap past 1e-12 with
+        # RadialProfile.piecewise's message, and compose one of 1e-13
         ctx = cw.WaveContext(omega=5.0, n=1, kz=0.3)
         for gap, joins in ((1e-10, False), (1e-13, True)):
             layers = [replace(al_layer, r_outer=0.75),
@@ -416,11 +417,11 @@ class TestJoin:
                 assert np.array_equal(joined.z, whole.z)
                 assert (whole.r_from, whole.r_to) == (0.5, 1.0)
                 continue
-            with pytest.raises(ValueError, match="not contiguous"):
+            with pytest.raises(ValueError, match="layers must be contiguous"):
                 cw.join_twopoint(*parts)
-            with pytest.raises(ValueError, match="not contiguous"):
+            with pytest.raises(ValueError, match="layers must be contiguous"):
                 cw.global_twopoint(layers, ctx)
-            with pytest.raises(ValueError, match="must be contiguous"):
+            with pytest.raises(ValueError, match="layers must be contiguous"):
                 cw.RadialProfile.piecewise([(lay.r_inner, lay.r_outer,
                                              lay.material())
                                             for lay in layers])
@@ -493,6 +494,13 @@ class TestLayerType:
             cw.LayerTI(1.0, 0.5, 1.0, 50.0, 20.0, 10.0, 45.0, 12.0)
         with pytest.raises(ValueError):
             cw.LayerTI(0.5, 1.0, -1.0, 50.0, 20.0, 10.0, 45.0, 12.0)
+        # non-finite moduli are refused, complex (lossy) ones taken
+        for bad in (dict(c13=math.nan), dict(c33=-math.inf),
+                    dict(c12=complex(math.inf, 0.0))):
+            with pytest.raises(ValueError,
+                               match="^stiffness moduli must be finite$"):
+                replace(_ti_layer_b(), **bad)
+        replace(_ti_layer_b(), c11=60.0 * (1 - 0.02j))
 
     def test_c66(self):
         layer = _ti_layer_b()
@@ -517,3 +525,46 @@ class TestLayerType:
         a = cw.layer_twopoint(al_layer, ctx, basis=[1, 3])
         b = cw.layer_twopoint(al_layer, ctx)
         assert_allclose(a.z, b.z, atol=0)
+
+
+# the benchmark's fibre composite: carbon-epoxy with fibres along z
+FIBRE = (1.6, 6.6, 3.2, 2.8, 64.8, 3.2)
+
+
+def _perturbed(table_edit):
+    """The fibre material with its Voigt table edited in place by
+    table_edit(c), 0-based, kept symmetric."""
+    c = cw.ti_stiffness(*FIBRE[1:]).c.copy()
+    table_edit(c)
+    return cw.MaterialPoint(FIBRE[0], cw.StiffnessVoigt(0.5 * (c + c.T)))
+
+
+class TestTIMaterialPoint:
+    """A MaterialPoint stands in for a TI layer only if its table is the TI
+    one of its own moduli, the test the command line applies to a profile."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.__setitem__((0, 5), 0.4),  # c16
+        lambda c: c.__setitem__((5, 5), c[5, 5] * 1.1),  # c66
+    ], ids=["c16", "c66"])
+    @pytest.mark.parametrize("call", [
+        lambda mp, ctx: cw.ti_conditional_impedance(1, mp, ctx, 0.6),
+        lambda mp, ctx: cw.ti_displacement_matrix(1, mp, ctx, 0.6),
+        lambda mp, ctx: cw.ti_wavenumbers(mp, ctx.omega, ctx.kz),
+    ], ids=["impedance", "displacement", "wavenumbers"])
+    def test_non_ti_table_refused(self, edit, call):
+        mp = _perturbed(edit)
+        with pytest.raises(DomainError, match="not transversely isotropic"):
+            call(mp, cw.WaveContext(omega=3.0, n=2, kz=1.2))
+
+    def test_fibre_core_is_bitwise_its_layer(self):
+        # the core of the benchmark's graded march: the TI test keeps the
+        # table's own moduli, c66 included, so z is that of the LayerTI
+        core = cw.MaterialPoint(FIBRE[0], cw.ti_stiffness(*FIBRE[1:]))
+        assert _ti_moduli(core) == FIBRE[1:]
+        layer = cw.LayerTI(0.3, 0.6, *FIBRE)
+        for kz in (0.0, 1.7):
+            ctx = cw.WaveContext(omega=4.2, n=3, kz=kz)
+            got = cw.ti_conditional_impedance(1, core, ctx, 0.6).z
+            want = cw.ti_conditional_impedance(1, layer, ctx, 0.6).z
+            assert got.tobytes() == want.tobytes()
