@@ -113,7 +113,7 @@ def _real(value, flag: str) -> float:
     """A real setting; it must be a finite number."""
     try:
         value = float(_numeric(value))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
         raise UsageError(f"{flag} must be a finite number")

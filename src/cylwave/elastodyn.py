@@ -12,8 +12,8 @@ and contexts: g_matrix evaluates it at one radius, the marcher's sampler once
 per layer of a piecewise profile or per block of radii of a smooth law.
 
 Each input rule has one owner here, called by every entry point: _positive
-(density, omega, wavenumber, ka), _finite_moduli, _contiguous (the layer
-gap) and _ti_moduli (the TI test).
+(density, omega, wavenumber, ka), _finite_moduli, _bounds (a layer's or a
+law's radii), _contiguous (the layer gap) and _ti_moduli (the TI test).
 
 All quantities are nondimensional: lengths by the outer radius, densities by
 the fluid density, speeds by the fluid sound speed, moduli by rho_w*c_w^2.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (DecouplingError, DomainError, MaterialSingular,
                      OutOfSupport, SchemaError)
-from .numkernel import _demoted
+from .numkernel import _demoted, _norm1
 
 # reference fluid (water): 1000 kg/m^3, 1470 m/s
 RHO_W = 1000.0
@@ -54,6 +54,13 @@ def _finite_moduli(c):
     if not math.isfinite(scale):
         raise ValueError("stiffness moduli must be finite")
     return scale
+
+
+def _bounds(r_in, r_out) -> None:
+    """Refuse radii of a layer or law unless 0 < r_in < r_out < inf."""
+    if not 0 < r_in < r_out < math.inf:
+        raise ValueError(f"layer bounds must be 0 < r_in < r_out < inf: "
+                         f"({r_in}, {r_out})")
 
 
 def _contiguous(spans) -> None:
@@ -172,8 +179,7 @@ class RadialProfile:
     def piecewise(cls, layers) -> "RadialProfile":
         items = []
         for (r_in, r_out, mp) in layers:
-            if not (0 < r_in < r_out):
-                raise ValueError(f"bad layer bounds ({r_in}, {r_out})")
+            _bounds(r_in, r_out)
             items.append((float(r_in), float(r_out), mp))
         _contiguous([item[:2] for item in items])
         return cls(layers=tuple(items),
@@ -182,8 +188,7 @@ class RadialProfile:
     @classmethod
     def smooth(cls, fn: Callable[[float], MaterialPoint], r_min: float,
                r_max: float) -> "RadialProfile":
-        if not (0 < r_min < r_max):
-            raise ValueError("need 0 < r_min < r_max")
+        _bounds(r_min, r_max)
         return cls(smooth_fn=fn, support=(float(r_min), float(r_max)))
 
     @classmethod
@@ -435,7 +440,10 @@ def _q_sampler(profile, ctxs, gauge=None):
     are Q * g, in float64 where their imaginary parts are exactly zero.
 
     Samples are (1/r) (P0 + kz r P1 + r^2 P2) from _ig_terms' terms, equal
-    to q_matrix's bit for bit.  A piecewise profile builds, gauges and
+    to q_matrix's bit for bit.  A piecewise profile's sampler also has
+    ``sample.bound(lo, hi, layer)``, per context an upper bound on
+    sqrt(|Q|_1 |Q|_inf) over the radii [lo, hi] of the layer, from the
+    norms of its terms, taken once.  A piecewise profile builds, gauges and
     demotes each layer's terms once, when the sampler is built; products
     with g are exact, so its samples are Q * g bit for bit, formed in
     float64 for lossless orthotropic layers.  A smooth law, called once per
@@ -489,10 +497,25 @@ def _q_sampler(profile, ctxs, gauge=None):
         terms[1] *= kz != 0
     layer_terms = [t if gauge is None else _demoted(t)
                    for t in terms.swapaxes(0, 1)]
+    # the 1- and inf-norms of each layer's terms (layers, 2, 3, len(ctxs)),
+    # P1's times |kz|; the gauge keeps every |entry|
+    norms = np.stack([_norm1(terms), _norm1(terms.swapaxes(-1, -2))])
+    norms[:, 1] *= np.abs(kz[:, 0, 0])
+    norms = norms.transpose(2, 0, 1, 3)
 
     def sample(r, layer):
         return q_of(layer_terms[layer], np.asarray(r, dtype=float))
 
+    def bound(lo, hi, layer):
+        # |Q(r)|_p <= |P0|_p / r + |kz| |P1|_p + r |P2|_p for p = 1 and inf;
+        # the product of the two is a sum of r^-2 .. r^2 with nonnegative
+        # coefficients, so convex, and its largest value on [lo, hi] is at
+        # an end
+        c = norms[layer]
+        return np.sqrt(np.maximum(*((c[:, 0] / x + c[:, 1] + x * c[:, 2])
+                                    .prod(axis=0) for x in (lo, hi))))
+
+    sample.bound = bound
     return sample
 
 
@@ -505,23 +528,35 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _json_float(x, where: str, expected: str) -> float:
+    """x as a float if it is a JSON number that a float can hold; else
+    SchemaError at where."""
+    if _is_number(x):
+        try:
+            return float(x)
+        except OverflowError:  # an int past the float range
+            pass
+    raise SchemaError(f"{where}: expected {expected}")
+
+
 def _material_from_json(node: dict, where: str) -> MaterialPoint:
     if not isinstance(node, dict):
         raise SchemaError(f"{where}: expected object")
     mtype = node.get("type")
     if mtype not in ("isotropic", "ti", "full"):
         raise SchemaError(f"{where}/type: expected 'isotropic', 'ti' or 'full'")
-    rho = node.get("rho")
-    if not _is_number(rho):
-        raise SchemaError(f"{where}/rho: expected positive finite number")
+    rho = _json_float(node.get("rho"), f"{where}/rho",
+                      "positive finite number")
     params = node.get("params")
     if not isinstance(params, dict):
         raise SchemaError(f"{where}/params: expected object")
 
     def modulus(key) -> float:
-        if not _is_number(params[key]) or not math.isfinite(params[key]):
-            raise SchemaError(f"{where}/params/{key}: expected finite number")
-        return float(params[key])
+        at = f"{where}/params/{key}"
+        value = _json_float(params[key], at, "finite number")
+        if not math.isfinite(value):
+            raise SchemaError(f"{at}: expected finite number")
+        return value
 
     if mtype == "isotropic":
         if "lambda" in params and "mu" in params:
@@ -557,7 +592,7 @@ def _material_from_json(node: dict, where: str) -> MaterialPoint:
     if not stiff.is_positive_definite():
         raise SchemaError(f"{where}/params: moduli not positive definite")
     try:
-        return MaterialPoint(rho=float(rho), stiffness=stiff)
+        return MaterialPoint(rho=rho, stiffness=stiff)
     except ValueError as exc:
         raise SchemaError(f"{where}/rho: {exc}") from None
 
@@ -583,12 +618,10 @@ def profile_from_json(source) -> RadialProfile:
         for key in ("r_in", "r_out", "material"):
             if key not in layer:
                 raise SchemaError(f"/layers/{i}/{key}: missing")
-        for key in ("r_in", "r_out"):
-            if not _is_number(layer[key]):
-                raise SchemaError(f"/layers/{i}/{key}: expected number")
-        r_in, r_out = layer["r_in"], layer["r_out"]
+        r_in, r_out = (_json_float(layer[key], f"/layers/{i}/{key}", "number")
+                       for key in ("r_in", "r_out"))
         mp = _material_from_json(layer["material"], f"/layers/{i}/material")
-        items.append((float(r_in), float(r_out), mp))
+        items.append((r_in, r_out, mp))
     try:
         return RadialProfile.piecewise(items)
     except ValueError as exc:

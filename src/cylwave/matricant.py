@@ -32,6 +32,19 @@ are real (see cylwave.impedance).
 matricant_step and matricant_global are stacks of one that raise their
 entry's error, and sample Q ungauged and stay complex.
 
+The guard's first test is h sqrt(|Q|_1 |Q|_inf) <= 20 per sample.  In a
+layer of a piecewise profile Q(r) = P0 / r + kz P1 + r P2, so |Q(r)|_p is
+at most |P0|_p / r + |kz| |P1|_p + r |P2|_p for p = 1 and inf; the sampler
+takes these term norms once per layer and entry.  The product of the two
+bounds expands into r^-2..r^2 with nonnegative coefficients, so it is
+convex, and its largest value on a block lies at one of the block's end
+radii.  An entry whose bound there is at most 20 (1 - 1e-12), the margin
+covering round-off, passes every sample, and the guard, which would give
+it 0, does not see it; every other entry goes through the guard on its
+own samples, so the verdicts and texts are those of the guard on every
+sample.  A smooth law and the q_at hook have no layer terms, and the guard
+sees all their samples.
+
 No scheme needs derivatives of Q, but each interpolates Q within its step,
 so no step may contain a jump in Q.  _segments cuts each span at the
 interfaces of a piecewise profile inside it, and every piece is stepped in
@@ -59,6 +72,9 @@ _SQ3 = np.sqrt(3.0)
 # to hold _BLOCK_STEPS steps
 _BLOCK_SAMPLES = 4096
 _BLOCK_STEPS = 10
+# a term bound h sqrt(|Q|_1 |Q|_inf) at most this proves every sample of
+# its entry below the guard's 20, with room for the rounding of both
+_PROVEN = 20.0 * (1 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -311,12 +327,22 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
               for a, h, n, layer in _segments(profile, r0, span, steps)
               for i in range(0, n, size)]
     sample = _q_sampler(profile, ctxs, gauge)
+    bound = getattr(sample, "bound", None)
     for r, h, layer in blocks:
         if not faults.ok.any():
             return
         qs = sample(r + (np.array(nodes) * h)[:, None], layer)
         qs[:, :, ~faults.ok] = 0
-        nrm = _guard(h, qs).max(axis=0)
+        # the guard sees the entries that the layer's terms do not prove
+        # below its first bound on the block; it gives the others 0
+        check = faults.ok
+        if bound is not None:
+            check = check & ~(h * bound(r[0], r[-1] + h, layer) <= _PROVEN)
+        nrm = np.zeros(qs.shape[1:3])
+        if check.all():
+            nrm = _guard(h, qs).max(axis=0)
+        elif check.any():
+            nrm[:, check] = _guard(h, qs[:, :, check]).max(axis=0)
         over = nrm > 20.0
         tripped = over.any(axis=0)
         for i in np.flatnonzero(tripped):

@@ -8,19 +8,34 @@ The elastic side enters only through the scalar surface impedance z0,
 obtained from the conditional impedance matrix at r = a by eliminating the
 tangential displacement components under zero tangential traction.
 
-A solve runs on one stack of entries (ka, n): every order up to the cap of
-every ka of a sweep, consecutive ka sharing a stack up to _STACK_ENTRIES
-entries.  Each stage runs once per stack, not once per ka: the integrate
-route in one Moebius march, the recursion route as array code over the
-entries (closed-form layers, joins, inner impedance), and both then z0 and
-B_n.  A truncation walk over each ka's own orders n follows, ka by ka in
-sweep order.  A typed error of an entry (a cylinder-function zero or
-impedance pole, a degenerate basis, an interface or inner resonance, the
-step guard, a singular Moebius denominator) and its AccuracyLoss warnings
-are kept in the stack's record and surface only if the walk of its ka
-reaches that order, so orders past the early stop never fail a solve and
-the first failing ka of a sweep raises; an entry that already failed
-steps through the march by the identity.
+A solve runs on stacks of entries (ka, n), consecutive ka of a sweep
+sharing a stack up to _STACK_ENTRIES entries.  Each stage runs once per
+stack, not once per ka: the integrate route in one Moebius march, the
+recursion route as array code over the entries (closed-form layers, joins,
+inner impedance), and both then z0 and B_n.  A truncation walk over each
+ka's own orders n follows, ka by ka in sweep order; it stops once |B_n| <
+_B_TAIL twice in a row, or at the cap.
+
+A solve runs in two passes so that it solves only the orders the walk
+reads.  The estimate n_est of a ka is the first order n >= 1 at which
+orders n - 1 and n of both the soft and the rigid cylinder have |B_n|
+below _B_TAIL / 100, from J_n and H_n at ka alone; the cap if there is
+none.  The first pass solves orders 0..n_est of every ka of a run, the
+runs formed from these sizes.  Only a ka whose B_n do not stop the walk by
+n_est, and whose n_est is below the cap, gets a second pass: orders
+n_est + 1..cap of all such ka of the run, on one stack, after which the
+walks read on.  No result rests on the estimate: each entry's march, and
+each recursion entry, is the same bit for bit on any stack that holds it,
+so the B_n, sigma_tot and f(theta) equal those of one stack of every order
+up to the cap.
+
+A typed error of an entry (a cylinder-function zero or impedance pole, a
+degenerate basis, an interface or inner resonance, the step guard, a
+singular Moebius denominator) and its AccuracyLoss warnings are kept in
+its stack's record and surface only if the walk of its ka reaches that
+order, so orders past the early stop never fail a solve and the first
+failing ka of a sweep raises; an entry that already failed steps through
+the march by the identity.
 """
 from __future__ import annotations
 
@@ -236,39 +251,76 @@ def _recursion_orders(config: ScatteringConfig,
                               stack.faults)
 
 
-def _runs(caps: list):
-    """Consecutive runs of the ka whose entries, cap + 1 orders each, fit
-    _STACK_ENTRIES; a ka that alone passes it is a run of its own."""
-    run, size = [], 0
-    for i, cap in enumerate(caps):
-        if run and size + cap + 1 > _STACK_ENTRIES:
+def _runs(sizes: list):
+    """Consecutive runs of the indices of sizes, entries per ka, whose sum
+    fits _STACK_ENTRIES; a ka that alone passes it is a run of its own."""
+    run, total = [], 0
+    for i, size in enumerate(sizes):
+        if run and total + size > _STACK_ENTRIES:
             yield run
-            run, size = [], 0
+            run, total = [], 0
         run.append(i)
-        size += cap + 1
+        total += size
     if run:
         yield run
 
 
-def _walk(config: ScatteringConfig, faults: EntryFaults, b_all: np.ndarray,
-          first: int, cap: int) -> ScatteringResult:
-    """The truncation walk of one ka over its entries first..first + cap."""
-    bs = []
-    small_run = 0
-    for n in range(cap + 1):
+def _stop(b, tail: float):
+    """The first order n >= 1 at which |b| of orders n - 1 and n are both
+    below tail, or None."""
+    small = np.abs(b) < tail
+    hits = np.flatnonzero(small[1:] & small[:-1])
+    return int(hits[0]) + 1 if len(hits) else None
+
+
+def _estimate(ka: float, cap: int) -> int:
+    """Where the walk of ka is expected to stop: the first order n >= 1 at
+    which orders n - 1 and n of both the soft and the rigid cylinder,
+    |B_n| = |J_n(ka) / H_n(ka)| and |J_n'(ka) / H_n'(ka)|, lie below
+    _B_TAIL / 100; the cap if none up to it does.  A fluid-side bound of
+    the kind of Wiscombe (Appl. Opt. 19 (1980) 1505); the 100 is a
+    margin, and no result rests on it (see the module docstring)."""
+    n = np.arange(cap + 1)
+    with np.errstate(all="ignore"):
+        b = np.maximum(np.abs(special.jv(n, ka) / special.hankel1(n, ka)),
+                       np.abs(special.jvp(n, ka) / special.h1vp(n, ka)))
+    stop = _stop(b, _B_TAIL / 100)
+    return cap if stop is None else stop
+
+
+def _stacked(config: ScatteringConfig, spans: list) -> list:
+    """For each (ka, lo, hi) of spans, the B_n of orders lo..hi at ka and,
+    per order, the record of the one stack they are all solved on and its
+    entry there."""
+    kas = [ka for ka, _, _ in spans]
+    a = config.layers[-1].r_outer
+    sizes = [hi - lo + 1 for _, lo, hi in spans]
+    stack = OrderStack([k / a for k in kas], 0.0,
+                       np.concatenate([np.arange(lo, hi + 1)
+                                       for _, lo, hi in spans]),
+                       np.repeat(np.arange(len(spans)), sizes))
+    if config.method == "integrate":
+        z = _integrated_orders(config, stack)
+    else:
+        z = _recursion_orders(config, stack)
+    b = _coefficients(stack, np.array(kas), FluidHalfSpace.K,
+                      _surface_impedances(z, stack.faults))
+    ends = np.cumsum(sizes).tolist()
+    return [(b[e - s:e], [(stack.faults, i) for i in range(e - s, e)])
+            for s, e in zip(sizes, ends)]
+
+
+def _walk(config: ScatteringConfig, b: np.ndarray,
+          entries: list) -> ScatteringResult:
+    """The truncation walk of one ka over its B_n, b, orders 0 on; entry n
+    of entries is the record of order n and its index there."""
+    stop = _stop(b, _B_TAIL)
+    reached = len(b) if stop is None else stop + 1
+    for faults, i in entries[:reached]:
         # warnings point past _walk and _solve_kas at the line that called
         # solve_scattering or solve_sweep
-        faults.check(first + n, stacklevel=5)
-        bn = complex(b_all[first + n])
-        bs.append(bn)
-        if abs(bn) < _B_TAIL:
-            small_run += 1
-            if small_run >= 2:
-                break
-        else:
-            small_run = 0
-
-    b = tuple(bs)
+        faults.check(i, stacklevel=5)
+    b = tuple(map(complex, b[:reached]))
     f = form_function(np.array(_F_ANGLES), b, config.ka)
     # total_cross_section's (4 pi / ka) Im f(0), from _F_ANGLES[0] = 0
     sigma = 4.0 * math.pi / config.ka * float(f[0].imag)
@@ -280,26 +332,25 @@ def _solve_kas(config: ScatteringConfig, kas) -> list:
     """The body of solve_sweep and solve_scattering, one frame below each so
     that the walk's warnings name their caller's line."""
     configs = [replace(config, ka=ka) for ka in kas]
-    a = config.layers[-1].r_outer
     caps = [c.n_max if c.n_max is not None else 2 * math.ceil(c.ka) + 12
             for c in configs]
+    ests = [_estimate(c.ka, cap) for c, cap in zip(configs, caps)]
     out = []
-    for run in _runs(caps):
-        ka = [configs[i].ka for i in run]
-        sizes = [caps[i] + 1 for i in run]
-        stack = OrderStack([k / a for k in ka], 0.0,
-                           np.concatenate([np.arange(s) for s in sizes]),
-                           np.repeat(np.arange(len(run)), sizes))
-        if config.method == "integrate":
-            z = _integrated_orders(config, stack)
-        else:
-            z = _recursion_orders(config, stack)
-        b_all = _coefficients(stack, np.array(ka), FluidHalfSpace.K,
-                              _surface_impedances(z, stack.faults))
-        first = 0
+    for run in _runs([e + 1 for e in ests]):
+        # pass 1: orders 0..n_est of each ka; pass 2: n_est + 1..cap of
+        # each ka whose walk does not stop by n_est
+        got = dict(zip(run, _stacked(
+            config, [(configs[i].ka, 0, ests[i]) for i in run])))
+        more = [i for i in run
+                if ests[i] < caps[i] and _stop(got[i][0], _B_TAIL) is None]
+        for sub in _runs([caps[i] - ests[i] for i in more]):
+            part = [more[j] for j in sub]
+            for i, (b, entries) in zip(part, _stacked(
+                    config, [(configs[i].ka, ests[i] + 1, caps[i])
+                             for i in part])):
+                got[i] = (np.concatenate([got[i][0], b]), got[i][1] + entries)
         for i in run:
-            out.append(_walk(configs[i], stack.faults, b_all, first, caps[i]))
-            first += caps[i] + 1
+            out.append(_walk(configs[i], *got[i]))
     return out
 
 
@@ -315,7 +366,7 @@ def solve_sweep(config: ScatteringConfig, kas) -> list:
 def solve_scattering(config: ScatteringConfig) -> ScatteringResult:
     """Run the partial-wave pipeline for one frequency.
 
-    The surface impedance z(a) of every order up to the cap is produced
+    The surface impedance z(a) of each order solved is produced
     either by Moebius integration of the in-plane (m=2) system from the
     inner radius outward ("integrate") or from the closed-form layer
     impedances joined recursively ("recursion").  The inner condition is
@@ -325,7 +376,10 @@ def solve_scattering(config: ScatteringConfig) -> ScatteringResult:
 
     Truncation: hard cap n_max (default 2*ceil(ka) + 12), early stop once
     |B_n| < 1e-10 twice in a row; an order's typed error is raised only if
-    the walk reaches it (see the module docstring).  This is the one-ka
-    case of the stacked sweep solve.
+    the walk reaches it.  Orders are solved up to an estimate of the stop
+    from the soft- and rigid-cylinder coefficients at ka, and past it, up to
+    the cap, only if the walk reads on; the result is the same bit for bit
+    (see the module docstring).  This is the one-ka case of the stacked
+    sweep solve.
     """
     return _solve_kas(config, [config.ka])[0]

@@ -16,8 +16,9 @@ over all entries; a failing entry leaves its typed error in the stack's
 record and the others go on.  The public functions are stacks of one
 entry.
 
-The input rules are elastodyn's: LayerTI calls _positive and _finite_moduli,
-the joins _contiguous, and a MaterialPoint given as a TI layer _ti_moduli.
+The input rules are elastodyn's: LayerTI calls _bounds, _positive and
+_finite_moduli, the joins _contiguous, and a MaterialPoint given as a TI
+layer _ti_moduli.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylfun import Tables
-from .elastodyn import (MaterialPoint, WaveContext, _contiguous,
+from .elastodyn import (MaterialPoint, WaveContext, _bounds, _contiguous,
                         _finite_moduli, _positive, _ti_moduli, ti_stiffness)
 from .errors import (BasisDegenerate, EntryFaults, InterfaceResonance,
                      KzZeroCoupling, ModeResonance)
@@ -59,8 +60,7 @@ class LayerTI:
     c44: float
 
     def __post_init__(self):
-        if not (0 < self.r_inner < self.r_outer):
-            raise ValueError("need 0 < r_inner < r_outer")
+        _bounds(self.r_inner, self.r_outer)
         _positive(self.rho, "density")
         _finite_moduli([self.c11, self.c12, self.c13, self.c33, self.c44])
 

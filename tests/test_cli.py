@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +177,9 @@ class TestParseConfig:
         {"ka": 1.0, "r1": "1"}, {"ka": 1.0, "steps": "100"},
         {"ka": 1.0, "n": "3"}, {"ka": 1.0, "threads": "2"},
         {"sweep": ["1", 2, 3]}, {"sweep": [1, "2", 3]}, {"sweep": [1, 2, "3"]},
+        # JSON integers past the float range
+        {"ka": 10 ** 400}, {"ka": 1.0, "kz": 10 ** 400},
+        {"ka": 1.0, "r1": -10 ** 400}, {"sweep": [1, 10 ** 400, 3]},
     ])
     def test_non_finite_run_object(self, tmp_path, run, capsys):
         # a wrong value is a UsageError naming its key, exit code 1
@@ -229,6 +233,25 @@ class TestExitCodes:
         bad.write_text("[")
         assert cli.main(["scatter", "--profile", str(bad), "--ka", "1"]) == 1
         assert "cylwave:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, pointer", [
+        ("rho", 10 ** 400, "/layers/0/material/rho: expected"),
+        ("mu", 10 ** 400, "/layers/0/material/params/mu: expected"),
+        ("r_in", 10 ** 400, "/layers/0/r_in: expected"),
+        ("r_out", 10 ** 400, "/layers/0/r_out: expected"),
+        ("r_out", math.inf, "/layers: layer bounds must be")])
+    def test_out_of_range_profile_is_one(self, tmp_path, capsys, key, value,
+                                         pointer):
+        # an integer no float holds, or an infinite outer radius, is a
+        # schema error at its pointer, not a traceback
+        layer = _iso_layer(0.5, 1.0)
+        where = {"rho": layer["material"], "mu": layer["material"]["params"]
+                 }.get(key, layer)
+        where[key] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"layers": [layer]}))
+        assert cli.main(["scatter", "--profile", str(path), "--ka", "1"]) == 1
+        assert capsys.readouterr().err.startswith(f"cylwave: {pointer}")
 
     def test_numeric_domain_is_two(self, bilayer_json, full_json, capsys):
         rc = cli.main(["convergence", "--profile", bilayer_json, "--ka", "1"])

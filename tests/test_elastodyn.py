@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -423,6 +424,21 @@ class TestProfiles:
         prof = cw.RadialProfile.smooth(fn, 0.2, 1.5)
         assert prof.material_at(0.9).rho == pytest.approx(1.9)
 
+    @pytest.mark.parametrize("lo, hi", [(0.5, math.inf), (0.0, 1.0),
+                                        (-0.5, 1.0), (1.0, 1.0), (1.0, 0.5),
+                                        (math.nan, 1.0), (0.5, math.nan)])
+    def test_layer_bounds_rule(self, al, lo, hi):
+        # one rule, 0 < r_in < r_out < inf, with one message, for layers,
+        # smooth laws and TI layers; an infinite outer radius was taken by
+        # all three and failed only in a solve
+        with pytest.raises(ValueError, match=r"^layer bounds must be "
+                           r"0 < r_in < r_out < inf: \("):
+            cw.RadialProfile.piecewise([(lo, hi, al)])
+        with pytest.raises(ValueError, match="^layer bounds must be"):
+            cw.RadialProfile.smooth(lambda r: al, lo, hi)
+        with pytest.raises(ValueError, match="^layer bounds must be"):
+            cw.LayerTI.isotropic(lo, hi, 2.7, 27.0, 12.0)
+
 
 class TestWaveContext:
     def test_validation(self):
@@ -531,6 +547,21 @@ class TestJsonProfiles:
         with pytest.raises(SchemaError) as exc:
             cw.profile_from_json(doc)
         assert pointer in str(exc.value)
+
+    @pytest.mark.parametrize("where, pointer", [
+        (lambda d: d["layers"][0]["material"], "/layers/0/material/rho"),
+        (lambda d: d["layers"][0]["material"]["params"],
+         "/layers/0/material/params/mu"),
+        (lambda d: d["layers"][0], "/layers/0/r_in"),
+        (lambda d: d["layers"][0], "/layers/0/r_out"),
+    ], ids=["rho", "mu", "r_in", "r_out"])
+    def test_integer_past_the_float_range(self, where, pointer):
+        # a JSON integer that no float holds is a SchemaError at its
+        # pointer, not an OverflowError
+        doc = self._doc()
+        where(doc)[pointer.rsplit("/", 1)[1]] = 10 ** 400
+        with pytest.raises(SchemaError, match=f"^{pointer}: expected"):
+            cw.profile_from_json(doc)
 
     def test_rejects_indefinite_moduli(self):
         doc = self._doc()

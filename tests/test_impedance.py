@@ -740,6 +740,57 @@ def test_entry_march_does_not_depend_on_its_stack(al, al_layer, scheme,
                 assert found == [ev for ev in foundw if ev[0] in idx]
 
 
+@pytest.mark.parametrize("m, kz", [(2, 0.0), (3, 0.9)])
+def test_term_proof_changes_no_verdict(al, m, kz, monkeypatch,
+                                       block_budgets):
+    # a piecewise march guards only the entries that its layer's term norms
+    # do not prove below the guard's first bound over the block; without
+    # the proof the guard sees every entry.  Both must give the same
+    # errors, texts, crossings and z bit for bit.  At 200 steps omega =
+    # 10000 trips the guard in the soft outer layer, mid-span, and omega =
+    # 50000 in the aluminium one, at once
+    soft = cw.MaterialPoint(7.85, cw.isotropic_stiffness(5.44, 3.7))
+    two = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, soft)])
+    omegas = (2.0, 20.0, 10000.0, 50000.0)
+    ctxs = [cw.WaveContext(omega=w, n=n, kz=kz, m=m)
+            for w in omegas for n in range(0, 41, 10)]
+    z0s = [np.zeros((m, m))] * len(ctxs)
+    sampler, guard = matricant._q_sampler, matricant._guard
+    seen = []
+    monkeypatch.setattr(matricant, "_guard", lambda h, q: (
+        seen.append(q.shape[2]) or guard(h, q)))
+
+    def unproven(prof, ctxs, g):
+        sample = sampler(prof, ctxs, g)
+        del sample.bound
+        return sample
+
+    def march():
+        seen.clear()
+        faults = EntryFaults(len(ctxs))
+        out = [(r, z.tobytes(), [(j, ev.r, ev.cond) for j, ev in found])
+               for r, z, found in _march(two, ctxs, z0s, 0.5, 1.0, 200,
+                                         "lp4", faults)]
+        return out, [str(e) for e in faults.errors], list(seen)
+
+    for _ in block_budgets:
+        proven = march()
+        with monkeypatch.context() as patch:
+            patch.setattr(matricant, "_q_sampler", unproven)
+            every = march()
+        assert proven[:2] == every[:2]
+        assert {ctxs[j].omega for j, e in enumerate(proven[1]) if e != "None"
+                } == {10000.0, 50000.0}
+        assert "exceeds 20" in proven[1][-1]
+        # the omega = 10000 entries march the aluminium layer, 100 steps
+        mid = np.frombuffer(proven[0][99][1], dtype=complex)
+        assert proven[0][99][0] == 0.75
+        assert mid.reshape(len(ctxs), -1)[10:15].any(axis=1).all()
+        # the proof spares some of the entries that the guard still checks
+        # without it, and the guard still sees some
+        assert sum(proven[2]) < sum(every[2]) and sum(proven[2]) > 0
+
+
 class TestInterfaces:
     """Each layer of a piecewise profile is stepped on its own grid, so a
     march keeps its scheme's order with an interface on no even grid."""

@@ -1,5 +1,6 @@
 """Physics invariants of the scattering solve over random lossless TI
-stacks: unitarity, fold invariance and agreement of the two routes."""
+stacks: unitarity, fold invariance and agreement of the two routes; and
+the layer-term bound that spares the march's step guard."""
 import math
 
 import numpy as np
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cylwave as cw
+from cylwave.elastodyn import _q_sampler
+from cylwave.impedance import _gauge
+from cylwave.matricant import _PROVEN, _bound, _guard
 
 
 @st.composite
@@ -76,3 +80,57 @@ def test_route_equivalence(case):
     integ = cw.solve_scattering(cw.ScatteringConfig(layers, ka=ka))
     recur = _recursion(layers, ka)
     assert abs(integ.sigma_tot - recur.sigma_tot) <= 1e-8 * recur.sigma_tot
+
+
+@st.composite
+def layered_samples(draw):
+    """A piecewise profile of 1-3 TI layers over [r_in, 1], contexts that
+    share m (kz = 0 with m = 2, or any kz with m = 3), with or without the
+    march's gauge, a layer, a span [lo, hi] inside it and sample radii in
+    the span, its ends among them."""
+    r_in = draw(st.floats(0.05, 0.9))
+    weights = draw(st.lists(st.floats(0.2, 3.0), min_size=1, max_size=3))
+    edges = r_in + (1.0 - r_in) * np.cumsum([0] + weights) / sum(weights)
+    edges[-1] = 1.0
+    layers = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        c11 = draw(st.floats(1.0, 300.0))
+        c66 = draw(st.floats(0.05, 0.45)) * c11
+        c33 = draw(st.floats(1.0, 300.0))
+        c13 = draw(st.floats(-0.7, 0.7)) * math.sqrt((c11 - c66) * c33)
+        stiff = cw.ti_stiffness(c11, c11 - 2.0 * c66, c13, c33,
+                                draw(st.floats(0.05, 100.0)))
+        layers.append((float(lo), float(hi),
+                       cw.MaterialPoint(draw(st.floats(0.1, 20.0)), stiff)))
+    profile = cw.RadialProfile.piecewise(layers)
+    m = draw(st.sampled_from([2, 3]))
+    kz = 0.0 if m == 2 else draw(st.floats(-30.0, 30.0))
+    ctxs = [cw.WaveContext(omega=draw(st.floats(0.01, 200.0)),
+                           n=draw(st.integers(0, 80)), kz=kz, m=m)
+            for _ in range(draw(st.integers(1, 4)))]
+    gauge = _gauge(m)[0] if draw(st.booleans()) else None
+    layer = draw(st.integers(0, len(layers) - 1))
+    a, b = edges[layer], edges[layer + 1]
+    t0, t1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                  max_size=2)))
+    lo, hi = a + t0 * (b - a), a + t1 * (b - a)
+    ts = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    radii = np.array([lo, hi] + [lo + t * (hi - lo) for t in ts])
+    return profile, ctxs, gauge, layer, lo, hi, radii.clip(lo, hi)
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(layered_samples())
+def test_term_bound_covers_every_sample(case):
+    # the march's guard skips an entry whose term bound over a block proves
+    # every sample below its first bound, h sqrt(|Q|_1 |Q|_inf) <= 20; the
+    # term bound must never be below a sample's, beyond round-off, and at
+    # the threshold every sample must pass the guard
+    profile, ctxs, gauge, layer, lo, hi, radii = case
+    sample = _q_sampler(profile, ctxs, gauge)
+    q = sample(radii, layer)
+    bound = sample.bound(lo, hi, layer)
+    assert (_bound(1.0, q) <= bound * (1 + 1e-13)).all()
+    h = _PROVEN / bound
+    assert (_bound(h, q) <= 20.0).all()
+    assert not _guard(h, q).any()

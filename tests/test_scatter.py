@@ -255,10 +255,13 @@ class TestSolve:
         # 60 warn about the Bessel range
         (20, 200, 200, StepTooLarge, 3.609350637714381),
     ])
-    def test_orders_past_the_stop_never_fail(self, al_layer, steps, n_max,
-                                             n_bad, error, sigma):
-        # the integrate route marches every order up to n_max, but the walk
-        # stops after n = 8 and must raise and warn for none past it
+    def test_orders_past_the_stop_never_fail(self, al_layer, monkeypatch,
+                                             steps, n_max, n_bad, error,
+                                             sigma):
+        # with the estimate at the cap the integrate route marches every
+        # order up to n_max, but the walk stops after n = 8 and must raise
+        # and warn for none past it
+        monkeypatch.setattr(scatter, "_estimate", lambda ka, cap: cap)
         profile = cw.RadialProfile.uniform(al_layer.material(), 0.5, 1.0)
         with pytest.raises(error), warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyLoss)
@@ -274,10 +277,13 @@ class TestSolve:
         assert len(res.b) == 9
         assert res.sigma_tot == pytest.approx(sigma, rel=1e-12)
 
-    def test_recursion_orders_past_the_stop_never_fail(self, al_layer):
-        # the recursion route also computes every order up to n_max: orders
-        # past 60 warn about the Bessel range, and from order 107 on the
-        # displacement blocks of both bases are degenerate
+    def test_recursion_orders_past_the_stop_never_fail(self, al_layer,
+                                                       monkeypatch):
+        # with the estimate at the cap the recursion route also computes
+        # every order up to n_max: orders past 60 warn about the Bessel
+        # range, and from order 107 on the displacement blocks of both bases
+        # are degenerate
+        monkeypatch.setattr(scatter, "_estimate", lambda ka, cap: cap)
         with pytest.raises(BasisDegenerate), warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyLoss)
             cw.global_twopoint([al_layer], cw.WaveContext(omega=1.0, n=200))
@@ -484,9 +490,11 @@ class TestStackedSweep:
             steps = 100
         config = cw.ScatteringConfig(layers, ka=1.0, method=method,
                                      steps=steps, n_max=n_max)
+        # runs are formed from the estimated orders 0..n_est of each ka
         caps = [n_max or 2 * math.ceil(ka) + 12 for ka in kas]
-        runs = list(scatter._runs(caps))
-        assert len(runs) == (1 if case != "two-stacks" else 3)
+        runs = list(scatter._runs([scatter._estimate(ka, cap) + 1
+                                   for ka, cap in zip(kas, caps)]))
+        assert len(runs) == (1 if case != "two-stacks" else 2)
         got = cw.solve_sweep(config, kas)
         assert [res.ka for res in got] == list(kas)
         for ka, res in zip(kas, got):
@@ -523,10 +531,12 @@ class TestStackedSweep:
 
     @pytest.mark.parametrize("method, steps", [("recursion", 500),
                                                ("integrate", 20)])
-    def test_orders_past_each_stop_never_fail(self, al_layer, method, steps):
-        # both ka share a stack of 402 entries; orders past 60 warn, and
-        # from 107 (recursion) or 185 (integrate, 20 steps) they fail, but
-        # each walk stops after n = 8
+    def test_orders_past_each_stop_never_fail(self, al_layer, monkeypatch,
+                                              method, steps):
+        # with the estimate at the cap both ka share a stack of 402
+        # entries; orders past 60 warn, and from 107 (recursion) or 185
+        # (integrate, 20 steps) they fail, but each walk stops after n = 8
+        monkeypatch.setattr(scatter, "_estimate", lambda ka, cap: cap)
         config = cw.ScatteringConfig((al_layer,), ka=1.0, method=method,
                                      steps=steps, n_max=200)
         with warnings.catch_warnings():
@@ -535,3 +545,96 @@ class TestStackedSweep:
             want = cw.solve_scattering(config)
         assert got == [want, want]
         assert len(want.b) == 9
+
+
+class TestTwoPasses:
+    """A solve first solves orders 0..n_est of each ka on one stack, n_est
+    the estimated stop of its walk (scatter._estimate), then orders
+    n_est+1..cap of each ka whose walk has not stopped by n_est.  It must
+    give what one stack of every order up to the cap gives, bit for bit."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The lowest order of each ka of every stack solved."""
+        stacked, lows = scatter._stacked, []
+        monkeypatch.setattr(scatter, "_stacked", lambda config, spans: (
+            lows.append([lo for _, lo, _ in spans]) or stacked(config, spans)))
+        return lows
+
+    @pytest.mark.parametrize("method", ["recursion", "integrate"])
+    @pytest.mark.parametrize("case", ["aluminium", "three-layer", "n_max"])
+    @pytest.mark.parametrize("estimate", ["own", "forced-pass-2"])
+    def test_equals_every_order_on_one_stack(self, al_layer, monkeypatch,
+                                             passes, method, case, estimate):
+        if case == "aluminium":
+            layers, kas, n_max = (al_layer,), [0.3, 1.51, 3.7, 8.0], None
+        elif case == "three-layer":  # as one sweep
+            layers, kas, n_max = (_three_layer_stack(al_layer),
+                                  np.linspace(0.5, 12.0, 10), None)
+        else:
+            layers, kas, n_max = (al_layer,), [1.0, 4.0, 6.0], 12
+        config = cw.ScatteringConfig(layers, ka=1.0, method=method,
+                                     n_max=n_max)
+
+        def solve():
+            if case == "three-layer":
+                return cw.solve_sweep(config, kas)
+            return [cw.solve_scattering(replace(config, ka=ka)) for ka in kas]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scatter, "_estimate", lambda ka, cap: cap)
+            want = solve()
+        passes.clear()
+        if estimate == "forced-pass-2":
+            monkeypatch.setattr(scatter, "_estimate",
+                                lambda ka, cap: min(2, cap))
+        got = solve()
+        for res, ref in zip(got, want):
+            assert res.b == ref.b and len(res.b) > 3, res.ka
+            assert res.sigma_tot == ref.sigma_tot, res.ka
+            assert res.f_samples == ref.f_samples, res.ka
+        # with its own estimate no walk reads past n_est here; at n_est = 2
+        # every walk does
+        second = [lo for lo in passes if any(lo)]
+        assert len(second) == (0 if estimate == "own" else len(passes) // 2)
+        if estimate == "forced-pass-2":
+            assert all(lo == [3] * len(lo) for lo in second)
+
+    @pytest.mark.parametrize("method", ["recursion", "integrate"])
+    def test_estimate_covers_the_walk(self, al_layer, method):
+        # the walk stops at or before the estimate, which the soft and rigid
+        # cylinders' |B_n| set from the fluid side alone: from ka = 0.05 to
+        # 12 it asks for 0-2 orders more than the walk reads
+        for ka in (0.05, 0.3, 1.0, 1.51, 2.3, 3.7, 5.0, 8.0, 12.0):
+            cap = 2 * math.ceil(ka) + 12
+            est = scatter._estimate(ka, cap)
+            res = cw.solve_scattering(cw.ScatteringConfig(
+                (al_layer,), ka=ka, method=method))
+            assert len(res.b) <= est + 1 <= len(res.b) + 2 < cap, ka
+        # no order n >= 1 up to the cap qualifies: the cap
+        assert scatter._estimate(30.0, 5) == 5
+        assert scatter._estimate(1.0, 0) == 0
+
+    def test_error_past_the_estimate_raised_only_when_reached(
+            self, al_layer, monkeypatch):
+        # at 2 steps orders 20 on fail the step guard (see TestSolve); with
+        # n_est = 5 the walk does not stop in the first pass, so they are
+        # marched in the second.  The walk stops after n = 8 and raises
+        # nothing; with a tail of 0 it never stops, reads orders 0..19 to
+        # a cap of 19 and raises order 20's error, as a march of order 20
+        # alone does, to a cap of 30
+        monkeypatch.setattr(scatter, "_estimate", lambda ka, cap: 5)
+        config = cw.ScatteringConfig((al_layer,), ka=1.0, steps=2, n_max=30)
+        assert len(cw.solve_scattering(config).b) == 9
+        z_in = cw.ti_conditional_impedance(
+            1, al_layer, cw.WaveContext(omega=1.0, n=20, m=3), 0.5).z
+        with pytest.raises(StepTooLarge) as alone:
+            cw.integrate_impedance(
+                cw.RadialProfile.uniform(al_layer.material(), 0.5, 1.0),
+                cw.WaveContext(omega=1.0, n=20, m=2), z_in[:2, :2], 0.5, 1.0,
+                2, "lp4")
+        monkeypatch.setattr(scatter, "_B_TAIL", 0.0)
+        assert len(cw.solve_scattering(replace(config, n_max=19)).b) == 20
+        with pytest.raises(StepTooLarge) as err:
+            cw.solve_scattering(config)
+        assert str(err.value) == str(alone.value)

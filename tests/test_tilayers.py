@@ -288,7 +288,9 @@ class TestLayerTwoPoint:
     def test_each_bessel_table_evaluated_once(self, al_layer, monkeypatch):
         # a recursion solve makes one scipy call per (kind, argument
         # vector), an argument holding one value per ka of the stack; the
-        # call covers orders 0..n_cap+1 of each ka and no more
+        # call covers orders 0..n_est+1 of each ka and no more, where
+        # n_est = 15 is the estimated stop of the walk, which stops by then
+        # and so needs no orders past it
         calls = []
 
         def counted(name):
@@ -309,10 +311,11 @@ class TestLayerTwoPoint:
                   cw.LayerTI(0.6, 0.8, 1.6, 6.6, 3.2, 2.8, 64.8, 3.2),
                   cw.LayerTI.isotropic(0.8, 1.0, 7.85, 37.0, 37.0))
         config = cw.ScatteringConfig(layers, ka=4.0, method="recursion")
-        cw.solve_scattering(config)
+        assert scatter._estimate(4.0, 20) == 15
+        assert len(cw.solve_scattering(config).b) <= 16
         keys = [(name, x.tobytes()) for name, _, x in calls]
         assert len(set(keys)) == len(keys)
-        assert all(np.array_equal(orders, np.arange(22))
+        assert all(np.array_equal(orders, np.arange(17))
                    for _, orders, _ in calls)
         assert all(np.all(x == x[0]) for _, _, x in calls)
         # J and H1 at each layer's wavenumbers and radii, and at ka; Y only
@@ -338,8 +341,10 @@ class TestLayerTwoPoint:
         cw.solve_sweep(config, kas)
         keys = [(name, x.tobytes()) for name, _, x in calls]
         assert len(set(keys)) == len(keys)
-        pairs = np.concatenate([np.arange(2 * math.ceil(ka) + 14)
-                                for ka in kas])
+        # orders 0..n_est+1 of each ka; no walk passes its n_est
+        pairs = np.concatenate([
+            np.arange(scatter._estimate(ka, 2 * math.ceil(ka) + 12) + 2)
+            for ka in kas])
         assert all(np.array_equal(orders, pairs) for _, orders, _ in calls)
         assert 8 * len(calls) <= one_by_one
 
