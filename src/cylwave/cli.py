@@ -4,8 +4,8 @@ Four commands, all driven by a layer-profile JSON plus flags:
 
     impedance-trace   emit det of z's in-plane block after each march step
     convergence       error vs step count for every marching scheme
-    scatter           cross-section (single ka or a sweep)
-    field             exterior pressure map on a cartesian grid
+    scatter           cross-section at kz = 0 (single ka or a sweep)
+    field             exterior pressure map at kz = 0 on a cartesian grid
 
 Flags override values in the profile's optional "run" object.  Output is
 deterministic: fixed column order, fixed 17-significant-digit formatting,
@@ -182,6 +182,9 @@ def parse_config(argv) -> RunConfig:
     if n < 0:
         raise UsageError("--n must be >= 0")
     kz = _real(_pick(ns.kz, run_defaults, "kz", 0.0), "--kz")
+    if kz != 0.0 and command in ("scatter", "field"):
+        raise UsageError("--kz only applies to impedance-trace and "
+                         "convergence (scatter and field are at kz = 0)")
 
     lo, hi = profile.support
     r0 = _real(_pick(ns.r0, run_defaults, "r0", lo), "--r0")

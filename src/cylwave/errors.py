@@ -56,13 +56,6 @@ class EntryFaults:
         for i, msg in notes:
             self.notes[i].append(msg)
 
-    def absorb(self, other: "EntryFaults", rows: np.ndarray) -> None:
-        """Take over the record of other for the entries of the mask rows."""
-        take = rows & self.ok
-        self.errors[take] = other.errors[take]
-        for i in np.flatnonzero(rows):
-            self.notes[i] += other.notes[i]
-
     def check(self, i: int, stacklevel: int = 3) -> None:
         for msg in self.notes[i]:
             warnings.warn(msg, AccuracyLoss, stacklevel=stacklevel)

@@ -273,19 +273,28 @@ def _stop(b, tail: float):
     return int(hits[0]) + 1 if len(hits) else None
 
 
+def _default_cap(ka: float) -> int:
+    return 2 * math.ceil(ka) + 12
+
+
 def _estimate(ka: float, cap: int) -> int:
     """Where the walk of ka is expected to stop: the first order n >= 1 at
     which orders n - 1 and n of both the soft and the rigid cylinder,
     |B_n| = |J_n(ka) / H_n(ka)| and |J_n'(ka) / H_n'(ka)|, lie below
     _B_TAIL / 100; the cap if none up to it does.  A fluid-side bound of
     the kind of Wiscombe (Appl. Opt. 19 (1980) 1505); the 100 is a
-    margin, and no result rests on it (see the module docstring)."""
-    n = np.arange(cap + 1)
-    with np.errstate(all="ignore"):
-        b = np.maximum(np.abs(special.jv(n, ka) / special.hankel1(n, ka)),
-                       np.abs(special.jvp(n, ka) / special.h1vp(n, ka)))
-    stop = _stop(b, _B_TAIL / 100)
-    return cap if stop is None else stop
+    margin, and no result rests on it (see the module docstring).  The
+    scan goes past the default cap only if no stop lies below it; scipy
+    evaluates each order alone, so n_est is that of one scan to the cap."""
+    for top in sorted({min(cap, _default_cap(ka)), cap}):
+        n = np.arange(top + 1)
+        with np.errstate(all="ignore"):
+            b = np.maximum(np.abs(special.jv(n, ka) / special.hankel1(n, ka)),
+                           np.abs(special.jvp(n, ka) / special.h1vp(n, ka)))
+        stop = _stop(b, _B_TAIL / 100)
+        if stop is not None:
+            return stop
+    return cap
 
 
 def _stacked(config: ScatteringConfig, spans: list) -> list:
@@ -332,7 +341,7 @@ def _solve_kas(config: ScatteringConfig, kas) -> list:
     """The body of solve_sweep and solve_scattering, one frame below each so
     that the walk's warnings name their caller's line."""
     configs = [replace(config, ka=ka) for ka in kas]
-    caps = [c.n_max if c.n_max is not None else 2 * math.ceil(c.ka) + 12
+    caps = [c.n_max if c.n_max is not None else _default_cap(c.ka)
             for c in configs]
     ests = [_estimate(c.ka, cap) for c, cap in zip(configs, caps)]
     out = []

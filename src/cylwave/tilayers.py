@@ -4,9 +4,10 @@ global two-point impedance of layered cylinders.
 For a uniform TI material (symmetry axis along z) the displacement field
 separates into three scalar potentials with radial wavenumbers k1, k2, k3,
 and the conditional impedance of a solid cylinder or of a single layer has a
-closed form in cylinder functions.  Stacking layers is done by joining
-two-point impedances across interfaces, which stays well-conditioned no
-matter how many layers are folded in (unlike transfer-matrix products).
+closed form in cylinder functions, built from the one basis pair {J, H1}
+(see layer_twopoint).  Stacking layers is done by joining two-point
+impedances across interfaces, which stays well-conditioned no matter how
+many layers are folded in (unlike transfer-matrix products).
 
 Every kernel runs on a stack of entries at once, each a partial-wave order
 at one of several frequencies (the orders of every ka of a sweep), on
@@ -29,8 +30,8 @@ import numpy as np
 from .cylfun import Tables
 from .elastodyn import (MaterialPoint, WaveContext, _bounds, _contiguous,
                         _finite_moduli, _positive, _ti_moduli, ti_stiffness)
-from .errors import (BasisDegenerate, EntryFaults, InterfaceResonance,
-                     KzZeroCoupling, ModeResonance)
+from .errors import (BasisDegenerate, DomainError, EntryFaults,
+                     InterfaceResonance, KzZeroCoupling, ModeResonance)
 from .impedance import ConditionalImpedance, TwoPointImpedance
 from .numkernel import _inverse_each, _norm1
 
@@ -149,20 +150,16 @@ def ti_wavenumbers(layer, omega: float, kz: float) -> TIWavenumbers:
 class OrderStack:
     """Entries (frequency, order) of one kz, evaluated together: entry i is
     the partial-wave order n[i] at omega[f[i]], omega a list of the
-    frequencies as given.  The stack holds their cylinder-function tables
-    and the record into which the stacked kernels put per entry what a
-    scalar call would raise or warn."""
+    frequencies as given.  The stack holds their cylinder-function tables,
+    built once and shared by every layer and radius, and the one record
+    into which the stacked kernels put per entry what a scalar call would
+    raise or warn."""
 
-    def __init__(self, omega: list, kz: float, orders, freq=None,
-                 tables=None):
+    def __init__(self, omega: list, kz: float, orders, freq=None):
         self.omega, self.kz = omega, kz
-        self.tables = Tables(orders, freq) if tables is None else tables
+        self.tables = Tables(orders, freq)
         self.n, self.f = self.tables.n, self.tables.f
         self.faults = EntryFaults(len(self.n))
-
-    def fresh(self) -> "OrderStack":
-        """The same entries and tables with an empty record."""
-        return OrderStack(self.omega, self.kz, self.n, self.f, self.tables)
 
     def table(self, l: int, x: np.ndarray) -> tuple:
         f, fp, notes = self.tables(l, x)
@@ -212,11 +209,18 @@ def _displacement(l: int, stack: OrderStack, wn: tuple,
             return x
         x[:, 0, 1] = fp2
         x[:, 1, 1] = 1j * n / (k2 * r) * f2
-        x[:, 2, 0] = _each(lambda kap, k: 1j * kap / k,
-                           wn[3], wn[0])[stack.f] * f1
-        x[:, 2, 1] = _each(lambda kap, k: 1j * kap / k,
-                           wn[4], wn[1])[stack.f] * f2
+        x[:, 2, 0] = _each(_coupling, wn[3], wn[0])[stack.f] * f1
+        x[:, 2, 1] = _each(_coupling, wn[4], wn[1])[stack.f] * f2
     return x
+
+
+def _coupling(kap: complex, k: complex) -> complex:
+    """i kappa / k, the axial amplitude of a kz != 0 potential column.  At
+    k = 0, a cutoff, it diverges as H1 and Y do at k r = 0, and like them
+    (cylfun.Tables) it is refused."""
+    if k == 0:
+        raise DomainError("radial wavenumber 0 at kz != 0 (a cutoff)")
+    return 1j * kap / k
 
 
 def ti_displacement_matrix(l: int, layer, ctx: WaveContext,
@@ -309,15 +313,14 @@ def ti_traction_matrix(l: int, layer, ctx: WaveContext, r: float) -> np.ndarray:
     return -1j * (z.z @ x)
 
 
-_DEFAULT_BASIS = (1, 3)
-_FALLBACK_BASIS = (1, 2)
-
-
-def _twopoint_for_basis(layer: LayerTI, stack: OrderStack, wn: tuple,
-                        basis: tuple) -> tuple:
-    """The layer's two-point impedances over the orders from one basis
-    pair, and the mask of the orders whose displacement block is
-    degenerate (singular, or 1-norm condition number past 1e12)."""
+def _layer_stack(layer: LayerTI, stack: OrderStack,
+                 basis: tuple | None = None) -> np.ndarray:
+    """The layer's two-point impedances over the entries from one basis
+    pair, {J, H1} unless given; an entry whose displacement block is
+    degenerate (singular, or 1-norm condition number past 1e12) fails with
+    BasisDegenerate."""
+    basis = (1, 3) if basis is None else basis
+    wn = stack.wavenumbers(layer)
     r0, r1 = layer.r_inner, layer.r_outer
     xx = np.empty((len(stack.n), 6, 6), dtype=complex)
     yy = np.empty_like(xx)
@@ -338,35 +341,23 @@ def _twopoint_for_basis(layer: LayerTI, stack: OrderStack, wn: tuple,
         xx = xx / scale
         yy = yy / scale
         xinv, singular = _inverse_each(xx)
-        return 1j * (yy @ xinv), singular | (_norm1(xx) * _norm1(xinv) > 1e12)
-
-
-def _layer_stack(layer: LayerTI, stack: OrderStack,
-                 basis: tuple | None = None) -> np.ndarray:
-    wn = stack.wavenumbers(layer)
-    if basis is not None:
-        z, bad = _twopoint_for_basis(layer, stack, wn, tuple(basis))
-        stack.faults.fail(bad, BasisDegenerate(f"basis {basis} degenerate"))
-        return z
-    z, bad = _twopoint_for_basis(layer, stack, wn, _DEFAULT_BASIS)
-    retry = bad & stack.faults.ok
-    if retry.any():
-        alt = stack.fresh()
-        z_alt, bad_alt = _twopoint_for_basis(layer, alt, wn, _FALLBACK_BASIS)
-        z[retry] = z_alt[retry]
-        stack.faults.absorb(alt.faults, retry)
-        stack.faults.fail(retry & bad_alt, BasisDegenerate(
-            "both cylinder-function bases degenerate"))
+        bad = singular | (_norm1(xx) * _norm1(xinv) > 1e12)
+        z = 1j * (yy @ xinv)
+    stack.faults.fail(bad, BasisDegenerate(f"basis {basis} degenerate"))
     return z
 
 
 def layer_twopoint(layer: LayerTI, ctx: WaveContext,
                    basis: tuple | None = None) -> TwoPointImpedance:
-    """Two-point impedance of a single uniform TI layer.
+    """Two-point impedance of a single uniform TI layer, from the
+    cylinder-function basis pair {J, H1} by default.
 
-    Built from the cylinder-function basis pair {J, H1} by default; if that
-    block is numerically degenerate for an order (deeply evanescent
-    regimes), the {J, Y} pair is tried for that order before giving up.
+    An order whose displacement block [X(r0); X(r1)] is degenerate raises
+    BasisDegenerate.  No other pair rescues it: the block is singular where
+    the layer has a clamped-clamped mode, a property of the solution space,
+    which {J, Y} spans as well (Y = -i(H1 - J)); and with its columns
+    scaled, H1 is iY to working precision wherever the block is badly
+    conditioned.
     """
     return TwoPointImpedance(
         _single(ctx, lambda s: _layer_stack(layer, s, basis)),

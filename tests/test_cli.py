@@ -146,6 +146,11 @@ class TestParseConfig:
         ["scatter", "--profile", "{p}", "--ka", "inf"],
         ["scatter", "--profile", "{p}", "--ka", "1", "--kz", "nan"],
         ["scatter", "--profile", "{p}", "--ka", "1", "--kz", "inf"],
+        # scatter and field are at normal incidence
+        ["scatter", "--profile", "{p}", "--ka", "2", "--kz", "0.5"],
+        ["scatter", "--profile", "{p}", "--sweep", "1", "2", "3",
+         "--kz", "-1e-300"],
+        ["field", "--profile", "{p}", "--ka", "2", "--kz", "0.5"],
         ["impedance-trace", "--profile", "{p}", "--ka", "1", "--r0", "nan"],
         ["impedance-trace", "--profile", "{p}", "--ka", "1", "--r1", "inf"],
         ["scatter", "--profile", "{p}", "--sweep", "1", "inf", "3"],
@@ -180,6 +185,8 @@ class TestParseConfig:
         # JSON integers past the float range
         {"ka": 10 ** 400}, {"ka": 1.0, "kz": 10 ** 400},
         {"ka": 1.0, "r1": -10 ** 400}, {"sweep": [1, 10 ** 400, 3]},
+        # scatter is at normal incidence
+        {"ka": 1.0, "kz": 0.5}, {"sweep": [1, 2, 3], "kz": 2},
     ])
     def test_non_finite_run_object(self, tmp_path, run, capsys):
         # a wrong value is a UsageError naming its key, exit code 1
@@ -227,6 +234,20 @@ class TestExitCodes:
     def test_usage_is_one(self, capsys):
         assert cli.main(["scatter", "--ka", "1"]) == 1
         assert capsys.readouterr().err.startswith("cylwave:")
+
+    @pytest.mark.parametrize("command", ["scatter", "field"])
+    def test_kz_off_normal_incidence_is_one(self, al_json, capsys, command):
+        # the run would be solved at kz = 0, against its header's kz
+        assert cli.main([command, "--profile", al_json, "--ka", "2",
+                         "--kz", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cylwave: --kz only applies")
+        assert captured.out == ""
+
+    def test_kz_kept_by_convergence(self, al_json):
+        # impedance-trace's kz is run in TestOutputs
+        assert cli.parse_config(["convergence", "--profile", al_json,
+                                 "--ka", "2", "--kz", "0.5"]).kz == 0.5
 
     def test_schema_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -313,6 +334,17 @@ class TestOutputs:
         assert len(data) == 1
         ka, sigma, f_pi = (float(v) for v in data[0].split(","))
         assert ka == 2.0 and sigma > 0 and f_pi >= 0
+
+    def test_scatter_kz_zero_is_the_default(self, al_rec_json, capsys):
+        # kz = 0 is the normal incidence scatter solves at, and its
+        # header records
+        assert cli.main(["scatter", "--profile", al_rec_json,
+                         "--ka", "2"]) == 0
+        plain = capsys.readouterr().out
+        assert "# n=0 kz=0 scheme=lp4" in plain
+        assert cli.main(["scatter", "--profile", al_rec_json,
+                         "--ka", "2", "--kz", "0"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_scatter_sweep_grid(self, al_rec_json, capsys):
         assert cli.main(["scatter", "--profile", al_rec_json,

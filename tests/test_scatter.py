@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 from dataclasses import replace
 
@@ -281,8 +282,8 @@ class TestSolve:
                                                        monkeypatch):
         # with the estimate at the cap the recursion route also computes
         # every order up to n_max: orders past 60 warn about the Bessel
-        # range, and from order 107 on the displacement blocks of both bases
-        # are degenerate
+        # range, and from order 107 on the {J, H1} displacement blocks are
+        # degenerate, as they are in any basis pair
         monkeypatch.setattr(scatter, "_estimate", lambda ka, cap: cap)
         with pytest.raises(BasisDegenerate), warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyLoss)
@@ -614,6 +615,43 @@ class TestTwoPasses:
         # no order n >= 1 up to the cap qualifies: the cap
         assert scatter._estimate(30.0, 5) == 5
         assert scatter._estimate(1.0, 0) == 0
+
+    @pytest.mark.parametrize("method", ["recursion", "integrate"])
+    def test_estimate_scans_the_default_cap_first(self, al_layer,
+                                                  monkeypatch, method):
+        # an n_max of 10**5 at ka = 1 asks scipy for the orders up to the
+        # default cap, 14, which hold the stop, and no further
+        config = cw.ScatteringConfig((al_layer,), ka=1.0, method=method)
+        want = cw.solve_scattering(config)
+        asked = []
+
+        def recorded(fn):
+            return lambda n, x: asked.append(np.array(n)) or fn(n, x)
+        monkeypatch.setattr(scatter, "special", types.SimpleNamespace(**{
+            name: recorded(getattr(special, name))
+            for name in ("jv", "hankel1", "jvp", "h1vp")}))
+        got = cw.solve_scattering(replace(config, n_max=10 ** 5))
+        assert len(asked) == 4
+        assert all(np.array_equal(n, np.arange(15)) for n in asked)
+        assert got == want
+
+    @pytest.mark.parametrize("tail", [1e-10, 1e-40])
+    def test_estimate_equals_one_scan_to_the_cap(self, monkeypatch, tail):
+        # caps below, at and past the default cap (14 at ka = 1, 22 at
+        # ka = 5); with a tail of 1e-40 the stop lies past the default cap
+        # (20 at ka = 1, 33 at ka = 5), so the scan goes on to the cap
+        monkeypatch.setattr(scatter, "_B_TAIL", tail)
+        for ka in (0.05, 1.0, 5.0):
+            for cap in (0, 1, 3, 9, 13, 14, 15, 21, 22, 40, 60):
+                n = np.arange(cap + 1)
+                with np.errstate(all="ignore"):
+                    b = np.maximum(
+                        np.abs(special.jv(n, ka) / special.hankel1(n, ka)),
+                        np.abs(special.jvp(n, ka) / special.h1vp(n, ka)))
+                stop = scatter._stop(b, tail / 100)
+                want = cap if stop is None else stop
+                assert scatter._estimate(ka, cap) == want, (ka, cap)
+        assert scatter._estimate(1.0, 60) == (20 if tail < 1e-10 else 9)
 
     def test_error_past_the_estimate_raised_only_when_reached(
             self, al_layer, monkeypatch):

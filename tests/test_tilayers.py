@@ -278,8 +278,9 @@ class TestLayerTwoPoint:
         assert np.max(np.abs(a.z - b.z)) < 1e-8 * np.max(np.abs(a.z))
 
     def test_high_order_uses_fallback_transparently(self, al_layer):
-        # at n=25 the J columns underflow against H1; the default entry
-        # point must still return a Hermitian result
+        # at n=25 the J columns are tiny against H1; the column scaling of
+        # the {J, H1} block keeps the default entry point's result finite
+        # and Hermitian
         ctx = cw.WaveContext(omega=10.0, n=25, kz=0.0)
         zz = cw.layer_twopoint(al_layer, ctx)
         assert np.all(np.isfinite(zz.z))
@@ -318,8 +319,8 @@ class TestLayerTwoPoint:
         assert all(np.array_equal(orders, np.arange(17))
                    for _, orders, _ in calls)
         assert all(np.all(x == x[0]) for _, _, x in calls)
-        # J and H1 at each layer's wavenumbers and radii, and at ka; Y only
-        # where the {J, H1} blocks of some order are degenerate
+        # J and H1 at each layer's wavenumbers and radii, and at ka; never
+        # Y or H2, as the recursion route builds every layer from {J, H1}
         want = {4.0 + 0j}
         for lay in layers:
             want |= {k * r for k in _wavenumbers(lay, 4.0, 0.0)[:3]
@@ -327,7 +328,7 @@ class TestLayerTwoPoint:
         args = {name: {complex(x[0]) for kind, _, x in calls if kind == name}
                 for name in ("jv", "yv", "hankel1", "hankel2")}
         assert args["jv"] == args["hankel1"] == want
-        assert args["yv"] < want and not args["hankel2"]
+        assert not args["yv"] and not args["hankel2"]
 
         # the 10 ka of a benchmark window on one stack: as many calls as
         # about one ka alone, where solving them one by one costs ten times
@@ -352,6 +353,18 @@ class TestLayerTwoPoint:
         ctx = cw.WaveContext(omega=5.0, n=1, kz=0.3)
         with pytest.raises(BasisDegenerate):
             cw.layer_twopoint(al_layer, ctx, basis=(1, 1))
+
+    def test_cutoff_is_a_domain_error(self):
+        # rho omega^2 = c44 kz^2 puts k1 at 0: the kz != 0 columns divide by
+        # it, and H1 and Y are singular at k r = 0
+        layer = cw.LayerTI(0.5, 1.0, 1.0, 1.0, 0.5, 0.0, 1.0, 1.0)
+        ctx = cw.WaveContext(omega=1.0, n=0, kz=1.0)
+        assert _wavenumbers(layer, 1.0, 1.0)[0] == 0
+        for basis in ((1, 3), (1, 2)):
+            with pytest.raises(DomainError):
+                cw.layer_twopoint(layer, ctx, basis=basis)
+        with pytest.raises(DomainError, match="cutoff"):
+            cw.ti_displacement_matrix(1, layer, ctx, 0.7)
 
     def test_thin_layer_coupling_scales_inversely(self, al_layer):
         ctx = cw.WaveContext(omega=5.0, n=1, kz=0.3)
