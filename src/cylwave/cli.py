@@ -2,7 +2,7 @@
 
 Four commands, all driven by a layer-profile JSON plus flags:
 
-    impedance-trace   emit det of z's in-plane block after each march step
+    impedance-trace   emit det of z's in-plane block at each march group end
     convergence       error vs step count for every marching scheme
     scatter           cross-section at kz = 0 (single ka or a sweep)
     field             exterior pressure map at kz = 0 on a cartesian grid

@@ -12,17 +12,17 @@ several frequencies: an argument is a vector with one value per frequency
 (k r over a sweep's omegas, say), and one scipy call per (kind, argument
 vector) gives every entry the orders it needs, n - 1 to n + 1 over each
 frequency's own orders and no more.  f_n' = (f_(n-1) - f_(n+1))/2 comes from
-neighbouring orders of the same table, with f_0' = -f_1.  cyl_f and
-cyl_f_prime are tables of one entry.
+neighbouring orders of the same table, with f_0' = -f_1.  Kinds other
+than J are singular at 0: a zero in an argument is a DomainError for the
+entries at its frequency only, kept in the table's EntryFaults.  cyl_f and
+cyl_f_prime are tables of one entry, which raise it.
 """
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 from scipy import special
 
-from .errors import AccuracyLoss, DomainError
+from .errors import DomainError, EntryFaults
 
 KIND_J = 1
 KIND_Y = 2
@@ -45,8 +45,9 @@ def _values(kind: int, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     """f_orders[i](x[i]) in one scipy call."""
     # scipy's real-argument paths are faster and exact for real x; its
     # complex path differs from them in the last digits.  A vector takes
-    # the real path only if all of it can, as one k r over real omegas does
-    real = not x.imag.any() and (kind == KIND_J or (x.real > 0).all())
+    # the real path only if all of it can, as one k r over real omegas does;
+    # a zero, which fails its entries, does not move the others off it
+    real = not x.imag.any() and (kind == KIND_J or (x.real >= 0).all())
     fn = getattr(special, _SCIPY[kind])
     return np.asarray(fn(orders, x.real if real else x), dtype=complex)
 
@@ -72,7 +73,9 @@ class Tables:
     entries need, orders min(n) - 1 to max(n) + 1 of each frequency's
     entries, kept for reuse.  Tables carry the (entry, message)
     AccuracyLoss notes of the entries outside the validated range, for the
-    caller to raise or defer."""
+    caller to raise or defer, and record in `faults` the DomainError of
+    each entry whose argument is 0 for a kind singular there; its values
+    mean nothing."""
 
     def __init__(self, orders, freq=None):
         self.n = np.atleast_1d(np.asarray(orders, dtype=int))
@@ -96,6 +99,7 @@ class Tables:
         self._n0 = np.flatnonzero(self.n == 0)
         self._high = self.n > _N_MAX
         self._cache = {}
+        self.faults = EntryFaults(len(self.n))
 
     def _raw(self, kind: int, x: np.ndarray) -> tuple:
         """(values over the pairs, notes) of kind at the vector x."""
@@ -104,7 +108,8 @@ class Tables:
             if kind not in _SCIPY:
                 raise ValueError(f"unknown cylinder-function kind {kind!r}")
             if kind != KIND_J and not x.all():
-                raise DomainError(f"kind {kind} is singular at x=0")
+                self.faults.fail((x == 0)[self.f], DomainError(
+                    f"kind {kind} is singular at x=0"))
             self._cache[key] = (_values(kind, self._order, x[self._freq]),
                                 self._notes(kind, x))
         return self._cache[key]
@@ -152,9 +157,10 @@ class Tables:
 
 
 def _one(kind: int, n: int, x: complex) -> tuple:
-    f, fp, notes = Tables([n])(kind, x)
-    for _, msg in notes:
-        warnings.warn(msg, AccuracyLoss, stacklevel=3)
+    table = Tables([n])
+    f, fp, notes = table(kind, x)
+    table.faults.note(notes)
+    table.faults.check(0, stacklevel=4)
     return complex(f[0]), complex(fp[0])
 
 

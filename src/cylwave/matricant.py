@@ -23,14 +23,17 @@ matricant_step and matricant_global.  Per block of steps it samples Q at
 every node, step and entry in one array (nodes, steps, entries, 2m, 2m),
 runs the step guard, which gives each entry its own StepTooLarge, and forms
 the block's propagators in one kernel call; a failed entry steps by the
-identity.  A block holds as many steps as _BLOCK_SAMPLES sampled matrices
-allow, but at least _BLOCK_STEPS, so a large stack's memory stays bounded
-and a small one pays the per-block overheads only a few times.  The march
-hands its gauge to the stepper, which builds the sampler with it; the
-guard and the kernels then see the gauged samples, in float64 where they
-are real (see cylwave.impedance).
+identity.  The march fuses each group of _GROUP_STEPS steps of a _segments
+piece, counted from the piece's start, into one propagator and one Moebius
+update (see cylwave.impedance), so a block holds whole groups: as many as
+_BLOCK_SAMPLES sampled matrices allow, but at least one.  A large stack's
+memory stays bounded, a small one pays the per-block overheads only a few
+times, and a group never straddles two blocks, whatever the stack.  The
+march hands its gauge to the stepper, which builds the sampler with it;
+the guard and the kernels then see the gauged samples, in float64 where
+they are real (see cylwave.impedance).
 matricant_step and matricant_global are stacks of one that raise their
-entry's error, and sample Q ungauged and stay complex.
+entry's error, sample Q ungauged, stay complex and multiply step by step.
 
 The guard's first test is h sqrt(|Q|_1 |Q|_inf) <= 20 per sample.  In a
 layer of a piecewise profile Q(r) = P0 / r + kz P1 + r P2, so |Q(r)|_p is
@@ -67,11 +70,13 @@ from .errors import (DuplicatePoints, EntryFaults, MatricantOverflow,
 from .numkernel import _mat_exp, _norm1
 
 _SQ3 = np.sqrt(3.0)
+# the march fuses each run of _GROUP_STEPS steps of a _segments piece, counted
+# from the piece's start, into one propagator (see cylwave.impedance)
+_GROUP_STEPS = 8
 # a block's sampled matrices (nodes x steps x entries): at most
 # _BLOCK_SAMPLES, which bounds a march's memory, unless the block needs more
-# to hold _BLOCK_STEPS steps
+# to hold one group; a block holds whole groups
 _BLOCK_SAMPLES = 4096
-_BLOCK_STEPS = 10
 # a term bound h sqrt(|Q|_1 |Q|_inf) at most this proves every sample of
 # its entry below the guard's 20, with room for the rounding of both
 _PROVEN = 20.0 * (1 - 1e-12)
@@ -313,16 +318,19 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
 def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
             faults: EntryFaults, gauge=None):
     """Propagators of the steps of [r0, r0 + span] for every entry ctxs[j],
-    in blocks within a _segments piece of as many steps as _BLOCK_SAMPLES
-    samples hold, but at least _BLOCK_STEPS: per block the step-end radii
-    and the propagators (steps, entries, s, s).  The samples of an entry
-    with an error in faults are zeroed before the guard, and those of an
-    entry that trips it once it has its StepTooLarge, so a failed entry
-    steps by the identity and keeps its index; the stepper stops once
-    every entry has failed.  With a gauge the sampler applies it, so the
-    guard and the kernels see Q * gauge, float64 where real."""
+    in blocks within a _segments piece of as many whole groups of
+    _GROUP_STEPS steps as _BLOCK_SAMPLES samples hold, but at least one, so
+    a piece's groups never straddle a block and only its last may be short:
+    per block the step-end radii and the propagators (steps, entries, s,
+    s).  The samples of an entry with an error in faults are zeroed before
+    the guard, and those of an entry that trips it once it has its
+    StepTooLarge, so a failed entry steps by the identity and keeps its
+    index; the stepper stops once every entry has failed.  With a gauge
+    the sampler applies it, so the guard and the kernels see Q * gauge,
+    float64 where real."""
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
-    size = max(_BLOCK_STEPS, _BLOCK_SAMPLES // (len(nodes) * len(ctxs)))
+    size = _GROUP_STEPS * max(
+        1, _BLOCK_SAMPLES // (len(nodes) * len(ctxs) * _GROUP_STEPS))
     blocks = [(a + np.arange(i, min(i + size, n)) * h, h, layer)
               for a, h, n, layer in _segments(profile, r0, span, steps)
               for i in range(0, n, size)]

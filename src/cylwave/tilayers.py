@@ -108,9 +108,14 @@ def _sqrt_branch(w: complex) -> complex:
 
 def _wavenumbers(layer, omega: float, kz: float):
     """(k1, k2, k3, kappa1, kappa2, a_aux, b_aux); kappas None at kz=0.
-    Every operand is a Python scalar (see _moduli)."""
+    Every operand is a Python scalar (see _moduli).  The kappas divide by
+    (c13 + c44) kz, so c13 = -c44 at kz != 0, where the axial motion
+    decouples from the in-plane potentials, is a DomainError."""
     rho, c11, c13, c33, c44, c66 = _moduli(layer)
     omega, kz = float(omega), float(kz)
+    if kz != 0.0 and c13 + c44 == 0:
+        raise DomainError("c13 + c44 = 0 at kz != 0: the closed-form "
+                          "coupling numbers divide by c13 + c44")
     w2 = rho * omega * omega
     a = (c11 + c44) * w2 + (c13 * c13 + 2 * c13 * c44 - c11 * c33) * kz * kz
     b = 4 * c11 * c44 * (w2 - c33 * kz * kz) * (w2 - c44 * kz * kz)
@@ -151,15 +156,15 @@ class OrderStack:
     """Entries (frequency, order) of one kz, evaluated together: entry i is
     the partial-wave order n[i] at omega[f[i]], omega a list of the
     frequencies as given.  The stack holds their cylinder-function tables,
-    built once and shared by every layer and radius, and the one record
-    into which the stacked kernels put per entry what a scalar call would
-    raise or warn."""
+    built once and shared by every layer and radius, and the one record,
+    the tables' own, into which the stacked kernels put per entry what a
+    scalar call would raise or warn."""
 
     def __init__(self, omega: list, kz: float, orders, freq=None):
         self.omega, self.kz = omega, kz
         self.tables = Tables(orders, freq)
         self.n, self.f = self.tables.n, self.tables.f
-        self.faults = EntryFaults(len(self.n))
+        self.faults = self.tables.faults
 
     def table(self, l: int, x: np.ndarray) -> tuple:
         f, fp, notes = self.tables(l, x)
@@ -209,18 +214,21 @@ def _displacement(l: int, stack: OrderStack, wn: tuple,
             return x
         x[:, 0, 1] = fp2
         x[:, 1, 1] = 1j * n / (k2 * r) * f2
-        x[:, 2, 0] = _each(_coupling, wn[3], wn[0])[stack.f] * f1
-        x[:, 2, 1] = _each(_coupling, wn[4], wn[1])[stack.f] * f2
+        x[:, 2, 0] = _coupling(stack, wn[3], wn[0]) * f1
+        x[:, 2, 1] = _coupling(stack, wn[4], wn[1]) * f2
     return x
 
 
-def _coupling(kap: complex, k: complex) -> complex:
-    """i kappa / k, the axial amplitude of a kz != 0 potential column.  At
-    k = 0, a cutoff, it diverges as H1 and Y do at k r = 0, and like them
-    (cylfun.Tables) it is refused."""
-    if k == 0:
-        raise DomainError("radial wavenumber 0 at kz != 0 (a cutoff)")
-    return 1j * kap / k
+def _coupling(stack: OrderStack, kap: list, k: list) -> np.ndarray:
+    """i kappa / k over the entries, the axial amplitude of a kz != 0
+    potential column.  At k = 0, a cutoff, it diverges as H1 and Y do at
+    k r = 0, and like them (cylfun.Tables) it is a DomainError for the
+    entries at that frequency."""
+    cut = np.array(k) == 0
+    stack.faults.fail(cut[stack.f], DomainError(
+        "radial wavenumber 0 at kz != 0 (a cutoff)"))
+    return _each(lambda a, b: np.nan if b == 0 else 1j * a / b, kap, k
+                 )[stack.f]
 
 
 def ti_displacement_matrix(l: int, layer, ctx: WaveContext,

@@ -15,7 +15,8 @@ def al():
 def block_budgets(monkeypatch):
     """Runs a block-structure test's body at two sample budgets, each set in
     turn as matricant._BLOCK_SAMPLES while the test iterates: 0 first, which
-    forces blocks of matricant._BLOCK_STEPS steps, then the default.  Each
+    forces blocks of one group, matricant._GROUP_STEPS steps, then the
+    default.  Each
     pass yields a list that records the steps of every block formed in it."""
     stepper, lengths = matricant._blocks, []
 

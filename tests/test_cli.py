@@ -281,6 +281,25 @@ class TestExitCodes:
         assert rc == 2
         assert "cylwave:" in capsys.readouterr().err
 
+    def test_decoupled_ti_layer_at_kz_is_two(self, tmp_path, capsys):
+        # c13 = -c44 is positive definite, but the closed-form inner
+        # impedance divides by c13 + c44 at kz != 0: a typed domain error,
+        # not a ZeroDivisionError; at kz = 0 the trace runs
+        params = {"c11": 3.0, "c12": 1.0, "c13": -1.0, "c33": 3.0, "c44": 1.0}
+        path = tmp_path / "decoupled.json"
+        path.write_text(json.dumps({"layers": [{
+            "r_in": 0.5, "r_out": 1.0,
+            "material": {"type": "ti", "rho": 1.0, "params": params}}]}))
+        argv = ["impedance-trace", "--profile", str(path), "--ka", "2",
+                "--n", "1", "--steps", "20"]
+        assert cli.main(argv + ["--kz", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("cylwave: c13 + c44 = 0 at kz != 0: the "
+                                "closed-form coupling numbers divide by "
+                                "c13 + c44\n")
+        assert captured.out == ""
+        assert cli.main(argv) == 0
+
     def test_failing_ka_of_a_sweep_is_two(self, al_rec_json, capsys):
         # ka = 0.001 meets a spurious in-plane pole; the sweep stops there
         # with its typed error and writes no row
@@ -381,13 +400,16 @@ class TestOutputs:
         assert target.read_text() == streamed
 
     def test_trace_row_count(self, al_json, capsys):
+        # one row at r0 and one per group end: the 20 steps of one layer
+        # are groups of 8, 8 and 4 steps
         assert cli.main(["impedance-trace", "--profile", al_json,
                          "--ka", "2", "--steps", "20"]) == 0
         data = [ln for ln in _lines(capsys) if not ln.startswith("#")]
-        assert len(data) == 21
+        assert len(data) == 4
         rows = np.array([[float(v) for v in ln.split(",")] for ln in data])
-        assert rows.shape == (21, 3)
-        assert rows[0, 0] == 0.5 and rows[-1, 0] == pytest.approx(1.0)
+        assert rows.shape == (4, 3)
+        assert rows[:, 0] == pytest.approx([0.5, 0.7, 0.9, 1.0])
+        assert rows[0, 0] == 0.5
         assert np.all(np.isfinite(rows))
 
     def test_trace_ends_on_the_marched_impedance(self, al_json, capsys):
@@ -407,11 +429,12 @@ class TestOutputs:
                                 for x in (1.0, det.real, det.imag))
 
     def test_trace_with_axial_wavenumber(self, al_json, capsys):
+        # 10 steps are groups of 8 and 2: rows at r0, 0.9 and 1
         assert cli.main(["impedance-trace", "--profile", al_json,
                          "--ka", "2", "--kz", "0.4", "--n", "1",
                          "--steps", "10"]) == 0
         data = [ln for ln in _lines(capsys) if not ln.startswith("#")]
-        assert len(data) == 11
+        assert len(data) == 3
         assert np.all(np.isfinite(
             [[float(v) for v in ln.split(",")] for ln in data]))
 

@@ -300,12 +300,12 @@ def test_overflow_warning_high_order(al_profile):
 def test_global_equals_per_step_product(al, block_budgets):
     # the blocked composition is the product of single steps over each
     # layer's grid, bit for bit, and warns at the same radius; in blocks of
-    # 10 steps 57 steps leave a partial last block in each layer, and at
-    # the default budget each layer is one block
+    # one group, 8 steps, 57 steps leave a partial last block in each
+    # layer, and at the default budget each layer is one block
     steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
     prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
     ctx = cw.WaveContext(omega=10.0, n=30)
-    for lengths, blocks in zip(block_budgets, ([10, 10, 9, 10, 10, 8],
+    for lengths, blocks in zip(block_budgets, ([8, 8, 8, 5, 8, 8, 8, 4],
                                                [29, 28])):
         for scheme, steps in (("exp2a", 57), ("lp4", 57), ("mg4", 20)):
             with warnings.catch_warnings(record=True) as seen:
@@ -328,14 +328,15 @@ def test_global_equals_per_step_product(al, block_budgets):
 
 
 @pytest.mark.parametrize("scheme, entries, steps, want", [
-    ("lp4", 1, 5000, [1024, 1024, 452]), ("lp4", 23, 300, [44, 44, 44, 18]),
-    ("lp4", 512, 60, [10, 10, 10]), ("mg4", 1, 5000, [2048, 452])],
+    ("lp4", 1, 5000, [1024, 1024, 452]), ("lp4", 23, 300, [40, 40, 40, 30]),
+    ("lp4", 512, 60, [8, 8, 8, 6]), ("mg4", 1, 5000, [2048, 452])],
     ids=["lp4-1", "lp4-23", "lp4-512", "mg4-1"])
 def test_blocks_fit_the_sample_budget(al, scheme, entries, steps, want):
     # the blocks of each _segments piece step its grid in order and never
-    # cross into the next piece; a block holds at most _BLOCK_SAMPLES
-    # samples (nodes x steps x entries) unless it has _BLOCK_STEPS steps,
-    # and all but a piece's last are as long as that rule allows
+    # cross into the next piece; a block holds whole groups of
+    # _GROUP_STEPS steps, at most _BLOCK_SAMPLES samples (nodes x steps x
+    # entries) unless it is one group or less, and all but a piece's last
+    # are as long as that rule allows
     steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
     prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
     ctxs = [cw.WaveContext(omega=2.0, n=3, m=2)] * entries
@@ -352,12 +353,12 @@ def test_blocks_fit_the_sample_budget(al, scheme, entries, steps, want):
             lengths.append(len(radii))
         assert ends == (a + np.arange(n) * h + h).tolist()
         assert lengths == want
+        group = matricant._GROUP_STEPS
         for k, size in enumerate(lengths):
-            tenth = size == matricant._BLOCK_STEPS
-            assert size * samples <= matricant._BLOCK_SAMPLES or tenth
+            assert size * samples <= matricant._BLOCK_SAMPLES or size <= group
             if k < len(lengths) - 1:
-                assert size >= matricant._BLOCK_STEPS
-                assert (size + 1) * samples > matricant._BLOCK_SAMPLES or tenth
+                assert size % group == 0
+                assert (size + group) * samples > matricant._BLOCK_SAMPLES
     assert next(blocks, None) is None
 
 

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 import cylwave as cw
-from cylwave import scatter
+from cylwave import impedance, matricant, scatter
 from cylwave.errors import (AccuracyLoss, BasisDegenerate, DomainError,
                             InteriorPoint, ModeResonance, StepTooLarge,
                             TangentialResonance)
@@ -676,3 +676,63 @@ class TestTwoPasses:
         with pytest.raises(StepTooLarge) as err:
             cw.solve_scattering(config)
         assert str(err.value) == str(alone.value)
+
+
+def _sweep_stack(al_layer):
+    """The benchmark sweep's stack: aluminium, fibre composite and steel
+    with E = 200 GPa and G = 80 GPa."""
+    steel = 80.0e9 / cw.MODULUS_SCALE
+    return _three_layer_stack(al_layer)[:2] + (
+        cw.LayerTI.isotropic(0.8, 1.0, 7.85, steel, steel),)
+
+
+class TestGroupedMarch:
+    """The march fuses each group of 8 steps into one Moebius update; the
+    B_n of the integrate route keep their distance from the recursion
+    route."""
+
+    # max |B_n - B_n(recursion)| of lp4 at 500 steps when the march ran one
+    # Moebius update per step: aluminium over the benchmark's ka range of
+    # one-ka solves, and the benchmark sweep's stack
+    @pytest.mark.parametrize("stack, ka, per_step", [
+        ("aluminium", 1.0, 2.162e-14), ("aluminium", 1.7, 2.892e-15),
+        ("aluminium", 2.6, 7.242e-15), ("aluminium", 3.4, 4.038e-14),
+        ("aluminium", 4.3, 4.073e-13), ("aluminium", 5.0, 2.372e-12),
+        ("sweep", 0.5, 8.645e-15), ("sweep", 1.0, 5.362e-14),
+        ("sweep", 2.0, 5.749e-12), ("sweep", 4.0, 6.760e-10),
+        ("sweep", 8.0, 3.823e-09), ("sweep", 12.0, 9.078e-09)])
+    def test_distance_from_recursion(self, al_layer, stack, ka, per_step):
+        layers = (al_layer,) if stack == "aluminium" else _sweep_stack(
+            al_layer)
+        march, closed = (cw.solve_scattering(cw.ScatteringConfig(
+            layers, ka=ka, scheme="lp4", steps=500, method=method)).b
+            for method in ("integrate", "recursion"))
+        assert len(march) == len(closed)
+        distance = max(abs(x - y) for x, y in zip(march, closed))
+        # below 1e-14 a distance is the rounding of B_n, |B_n| <= 1
+        assert distance <= max(2 * per_step, 1e-14)
+
+    def test_growth_cap_keeps_the_all_step_distance(self, al_layer,
+                                                    monkeypatch):
+        # at ka = 25 the highest orders' group products pass the growth
+        # cap, and those (group, order) pairs take their steps one at a
+        # time; B_n stay as close to the recursion route as they do with
+        # one Moebius update per step
+        replayed = []
+        stepwise = impedance._stepwise
+        monkeypatch.setattr(impedance, "_stepwise", lambda w, mats: (
+            replayed.append(len(w)) or stepwise(w, mats)))
+        closed = cw.solve_scattering(cw.ScatteringConfig(
+            (al_layer,), ka=25.0, method="recursion")).b
+
+        def distance():
+            march = cw.solve_scattering(cw.ScatteringConfig(
+                (al_layer,), ka=25.0, scheme="lp4", steps=500)).b
+            assert len(march) == len(closed)
+            return max(abs(x - y) for x, y in zip(march, closed))
+
+        grouped = distance()
+        assert replayed
+        monkeypatch.setattr(matricant, "_GROUP_STEPS", 1)
+        monkeypatch.setattr(impedance, "_GROUP_STEPS", 1)
+        assert grouped <= 2 * distance()

@@ -15,7 +15,7 @@ from cylwave import cylfun, scatter
 from cylwave.elastodyn import _ti_moduli
 from cylwave.errors import (AccuracyLoss, BasisDegenerate, DomainError,
                             InterfaceResonance, KzZeroCoupling, ModeResonance)
-from cylwave.tilayers import _wavenumbers
+from cylwave.tilayers import OrderStack, _layer_stack, _wavenumbers
 
 
 def _ti_layer_b(r_in=0.75, r_out=1.0):
@@ -365,6 +365,55 @@ class TestLayerTwoPoint:
                 cw.layer_twopoint(layer, ctx, basis=basis)
         with pytest.raises(DomainError, match="cutoff"):
             cw.ti_displacement_matrix(1, layer, ctx, 0.7)
+
+    def test_cutoff_fails_only_its_frequency(self):
+        # the cutoff layer at omega = 1 and kz = 1 (k1 = k3 = 0) on one
+        # stack with omega = 2: the omega = 1 entries get the cutoff's
+        # DomainError, and the others are what a stack of omega = 2 alone
+        # gives, bit for bit
+        layer = cw.LayerTI(0.5, 1.0, 1.0, 1.0, 0.5, 0.0, 1.0, 1.0)
+        orders = [0, 1, 2, 0, 1, 2]
+        for basis in ((1, 3), (1, 2)):
+            both = OrderStack([1.0, 2.0], 1.0, orders, [0, 0, 0, 1, 1, 1])
+            alone = OrderStack([2.0], 1.0, orders[3:])
+            got = _layer_stack(layer, both, basis)
+            want = _layer_stack(layer, alone, basis)
+            assert all(isinstance(e, DomainError)
+                       for e in both.faults.errors[:3])
+            assert list(both.faults.errors[3:]) == [None] * 3
+            assert list(alone.faults.errors) == [None] * 3
+            assert np.array_equal(got[3:], want)
+
+    def test_zero_argument_fails_only_its_frequency(self):
+        # one table over two frequencies, the first at x = 0: the singular
+        # kinds fail its entries alone, J fails none, and the second
+        # frequency's values are those of its own table
+        for kind in (cw.KIND_J, cw.KIND_Y, cw.KIND_H1, cw.KIND_H2):
+            both = cylfun.Tables([0, 3, 0, 3], [0, 0, 1, 1])
+            alone = cylfun.Tables([0, 3])
+            f, fp, _ = both(kind, [0.0, 1.7])
+            want = alone(kind, [1.7])
+            assert np.array_equal(f[2:], want[0])
+            assert np.array_equal(fp[2:], want[1])
+            failed = [e is not None for e in both.faults.errors]
+            assert failed == [kind != cw.KIND_J] * 2 + [False] * 2
+            assert not alone.faults.errors.any()
+
+    def test_c13_equal_to_minus_c44_is_a_domain_error(self):
+        # the coupling numbers divide by (c13 + c44) kz: a valid TI layer
+        # with c13 = -c44 is refused with a typed error at kz != 0 and
+        # solved at kz = 0
+        layer = cw.LayerTI(0.5, 1.0, 1.0, 3.0, 1.0, -1.0, 3.0, 1.0)
+        assert layer.material().stiffness.is_positive_definite()
+        ctx = cw.WaveContext(omega=2.0, n=1, kz=0.5)
+        with pytest.raises(DomainError, match=r"c13 \+ c44 = 0"):
+            cw.layer_twopoint(layer, ctx)
+        with pytest.raises(DomainError, match=r"c13 \+ c44 = 0"):
+            cw.ti_conditional_impedance(1, layer, ctx, 0.7)
+        flat = cw.WaveContext(omega=2.0, n=1, kz=0.0)
+        assert np.isfinite(cw.layer_twopoint(layer, flat).z).all()
+        assert np.isfinite(
+            cw.ti_conditional_impedance(1, layer, flat, 0.7).z).all()
 
     def test_thin_layer_coupling_scales_inversely(self, al_layer):
         ctx = cw.WaveContext(omega=5.0, n=1, kz=0.3)
