@@ -14,8 +14,10 @@ vector) gives every entry the orders it needs, n - 1 to n + 1 over each
 frequency's own orders and no more.  f_n' = (f_(n-1) - f_(n+1))/2 comes from
 neighbouring orders of the same table, with f_0' = -f_1.  Kinds other
 than J are singular at 0: a zero in an argument is a DomainError for the
-entries at its frequency only, kept in the table's EntryFaults.  cyl_f and
-cyl_f_prime are tables of one entry, which raise it.
+entries at its frequency only.  A table owns its EntryFaults record: the
+first evaluation of a (kind, argument) writes its DomainError and
+AccuracyLoss notes there once.  cyl_f and cyl_f_prime are tables of one
+entry, which raise or warn what it holds.
 """
 from __future__ import annotations
 
@@ -71,11 +73,10 @@ class Tables:
     at frequency f[i]; an argument holds one value per frequency.  Each
     (kind, argument) costs one scipy call over the pairs (order, value) the
     entries need, orders min(n) - 1 to max(n) + 1 of each frequency's
-    entries, kept for reuse.  Tables carry the (entry, message)
-    AccuracyLoss notes of the entries outside the validated range, for the
-    caller to raise or defer, and record in `faults` the DomainError of
-    each entry whose argument is 0 for a kind singular there; its values
-    mean nothing."""
+    entries, kept for reuse.  That first evaluation also writes into
+    `faults`, once, the AccuracyLoss note of each entry outside the
+    validated range and the DomainError of each entry whose argument is 0
+    for a kind singular there; its values mean nothing."""
 
     def __init__(self, orders, freq=None):
         self.n = np.atleast_1d(np.asarray(orders, dtype=int))
@@ -101,8 +102,8 @@ class Tables:
         self._cache = {}
         self.faults = EntryFaults(len(self.n))
 
-    def _raw(self, kind: int, x: np.ndarray) -> tuple:
-        """(values over the pairs, notes) of kind at the vector x."""
+    def _raw(self, kind: int, x: np.ndarray) -> np.ndarray:
+        """The values over the pairs of kind at the vector x."""
         key = (kind, x.tobytes())
         if key not in self._cache:
             if kind not in _SCIPY:
@@ -110,32 +111,31 @@ class Tables:
             if kind != KIND_J and not x.all():
                 self.faults.fail((x == 0)[self.f], DomainError(
                     f"kind {kind} is singular at x=0"))
-            self._cache[key] = (_values(kind, self._order, x[self._freq]),
-                                self._notes(kind, x))
+            self._note(kind, x)
+            self._cache[key] = _values(kind, self._order, x[self._freq])
         return self._cache[key]
 
-    def _notes(self, kind: int, x: np.ndarray) -> list:
+    def _note(self, kind: int, x: np.ndarray) -> None:
         ax = np.abs(x)
         out_x = (ax != 0) & ~((_X_LO <= ax) & (ax <= _X_HI))
         bad = out_x[self.f] | self._high
-        if not bad.any():
-            return []
-        return [(i, f"cyl_f(kind={kind}, n={n}, |x|={ax[f]:.3g}) outside "
-                    f"validated range (n<={_N_MAX}, {_X_LO}<=|x|<={_X_HI})")
-                for i, n, f in zip(np.flatnonzero(bad).tolist(),
-                                   self.n[bad].tolist(), self.f[bad])]
+        for i, n, f in zip(np.flatnonzero(bad).tolist(),
+                           self.n[bad].tolist(), self.f[bad]):
+            self.faults.notes[i].append(
+                f"cyl_f(kind={kind}, n={n}, |x|={ax[f]:.3g}) outside "
+                f"validated range (n<={_N_MAX}, {_X_LO}<=|x|<={_X_HI})")
 
     def __call__(self, kind: int, x) -> tuple:
-        """(f, f', notes) of kind at x over the entries."""
-        (v, notes), i = self._raw(kind, _vector(x)), self._i
+        """(f, f') of kind at x over the entries."""
+        v, i = self._raw(kind, _vector(x)), self._i
         with np.errstate(invalid="ignore"):
             fp = 0.5 * (v[i - 1] - v[i + 1])
         fp[self._n0] = -v[i[self._n0] + 1]
-        return v[i], fp, notes
+        return v[i], fp
 
     def log_derivative(self, kind: int, x) -> tuple:
-        """(d, zero, notes) with x f_n'/f_n = n + d; zero marks the entries
-        where f has a true zero.
+        """(d, zero) with x f_n'/f_n = n + d; zero marks the entries where f
+        has a true zero.
 
         d = -x f_(n+1)/f_n follows from f_n' = (n/x) f_n - f_(n+1).  Kept
         apart from n it holds the digits that differences like x1 x3 - n^2
@@ -143,7 +143,7 @@ class Tables:
         J_n(x) or J_(n+1)(x) underflows with |x| < n, a region free of zeros
         of J_n, the ratio comes from its backward recurrence instead."""
         x = _vector(x)
-        (v, notes), i = self._raw(kind, x), self._i
+        v, i = self._raw(kind, x), self._i
         xe = x[self.f]
         with np.errstate(divide="ignore", invalid="ignore"):
             d = -xe * v[i + 1] / v[i]
@@ -153,13 +153,12 @@ class Tables:
             if under.any():
                 d[under] = -xe[under] * _j_ratio(self.n[under], xe[under])
                 zero &= ~under
-        return d, zero, notes
+        return d, zero
 
 
 def _one(kind: int, n: int, x: complex) -> tuple:
     table = Tables([n])
-    f, fp, notes = table(kind, x)
-    table.faults.note(notes)
+    f, fp = table(kind, x)
     table.faults.check(0, stacklevel=4)
     return complex(f[0]), complex(fp[0])
 

@@ -37,8 +37,9 @@ class AccuracyLoss(UserWarning):
 
 class EntryFaults:
     """Per entry of a stack, the first typed error met and the AccuracyLoss
-    messages of the cylinder functions used: stacked kernels record here
-    what a scalar call would raise or warn, and `check` surfaces it."""
+    messages of the cylinder functions used, each written once by the
+    cylfun.Tables that owns the record: stacked kernels record here what a
+    scalar call would raise or warn, and `check` surfaces it."""
 
     def __init__(self, size: int):
         self.errors = np.full(size, None, dtype=object)
@@ -51,10 +52,6 @@ class EntryFaults:
     def fail(self, rows: np.ndarray, error: CylwaveError) -> None:
         """Give error to the entries of the mask rows that have none yet."""
         self.errors[rows & self.ok] = error
-
-    def note(self, notes) -> None:
-        for i, msg in notes:
-            self.notes[i].append(msg)
 
     def check(self, i: int, stacklevel: int = 3) -> None:
         for msg in self.notes[i]:

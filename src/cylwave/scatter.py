@@ -135,8 +135,8 @@ def scalar_impedance_z0(z2) -> complex:
 def _coefficients(stack: OrderStack, ka, K: float,
                   z0: np.ndarray) -> np.ndarray:
     """B_n of every entry; ka holds one value per frequency of the stack."""
-    jn, jnp = stack.table(KIND_J, ka)
-    hn, hnp = stack.table(KIND_H1, ka)
+    jn, jnp = stack(KIND_J, ka)
+    hn, hnp = stack(KIND_H1, ka)
     kae = np.atleast_1d(ka)[stack.f]
     with np.errstate(all="ignore"):
         return -(K * kae * jn - z0 * jnp) / (K * kae * hn - z0 * hnp)
@@ -153,6 +153,7 @@ def scattering_coefficient(n: int, ka: float, K: float, z0: complex) -> complex:
 
 def form_function(theta, b, ka: float):
     """Far-field form function f(theta) of the truncated partial-wave sum."""
+    _positive(ka, "ka")
     th = np.asarray(theta, dtype=float)
     out = np.zeros(th.shape, dtype=complex)
     for n, bn in enumerate(b):
@@ -164,6 +165,7 @@ def form_function(theta, b, ka: float):
 
 def total_cross_section(b, ka: float) -> float:
     """sigma_tot = (4 pi / ka) Im f(0)."""
+    _positive(ka, "ka")
     return 4.0 * math.pi / ka * complex(form_function(0.0, b, ka)).imag
 
 

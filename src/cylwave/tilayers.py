@@ -11,11 +11,13 @@ many layers are folded in (unlike transfer-matrix products).
 
 Every kernel runs on a stack of entries at once, each a partial-wave order
 at one of several frequencies (the orders of every ka of a sweep), on
-(entries, 3, 3) or (entries, 6, 6) arrays.  The wavenumbers are vectors
-over the frequencies, and each (kind, k r) is one cylinder-function table
-over all entries; a failing entry leaves its typed error in the stack's
-record and the others go on.  The public functions are stacks of one
-entry.
+(entries, 3, 3) or (entries, 6, 6) arrays.  The stack is a cylinder-function
+table over all entries (an OrderStack is a cylfun.Tables), and the
+wavenumbers are vectors over the frequencies: each (kind, k r) costs one
+scipy call, and its first evaluation writes its notes into the stack's
+record once.  A failing entry leaves its typed error in that record and
+the others go on.  The public functions are stacks of one entry, which
+raise or warn the record at their caller's line.
 
 The input rules are elastodyn's: LayerTI calls _bounds, _positive and
 _finite_moduli, the joins _contiguous, and a MaterialPoint given as a TI
@@ -152,24 +154,17 @@ def ti_wavenumbers(layer, omega: float, kz: float) -> TIWavenumbers:
     return TIWavenumbers(k1, k2, k3, kap1, kap2, a, b)
 
 
-class OrderStack:
+class OrderStack(Tables):
     """Entries (frequency, order) of one kz, evaluated together: entry i is
     the partial-wave order n[i] at omega[f[i]], omega a list of the
-    frequencies as given.  The stack holds their cylinder-function tables,
-    built once and shared by every layer and radius, and the one record,
-    the tables' own, into which the stacked kernels put per entry what a
-    scalar call would raise or warn."""
+    frequencies as given.  The stack is the entries' cylinder-function
+    table, shared by every layer and radius, and its `faults` the one
+    record, into which the table writes its notes and the stacked kernels
+    their errors: per entry what a scalar call would raise or warn."""
 
     def __init__(self, omega: list, kz: float, orders, freq=None):
+        super().__init__(orders, freq)
         self.omega, self.kz = omega, kz
-        self.tables = Tables(orders, freq)
-        self.n, self.f = self.tables.n, self.tables.f
-        self.faults = self.tables.faults
-
-    def table(self, l: int, x: np.ndarray) -> tuple:
-        f, fp, notes = self.tables(l, x)
-        self.faults.note(notes)
-        return f, fp
 
     def wavenumbers(self, layer) -> tuple:
         """_wavenumbers of layer, each a list over the frequencies (None at
@@ -188,10 +183,11 @@ def _each(fn, *lists) -> np.ndarray:
 
 def _single(ctx: WaveContext, kernel):
     """Entry 0 of kernel(stack) on the one order of ctx, after raising or
-    warning what the stack recorded."""
+    warning what the stack recorded at the line that called the public
+    function."""
     stack = OrderStack([ctx.omega], ctx.kz, [ctx.n])
     out = kernel(stack)
-    stack.faults.check(0)
+    stack.faults.check(0, stacklevel=4)
     return out[0]
 
 
@@ -199,9 +195,9 @@ def _displacement(l: int, stack: OrderStack, wn: tuple,
                   r: float) -> np.ndarray:
     n = stack.n
     k1, k2, k3 = (np.array(k) for k in wn[:3])
-    f1, fp1 = stack.table(l, k1 * r)
-    f2, fp2 = stack.table(l, k2 * r)
-    f3, fp3 = stack.table(l, k3 * r)
+    f1, fp1 = stack(l, k1 * r)
+    f2, fp2 = stack(l, k2 * r)
+    f3, fp3 = stack(l, k3 * r)
     k1, k2, k3 = k1[stack.f], k2[stack.f], k3[stack.f]
     x = np.zeros((len(n), 3, 3), dtype=complex)
     with np.errstate(all="ignore"):
@@ -250,8 +246,7 @@ def _impedance(l: int, layer, stack: OrderStack, wn: tuple,
     n = stack.n
     ds = []
     for k in wn[:3]:
-        d, zero, notes = stack.tables.log_derivative(l, np.array(k) * r)
-        stack.faults.note(notes)
+        d, zero = stack.log_derivative(l, np.array(k) * r)
         for fz in set(stack.f[zero].tolist()):
             stack.faults.fail(zero & (stack.f == fz), ModeResonance(
                 f"cylinder function zero at k*r={k[fz] * r}"))
@@ -316,9 +311,13 @@ def ti_conditional_impedance(l: int, layer, ctx: WaveContext,
 
 def ti_traction_matrix(l: int, layer, ctx: WaveContext, r: float) -> np.ndarray:
     """Y^l(r) = -i z^l(r) X^l(r), the traction amplitudes of the same basis."""
-    z = ti_conditional_impedance(l, layer, ctx, r)
-    x = ti_displacement_matrix(l, layer, ctx, r)
-    return -1j * (z.z @ x)
+    def kernel(s):
+        wn = s.wavenumbers(layer)
+        # the impedance first: where both fail, its error is the one raised
+        z = _impedance(l, layer, s, wn, r)
+        with np.errstate(all="ignore"):
+            return -1j * (z @ _displacement(l, s, wn, r))
+    return _single(ctx, kernel)
 
 
 def _layer_stack(layer: LayerTI, stack: OrderStack,

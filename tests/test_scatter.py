@@ -96,10 +96,13 @@ class TestCoefficient:
                 assert abs(abs(1 + 2 * b) - 1) < 1e-12
 
     def test_rejects_bad_ka(self):
-        for ka in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError,
-                               match="^ka must be positive and finite$"):
-                cw.scattering_coefficient(0, ka, 1.0, 0.0)
+        for ka in (0.0, -1.0, math.nan, math.inf):
+            for call in (lambda: cw.scattering_coefficient(0, ka, 1.0, 0.0),
+                         lambda: cw.form_function(0.0, (0.1,), ka),
+                         lambda: cw.total_cross_section((0.1,), ka)):
+                with pytest.raises(ValueError,
+                                   match="^ka must be positive and finite$"):
+                    call()
 
 
 class TestFormFunction:

@@ -391,7 +391,7 @@ class TestLayerTwoPoint:
         for kind in (cw.KIND_J, cw.KIND_Y, cw.KIND_H1, cw.KIND_H2):
             both = cylfun.Tables([0, 3, 0, 3], [0, 0, 1, 1])
             alone = cylfun.Tables([0, 3])
-            f, fp, _ = both(kind, [0.0, 1.7])
+            f, fp = both(kind, [0.0, 1.7])
             want = alone(kind, [1.7])
             assert np.array_equal(f[2:], want[0])
             assert np.array_equal(fp[2:], want[1])
@@ -635,3 +635,58 @@ class TestTIMaterialPoint:
             got = cw.ti_conditional_impedance(1, core, ctx, 0.6).z
             want = cw.ti_conditional_impedance(1, layer, ctx, 0.6).z
             assert got.tobytes() == want.tobytes()
+
+
+class TestNotes:
+    """A stack's cylinder-function table writes each (kind, argument)'s
+    AccuracyLoss notes into its record once, and the public functions warn
+    them at their caller's line."""
+
+    ISO = cw.LayerTI.isotropic(0.5, 1.0, 2.7, 1.2, 0.5)
+
+    @staticmethod
+    def _warned(call) -> list:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            call()
+        return [w for w in record if w.category is AccuracyLoss]
+
+    @pytest.mark.parametrize("call, count", [
+        (lambda lay, ctx: cw.layer_twopoint(lay, ctx), 8),
+        (lambda lay, ctx: cw.global_twopoint([lay], ctx), 8),
+        (lambda lay, ctx: cw.ti_conditional_impedance(1, lay, ctx, 0.7), 2),
+        (lambda lay, ctx: cw.ti_displacement_matrix(1, lay, ctx, 0.7), 2),
+        (lambda lay, ctx: cw.ti_traction_matrix(1, lay, ctx, 0.7), 2),
+    ], ids=["layer_twopoint", "global_twopoint", "impedance",
+            "displacement", "traction"])
+    def test_one_warning_per_kind_and_argument(self, call, count):
+        # n = 61 is past the validated orders; at kz = 0 the isotropic
+        # layer's k2 and k3 are one argument, so a layer reads J and H1 at
+        # two arguments on each of its two radii, 8 notes, and the
+        # functions of one radius read J at two.  Each note is warned once,
+        # under the "always" filter too, and names this file
+        record = self._warned(lambda: call(
+            self.ISO, cw.WaveContext(omega=5.0, n=61)))
+        assert len(record) == count
+        assert len({str(w.message) for w in record}) == count
+        assert {w.filename for w in record} == {__file__}
+
+    def test_layer_stack_notes_each_argument_once(self, al_layer):
+        stack = OrderStack([5.0], 0.0, [61, 62])
+        _layer_stack(al_layer, stack)
+        for notes in stack.faults.notes:
+            assert notes
+            assert len(set(notes)) == len(notes)
+
+    def test_traction_matrix_calls_scipy_once_per_argument(self,
+                                                           monkeypatch):
+        # the impedance and the displacement basis of one stack share its
+        # tables: J at k1 r, k2 r and k3 r of a TI layer, one scipy call
+        # each
+        calls = []
+        jv = special.jv
+        monkeypatch.setattr(cylfun, "special", types.SimpleNamespace(
+            jv=lambda n, x: calls.append(np.array(x).tobytes()) or jv(n, x)))
+        cw.ti_traction_matrix(1, _ti_layer_b(),
+                              cw.WaveContext(omega=5.0, n=2, kz=0.3), 0.9)
+        assert len(calls) == len(set(calls)) == 3
