@@ -440,16 +440,23 @@ def _q_sampler(profile, ctxs, gauge=None):
     are Q * g, in float64 where their imaginary parts are exactly zero.
 
     Samples are (1/r) (P0 + kz r P1 + r^2 P2) from _ig_terms' terms, equal
-    to q_matrix's bit for bit.  A piecewise profile's sampler also has
-    ``sample.bound(lo, hi, layer)``, per context an upper bound on
-    sqrt(|Q|_1 |Q|_inf) over the radii [lo, hi] of the layer, from the
-    norms of its terms, taken once.  A piecewise profile builds, gauges and
+    to q_matrix's bit for bit.  A piecewise profile builds, gauges and
     demotes each layer's terms once, when the sampler is built; products
     with g are exact, so its samples are Q * g bit for bit, formed in
-    float64 for lossless orthotropic layers.  A smooth law, called once per
-    radius, has the terms of all radii and contexts built in one pass; it
-    and the ``q_at`` hook, which goes through q_matrix radius by radius,
-    gauge and demote their samples.
+    float64 for lossless orthotropic layers.  Its sampler takes a third
+    argument, ``which``, a mask or index of the contexts to sample, and has
+    two more functions of a layer, from those terms:
+
+    * ``sample.bound(lo, hi, layer)``, per context an upper bound on
+      sqrt(|Q|_1 |Q|_inf) over the radii [lo, hi] of the layer, from the
+      norms of its terms, taken once;
+    * ``sample.letters(layer)``, the layer's terms as the letters of
+      Q(r) = P0 / r + kz P1 + r P2, one array (letters, len(ctxs), 2m, 2m):
+      P0, kz P1 and P2, or P0 and P2 where every kz is 0.
+
+    A smooth law, called once per radius, has the terms of all radii and
+    contexts built in one pass; it and the ``q_at`` hook, which goes
+    through q_matrix radius by radius, gauge and demote their samples.
     """
     def gauged(q):
         return q if gauge is None else _demoted(q * gauge)
@@ -474,7 +481,7 @@ def _q_sampler(profile, ctxs, gauge=None):
         rho = np.array([mp.rho for mp in mps], dtype=float)
         return _ig_terms(c, rho, ctxs)[sub]
 
-    def q_of(terms, r):
+    def q_of(terms, r, kz=kz):
         rr = r[..., None, None, None]
         return (1 / rr) * (terms[0] + (kz * rr) * terms[1]
                            + (rr * rr) * terms[2])
@@ -503,8 +510,9 @@ def _q_sampler(profile, ctxs, gauge=None):
     norms[:, 1] *= np.abs(kz[:, 0, 0])
     norms = norms.transpose(2, 0, 1, 3)
 
-    def sample(r, layer):
-        return q_of(layer_terms[layer], np.asarray(r, dtype=float))
+    def sample(r, layer, which=slice(None)):
+        return q_of(layer_terms[layer][:, which],
+                    np.asarray(r, dtype=float), kz[which])
 
     def bound(lo, hi, layer):
         # |Q(r)|_p <= |P0|_p / r + |kz| |P1|_p + r |P2|_p for p = 1 and inf;
@@ -515,7 +523,12 @@ def _q_sampler(profile, ctxs, gauge=None):
         return np.sqrt(np.maximum(*((c[:, 0] / x + c[:, 1] + x * c[:, 2])
                                     .prod(axis=0) for x in (lo, hi))))
 
+    def letters(layer):
+        p0, p1, p2 = layer_terms[layer]
+        return np.stack([p0, p2] if not kz.any() else [p0, kz * p1, p2])
+
     sample.bound = bound
+    sample.letters = letters
     return sample
 
 

@@ -18,35 +18,54 @@ with S_0 = I and S_e = (1/e) sum_(d<e) B_d S_(e-d-1).  So ts1 is I + hQ(r),
 ts2 is I + hQ + (hQ)^2 / 2 at the midpoint, and for constant Q an lp step is
 the exponential series truncated after (hQ)^p / p!.
 
+In a layer of a piecewise profile Q(r) = P0 / r + kz P1 + r P2, so each B_d
+is a sum of three letters with per-step weights: alpha_d =
+h sum_j c_dj / r_j for P0, beta_d = h sum_j c_dj for kz P1 and gamma_d =
+h sum_j c_dj r_j for P2, with r_j = r + x_j h; kz P1 is left out where
+every kz is 0.  M - I is then a fixed polynomial in the letters, and the
+dyson kernel of a layer forms it from the terms alone: on entering the
+layer it builds the word tables, every product W_w of 1 to p letters, and
+per block it runs the recursion for S_e on the words' coefficients
+(steps, words), shared by every entry, and contracts them with the tables,
+M = I + sum_w C_w W_w.  lp4 has 30 words at kz = 0 and 120 at kz != 0;
+those zero in every entry (at m = 2 and 3, the 12 and 33 that hold
+P2 P2) are left out.
+Every sum of a step's numbers runs in a fixed order, node by node, word by
+word, so a step's propagator does not depend on its block or its entry's
+stack.  A smooth law and the q_at hook have no layer terms; their dyson
+steps, like every exp and magnus step, come from the kernel on samples of
+Q at the nodes.
+
 One stepper forms every propagator of the package: the impedance march,
-matricant_step and matricant_global.  Per block of steps it samples Q at
-every node, step and entry in one array (nodes, steps, entries, 2m, 2m),
-runs the step guard, which gives each entry its own StepTooLarge, and forms
-the block's propagators in one kernel call; a failed entry steps by the
-identity.  The march fuses each group of _GROUP_STEPS steps of a _segments
-piece, counted from the piece's start, into one propagator and one Moebius
-update (see cylwave.impedance), so a block holds whole groups: as many as
-_BLOCK_SAMPLES sampled matrices allow, but at least one.  A large stack's
-memory stays bounded, a small one pays the per-block overheads only a few
-times, and a group never straddles two blocks, whatever the stack.  The
-march hands its gauge to the stepper, which builds the sampler with it;
-the guard and the kernels then see the gauged samples, in float64 where
-they are real (see cylwave.impedance).
-matricant_step and matricant_global are stacks of one that raise their
-entry's error, sample Q ungauged, stay complex and multiply step by step.
+matricant_step and matricant_global.  Per block of steps it runs the step
+guard, which gives each entry its own StepTooLarge, and forms the block's
+propagators in one kernel call, from the layer's terms or from Q sampled
+at every node, step and entry in one array (nodes, steps, entries, 2m,
+2m); a failed entry steps by the identity.  The march fuses each group of
+_GROUP_STEPS steps of a _segments piece, counted from the piece's start,
+into one propagator and one Moebius update (see cylwave.impedance), so a
+block holds whole groups: as many as _BLOCK_SAMPLES matrices at the nodes
+allow, but at least one.  A large stack's memory stays bounded, a small
+one pays the per-block overheads only a few times, and a group never
+straddles two blocks, whatever the stack.  The march hands its gauge to
+the stepper, which builds the sampler with it; the guard and the kernels
+then see the gauged terms or samples, in float64 where they are real (see
+cylwave.impedance).  matricant_step and matricant_global are stacks of one
+that raise their entry's error, take Q ungauged, stay complex and multiply
+step by step.
 
 The guard's first test is h sqrt(|Q|_1 |Q|_inf) <= 20 per sample.  In a
-layer of a piecewise profile Q(r) = P0 / r + kz P1 + r P2, so |Q(r)|_p is
-at most |P0|_p / r + |kz| |P1|_p + r |P2|_p for p = 1 and inf; the sampler
-takes these term norms once per layer and entry.  The product of the two
-bounds expands into r^-2..r^2 with nonnegative coefficients, so it is
-convex, and its largest value on a block lies at one of the block's end
-radii.  An entry whose bound there is at most 20 (1 - 1e-12), the margin
-covering round-off, passes every sample, and the guard, which would give
-it 0, does not see it; every other entry goes through the guard on its
-own samples, so the verdicts and texts are those of the guard on every
-sample.  A smooth law and the q_at hook have no layer terms, and the guard
-sees all their samples.
+layer of a piecewise profile |Q(r)|_p is at most |P0|_p / r + |kz| |P1|_p +
+r |P2|_p for p = 1 and inf; the sampler takes these term norms once per
+layer and entry.  The product of the two bounds expands into r^-2..r^2 with
+nonnegative coefficients, so it is convex, and its largest value on a block
+lies at one of the block's end radii.  An entry whose bound there is at
+most 20 (1 - 1e-12), the margin covering round-off, passes every sample,
+and the guard, which would give it 0, does not see it; every other entry
+goes through the guard on its own samples, which are the only ones the
+terms' kernel takes, so the verdicts and texts are those of the guard on
+every sample.  A smooth law and the q_at hook have no layer terms, and the
+guard sees all their samples.
 
 No scheme needs derivatives of Q, but each interpolates Q within its step,
 so no step may contain a jump in Q.  _segments cuts each span at the
@@ -199,6 +218,119 @@ def _dyson(h: float, qs: np.ndarray, nodes: tuple, p: int) -> np.ndarray:
     return m
 
 
+# ---------------------------------------------------------------------------
+# the dyson kernel from a layer's terms, its letters P0, kz P1 and P2
+
+
+def _weights(h: float, radii: np.ndarray, nodes: tuple, p: int,
+             k: int) -> np.ndarray:
+    """The letters' weights (D, k, steps) of each B_d, d < D = min(p, K),
+    at the node radii (K, steps): alpha_d = h sum_j c_dj / r_j for P0,
+    beta_d = h sum_j c_dj for kz P1 when k = 3, and gamma_d =
+    h sum_j c_dj r_j for P2.  The Lagrange basis sums to 1, so beta_d is h
+    at d = 0 and 0 above.  The sums run node by node, so a step's weights
+    do not depend on its block."""
+    c = _dyson_coefficients(nodes, p)[:len(nodes), :, None]
+    alpha = h * reduce(operator.add,
+                       (c[:, j] / x for j, x in enumerate(radii)))
+    gamma = h * reduce(operator.add,
+                       (c[:, j] * x for j, x in enumerate(radii)))
+    if k == 2:
+        return np.stack([alpha, gamma], axis=1)
+    beta = np.zeros_like(alpha)
+    beta[0] = h
+    return np.stack([alpha, beta, gamma], axis=1)
+
+
+def _series(b: np.ndarray, p: int) -> np.ndarray:
+    """The coefficients (words, steps) of M - I = S_1 + ... + S_p over the
+    words of _term_kernel, from the letter weights b (D, k, steps) of the B_d.
+    S_e = sum_(d<e) (B_d / e) S_(e-d-1) runs on each length's coefficients:
+    B_d times a word w of length l is the word (a, w) of length l + 1 with
+    weight b[d, a] times w's.  A length's coefficients sum S_e's in the
+    order of e; S_e's longest words, B_0 / e times S_(e-1)'s, are the first
+    of their length and go straight into the result.  Every operation is
+    elementwise, so a step's coefficients do not depend on its block."""
+    k, steps = b.shape[1:]
+    out = np.zeros((sum(k ** l for l in range(1, p + 1)), steps))
+    c, at = [], 0
+    for l in range(1, p + 1):
+        c.append(out[at:at + k ** l])
+        at += k ** l
+    c[0] += b[0]
+    # s[e][l - 1]: the coefficients of S_e's words of length l
+    s = [None, [b[0]]]
+    for e in range(2, p + 1):
+        be = b / e
+        se = [be[e - 1] if e <= len(b) else np.zeros((k, steps))]
+        for l in range(2, e):
+            se.append(reduce(np.add, [
+                (be[d, :, None] * s[e - d - 1][l - 2]).reshape(-1, steps)
+                for d in range(min(e - l + 1, len(b)))]))
+        for x, y in zip(c, se):
+            x += y
+        np.multiply(be[0, :, None], s[e - 1][e - 2],
+                    out=c[e - 1].reshape(k, -1, steps))
+        if e < p:
+            s.append(se + [c[e - 1].copy()])
+    return out
+
+
+def _term_kernel(letters: np.ndarray, nodes: tuple, p: int):
+    """The dyson kernel of a layer whose letters (k, entries, s, s) are P0,
+    [kz P1,] P2: step(h, radii), the propagators (steps, entries, s, s) of
+    the steps whose node radii are radii (K, steps).
+
+    The word tables, every product of l = 1 .. p letters, are built once:
+    one real array (words, n), n the entries' s x s matrices flattened,
+    real and imaginary parts side by side where the letters are complex.
+    The lengths come in order and each length's words in the order of
+    their letters, the first the most significant: word a k^(l-1) + w of
+    length l is X_a times word w of length l - 1, as _series counts them.
+    A word that is zero in every entry adds nothing and is left out: P2
+    lies in the lower left block, so every word with P2 P2 in it is zero
+    (at m = 2 and 3 lp4 keeps 18 of 30 words at kz = 0, 87 of 120 else).
+
+    Per call M = I + sum_w C_w W_w, in chunks of whole groups of at most
+    _GROUP_STEPS * _BLOCK_SAMPLES coefficients, so a long block with many
+    words keeps its temporaries small.  The contraction runs the longer of
+    the chunk's steps and the table's columns innermost: a long march of
+    one entry has few columns (a 4000-step lp4 march at kz != 0, m = 3 is
+    7-12 % slower with the columns innermost), a stacked sweep few steps
+    per block (a 60-ka lp4 sweep is 20-40 % slower with the steps
+    innermost).  In either order numpy's einsum adds each element's
+    words' products one by one, as a loop over the words would, so a
+    step's propagator does not depend on its block, its chunk or its
+    entry's stack."""
+    k, entries, size = letters.shape[:3]
+    tables = [letters]
+    for _ in range(p - 1):
+        tables.append((letters[:, None] @ tables[-1][None])
+                      .reshape((-1,) + letters.shape[1:]))
+    words = np.concatenate(tables).reshape(sum(map(len, tables)), -1)
+    chunk = _GROUP_STEPS * max(1, _BLOCK_SAMPLES // len(words))
+    kept = np.flatnonzero(words.any(axis=1))
+    words = words[kept]
+    if np.iscomplexobj(words):
+        words = words.view(float)
+
+    def step(h: float, radii: np.ndarray) -> np.ndarray:
+        m = np.empty((radii.shape[1], words.shape[1]))
+        for i in range(0, len(m), chunk):
+            coef = _series(_weights(h, radii[:, i:i + chunk], nodes, p, k), p)
+            if coef.shape[1] > words.shape[1]:
+                m[i:i + chunk] = np.einsum("wn,ws->ns", words, coef[kept]).T
+            else:
+                np.einsum("ws,wn->sn", coef[kept], words, out=m[i:i + chunk])
+        if np.iscomplexobj(letters):
+            m = m.view(complex)
+        m = m.reshape(len(m), entries, size, size)
+        m += np.eye(size)
+        return m
+
+    return step
+
+
 def _exp(h: float, qs: np.ndarray, nodes: tuple, p: int) -> np.ndarray:
     return reduce(lambda m, e: e @ m, _mat_exp(h / len(qs) * qs))
 
@@ -242,9 +374,10 @@ def get_scheme(name: str | Scheme) -> Scheme:
 
 
 def _count(value, name: str, least: int) -> int:
-    """value as an int if operator.index takes it and it is >= least."""
+    """value as an int if operator.index takes it, it is >= least and it is
+    not a boolean, which operator.index would read as 0 or 1."""
     try:
-        if operator.index(value) >= least:
+        if not isinstance(value, bool) and operator.index(value) >= least:
             return operator.index(value)
     except TypeError:
         pass
@@ -322,12 +455,15 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
     _GROUP_STEPS steps as _BLOCK_SAMPLES samples hold, but at least one, so
     a piece's groups never straddle a block and only its last may be short:
     per block the step-end radii and the propagators (steps, entries, s,
-    s).  The samples of an entry with an error in faults are zeroed before
-    the guard, and those of an entry that trips it once it has its
-    StepTooLarge, so a failed entry steps by the identity and keeps its
-    index; the stepper stops once every entry has failed.  With a gauge
-    the sampler applies it, so the guard and the kernels see Q * gauge,
-    float64 where real."""
+    s).  A dyson scheme on a piecewise profile forms them from the layer's
+    letters (_term_kernel), building the word tables once per layer it
+    enters, and samples Q only for the guard, at the entries that the term
+    bound leaves to it; every other stepper samples Q at every node for
+    the kernel.  An entry with an error in faults is not guarded, and it
+    and an entry that trips the guard, once it has its StepTooLarge, step
+    by the identity and keep their index; the stepper stops once every
+    entry has failed.  With a gauge the sampler applies it, so the guard
+    and the kernels see Q * gauge, float64 where real."""
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
     size = _GROUP_STEPS * max(
         1, _BLOCK_SAMPLES // (len(nodes) * len(ctxs) * _GROUP_STEPS))
@@ -336,27 +472,41 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
               for i in range(0, n, size)]
     sample = _q_sampler(profile, ctxs, gauge)
     bound = getattr(sample, "bound", None)
+    letters = getattr(sample, "letters", None) if kernel is _dyson else None
+    terms = None  # (layer, its _term_kernel)
     for r, h, layer in blocks:
         if not faults.ok.any():
             return
-        qs = sample(r + (np.array(nodes) * h)[:, None], layer)
-        qs[:, :, ~faults.ok] = 0
+        radii = r + (np.array(nodes) * h)[:, None]
         # the guard sees the entries that the layer's terms do not prove
         # below its first bound on the block; it gives the others 0
         check = faults.ok
         if bound is not None:
             check = check & ~(h * bound(r[0], r[-1] + h, layer) <= _PROVEN)
-        nrm = np.zeros(qs.shape[1:3])
-        if check.all():
-            nrm = _guard(h, qs).max(axis=0)
-        elif check.any():
-            nrm[:, check] = _guard(h, qs[:, :, check]).max(axis=0)
+        nrm = np.zeros((len(r), len(ctxs)))
+        if letters is not None:
+            if check.any():
+                nrm[:, check] = _guard(h, sample(radii, layer, check)).max(0)
+        else:
+            qs = sample(radii, layer)
+            qs[:, :, ~faults.ok] = 0
+            if check.all():
+                nrm = _guard(h, qs).max(axis=0)
+            elif check.any():
+                nrm[:, check] = _guard(h, qs[:, :, check]).max(axis=0)
         over = nrm > 20.0
         tripped = over.any(axis=0)
         for i in np.flatnonzero(tripped):
             faults.errors[i] = StepTooLarge(
                 f"||h*Q|| = {nrm[over[:, i], i][0]:.3g} exceeds 20 (exp "
                 "overflow guard); reduce the step or increase the step count")
+        if letters is not None:
+            if terms is None or terms[0] != layer:
+                terms = layer, _term_kernel(letters(layer), nodes, order)
+            mats = terms[1](h, radii)
+            mats[:, ~faults.ok] = np.eye(mats.shape[-1])
+            yield r + h, mats
+            continue
         qs[:, :, tripped] = 0
         # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent by 20, a
         # Magnus one (nodes sharing D) by 20 + (sqrt(3)/6) 20^2 ~ 135, so
@@ -370,11 +520,13 @@ def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
     """One-step propagator M(r+h, r) for the chosen scheme; over a span that
     contains an interface, the product of one step in each layer.
 
-    Each call builds its own sampler, fault record and block stepper, so
-    chaining it step by step costs about 20 to 30 times a step of
-    matricant_global over the same span on a piecewise profile, whose long
-    blocks share those costs, and 5 to 20 times on a smooth law, whose
-    calls per sample radius both pay.
+    Each call builds its own sampler, fault record and block stepper, and
+    a dyson scheme its layer's word tables, so chaining it step by step
+    (m = 3, 200 steps) costs about 40 to 50 times a step of
+    matricant_global over the same span for a dyson scheme on a piecewise
+    profile, whose long blocks share those costs, 10 to 25 times for the
+    exp and magnus schemes, and 5 to 20 times on a smooth law, whose calls
+    per sample radius both pay.
     """
     if not h > 0:
         raise ValueError("step must be positive")

@@ -356,9 +356,9 @@ class TestIntegrate:
         z = cw.ConditionalImpedance(np.zeros((3, 3)), 1.0)
         with pytest.raises(ValueError):
             cw.integrate_impedance(al_profile, AL_CTX, z, 1.0, 0.5, 10, "lp4")
-        # matricant._segments owns the step count: a float is refused like
-        # a count below 1, never a TypeError from range
-        for steps in (0, 10.0, np.float64(10.0), "10"):
+        # matricant._segments owns the step count: a float or a boolean is
+        # refused like a count below 1, never a TypeError from range
+        for steps in (0, 10.0, np.float64(10.0), "10", True):
             with pytest.raises(ValueError, match="steps must be >= 1"):
                 cw.integrate_impedance(al_profile, AL_CTX, z, 0.5, 1.0, steps,
                                        "lp4")
@@ -1113,8 +1113,9 @@ class TestNaiveRiccati:
         assert trace.radii[-1] == trace.blowup_radius
         assert len(trace.values) == len(trace.radii)
 
-    @pytest.mark.parametrize("steps", [0, -1, 10.0, 2.5, np.float64(10.0)],
-                             ids=["0", "-1", "10.0", "2.5", "float64"])
+    @pytest.mark.parametrize("steps",
+                             [0, -1, 10.0, 2.5, np.float64(10.0), True],
+                             ids=["0", "-1", "10.0", "2.5", "float64", "bool"])
     def test_rejects_step_count_below_one(self, al_profile, steps):
         z0 = np.zeros((3, 3), dtype=complex)
         with pytest.raises(ValueError, match="steps must be >= 1"):

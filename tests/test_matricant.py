@@ -327,6 +327,35 @@ def test_global_equals_per_step_product(al, block_budgets):
             assert warn_at in str(seen[0].message)
 
 
+def test_global_equals_per_step_product_at_kz(al):
+    # at kz != 0 the dyson schemes' terms have three letters, P0, kz P1 and
+    # P2; the blocked composition is still the product of single steps,
+    # bit for bit, in blocks of one group and of the default budget, and
+    # lp4's agrees with mg4's, which samples Q.  At 600 steps lp4's blocks
+    # of 300 steps hold more steps than its complex table has columns (72)
+    # and more than one chunk of coefficients (272 steps at 120 words)
+    steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
+    prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
+    ctx = cw.WaveContext(omega=6.0, n=4, kz=1.3)
+    mg4 = cw.matricant_global(prof, ctx, 0.5, 1.0, 200, "mg4").m
+    lp4 = cw.matricant_global(prof, ctx, 0.5, 1.0, 200, "lp4").m
+    assert np.abs(lp4 - mg4).max() < 1e-8 * np.abs(mg4).max()
+    default = matricant._BLOCK_SAMPLES
+    for budget, steps, schemes in ((0, 57, ("ts1", "ts2", "lp3", "lp4")),
+                                   (default, 57, ("ts1", "ts2", "lp3", "lp4")),
+                                   (default, 600, ("lp4",))):
+        for scheme in schemes:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(matricant, "_BLOCK_SAMPLES", budget)
+                got = cw.matricant_global(prof, ctx, 0.5, 1.0, steps, scheme)
+            want = np.eye(6)
+            for a, h, n, _ in _segments(prof, 0.5, 0.5, steps):
+                for i in range(n):
+                    want = cw.matricant_step(prof, ctx, a + i * h, h,
+                                             scheme).m @ want
+            assert np.array_equal(got.m, want), (budget, steps, scheme)
+
+
 @pytest.mark.parametrize("scheme, entries, steps, want", [
     ("lp4", 1, 5000, [1024, 1024, 452]), ("lp4", 23, 300, [40, 40, 40, 30]),
     ("lp4", 512, 60, [8, 8, 8, 6]), ("mg4", 1, 5000, [2048, 452])],
@@ -423,6 +452,77 @@ def test_golden_solve_guard_takes_no_svd(al_layer, monkeypatch):
     assert not calls
 
 
+def test_golden_solve_samples_q_only_where_terms_prove_nothing(
+        al_layer, monkeypatch):
+    # the dyson kernel forms its steps from the layer terms, so Q is
+    # sampled only for the guard, for the (block, entry) pairs that the
+    # term bound does not prove below it: in the golden solve the two
+    # highest orders near the inner surface, on two blocks, and at twice
+    # the steps none; a smooth law's march still samples every step
+    calls = []
+    sampler = matricant._q_sampler
+
+    def counted_sampler(profile, ctxs, gauge=None):
+        sample = sampler(profile, ctxs, gauge)
+
+        def counted(r, layer, *which):
+            rows = np.arange(len(ctxs))[which[0] if which else slice(None)]
+            calls.append([ctxs[i].n for i in rows])
+            return sample(r, layer, *which)
+
+        counted.__dict__.update(sample.__dict__)
+        return counted
+
+    monkeypatch.setattr(matricant, "_q_sampler", counted_sampler)
+    for steps, sampled in ((500, [[16, 17], [17]]), (1000, [])):
+        calls.clear()
+        cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=5.0,
+                                                scheme="lp4", steps=steps))
+        assert calls == sampled
+    smooth = cw.RadialProfile.smooth(lambda r: al_layer.material(), 0.5,
+                                     1.0)
+    cw.matricant_global(smooth, cw.WaveContext(omega=5.0, n=2), 0.5, 1.0,
+                        10, "lp4")
+    assert calls == [[2]]
+
+
+def test_golden_solve_term_steps_equal_sampled_steps(al_layer, monkeypatch):
+    # every block of the golden solve formed from the layer terms equals the
+    # sampled kernel's to round-off, within 1e-13 of each step's largest
+    # |M| entry; among them the steps of orders 16 and 17 near the inner
+    # surface, whose term bound is past the guard's 20 and which only its
+    # balanced norm admits
+    samplers, past = [], set()
+    sampler, kernel = matricant._q_sampler, matricant._term_kernel
+
+    def kept_sampler(profile, ctxs, gauge=None):
+        samplers.append((sampler(profile, ctxs, gauge), ctxs))
+        return samplers[-1][0]
+
+    def checked_kernel(letters, nodes, p):
+        step = kernel(letters, nodes, p)
+        sample, ctxs = samplers[-1]
+
+        def checked(h, radii):
+            got = step(h, radii)
+            want = matricant._dyson(h, sample(radii, 0), nodes, p)
+            scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+            assert (np.abs(got - want) <= 1e-13 * scale).all()
+            lo = radii[0, 0] - nodes[0] * h
+            hi = radii[-1, -1] + (1 - nodes[-1]) * h
+            past.update(ctxs[i].n for i in np.flatnonzero(
+                h * sample.bound(lo, hi, 0) > matricant._PROVEN))
+            return got
+
+        return checked
+
+    monkeypatch.setattr(matricant, "_q_sampler", kept_sampler)
+    monkeypatch.setattr(matricant, "_term_kernel", checked_kernel)
+    cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=5.0,
+                                            scheme="lp4", steps=500))
+    assert past == {16, 17}
+
+
 def test_ts1_step_on_interface_uses_outer_layer(al):
     # the step [0.75, 0.75 + h] spans the outer layer, so its left-end
     # sample must come from there, not from the inner layer ending at 0.75
@@ -447,7 +547,7 @@ def test_global_argument_validation(al_profile):
     ctx = cw.WaveContext(omega=5.0)
     with pytest.raises(ValueError):
         cw.matricant_global(al_profile, ctx, 0.9, 0.6, 10, "exp2a")
-    for steps in (0, 10.0):
+    for steps in (0, 10.0, True):
         with pytest.raises(ValueError, match="steps must be >= 1"):
             cw.matricant_global(al_profile, ctx, 0.5, 1.0, steps, "exp2a")
     for h in (-0.1, 0.0, float("nan")):

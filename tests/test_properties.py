@@ -1,20 +1,22 @@
 """Physics invariants of the scattering solve over random lossless TI
 stacks: unitarity, fold invariance and agreement of the two routes; the
-layer-term bound that spares the march's step guard; and the one basis
+layer-term bound that spares the march's step guard; the dyson steps formed
+from the layer terms, which must be the sampled kernel's; and the one basis
 pair of a closed-form layer, whose degenerate orders no other pair
 rescues."""
 import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cylwave as cw
 from cylwave.elastodyn import _q_sampler
 from cylwave.errors import AccuracyLoss, BasisDegenerate, CylwaveError
 from cylwave.impedance import _gauge
-from cylwave.matricant import _PROVEN, _bound, _guard
+from cylwave.matricant import (_PROVEN, _TABLE, _bound, _dyson, _guard,
+                               _term_kernel)
 
 
 @st.composite
@@ -138,6 +140,88 @@ def test_term_bound_covers_every_sample(case):
     h = _PROVEN / bound
     assert (_bound(h, q) <= 20.0).all()
     assert not _guard(h, q).any()
+
+
+@st.composite
+def layered_steps(draw):
+    """A piecewise profile over [r_in, 1] of 1-3 TI layers or of one layer
+    of 21 independent moduli, contexts that share m (m = 1 or 2 at kz = 0
+    for TI layers, m = 3 at kz = 0 or at kz drawn per context), with or
+    without the march's gauge, a dyson scheme, a layer and a run of steps
+    inside it: h |Q| up to about 4 by the layer's term bound, or past it,
+    up to 20 by the guard's balanced norm, where only the guard admits the
+    steps and P0 / r and r P2 may cancel inside Q."""
+    r_in = draw(st.floats(0.05, 0.9))
+    full = draw(st.booleans())
+    weights = draw(st.lists(st.floats(0.2, 3.0), min_size=1,
+                            max_size=1 if full else 3))
+    edges = r_in + (1.0 - r_in) * np.cumsum([0] + weights) / sum(weights)
+    edges[-1] = 1.0
+    layers = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if full:
+            # a positive definite table: L L^T plus a diagonal
+            low = np.zeros((6, 6))
+            low[np.tril_indices(6)] = draw(st.lists(
+                st.floats(-3.0, 3.0), min_size=21, max_size=21))
+            stiff = cw.StiffnessVoigt(low @ low.T + draw(st.floats(0.1, 50.0))
+                                      * np.eye(6))
+        else:
+            c11 = draw(st.floats(1.0, 300.0))
+            c66 = draw(st.floats(0.05, 0.45)) * c11
+            c33 = draw(st.floats(1.0, 300.0))
+            c13 = draw(st.floats(-0.7, 0.7)) * math.sqrt((c11 - c66) * c33)
+            stiff = cw.ti_stiffness(c11, c11 - 2.0 * c66, c13, c33,
+                                    draw(st.floats(0.05, 100.0)))
+        layers.append((float(lo), float(hi),
+                       cw.MaterialPoint(draw(st.floats(0.1, 20.0)), stiff)))
+    profile = cw.RadialProfile.piecewise(layers)
+    m = 3 if full else draw(st.sampled_from([1, 2, 3]))
+    axial = m == 3 and draw(st.booleans())
+    ctxs = [cw.WaveContext(omega=draw(st.floats(0.01, 200.0)),
+                           n=draw(st.integers(0, 80)),
+                           kz=draw(st.floats(-30.0, 30.0)) if axial else 0.0,
+                           m=m)
+            for _ in range(draw(st.integers(1, 4)))]
+    gauge = _gauge(m)[0] if draw(st.booleans()) else None
+    scheme = draw(st.sampled_from(["ts1", "ts2", "lp2", "lp3", "lp4"]))
+    layer = draw(st.integers(0, len(layers) - 1))
+    a, b = edges[layer], edges[layer + 1]
+    steps = draw(st.integers(1, 20))
+    balanced = draw(st.booleans())
+    reach = draw(st.floats(1e-3, 19.0 if balanced else 4.0))
+    start = draw(st.floats(0.0, 1.0))
+    return (profile, ctxs, gauge, scheme, layer, a, b, steps, balanced,
+            reach, start)
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(layered_steps())
+def test_term_kernel_equals_sampled_dyson(case):
+    # the dyson steps formed from a layer's terms, M = I + sum_w C_w W_w
+    # over the words in P0, kz P1 and P2, are the steps of the sampled
+    # kernel to round-off: within 1e-13 of the largest |M| entry of a step
+    (profile, ctxs, gauge, scheme, layer, a, b, steps, balanced, reach,
+     start) = case
+    _, nodes, p = _TABLE[scheme]
+    sample = _q_sampler(profile, ctxs, gauge)
+    if balanced:
+        # the guard's h |D^-1 Q D|_2 at the layer's ends, h so large that
+        # neither of its bounds spares the norm
+        ends = sample(np.array([[a, b]]), layer)
+        norm = _guard(1e9, ends).max() / 1e9
+    else:
+        norm = sample.bound(a, b, layer).max()
+    h = min((b - a) / steps, reach / norm)
+    r = a + start * (b - a - steps * h) + np.arange(steps) * h
+    radii = r + (np.array(nodes) * h)[:, None]
+    qs = sample(radii, layer)
+    assume(not (_guard(h, qs) > 20.0).any())
+    want = _dyson(h, qs, nodes, p)
+    got = _term_kernel(sample.letters(layer), nodes, p)(h, radii)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+    assert (np.abs(got - want) <= 1e-13 * scale).all()
 
 
 @st.composite

@@ -436,21 +436,24 @@ class TestSolve:
         (dict(steps=np.float64(10.0)), "steps must be >= 1"),
         (dict(n_max=2.5), "n_max must be >= 0"),
         (dict(n_max=-1), "n_max must be >= 0"),
+        (dict(steps=True), "steps must be >= 1"),
+        (dict(n_max=False), "n_max must be >= 0"),
         (dict(scheme="nope"), "unknown scheme"),
         *((dict(layer=dict(rho=rho)), "density must be positive and finite")
           for rho in (math.nan, math.inf, 0.0, -1.0)),
         (dict(layer=dict(c44=math.nan)), "stiffness moduli must be finite"),
         (dict(layer=dict(c11=math.inf)), "stiffness moduli must be finite"),
     ], ids=["gap", "float-steps", "float64-steps", "float-n_max",
-            "negative-n_max", "scheme", "rho-nan", "rho-inf", "rho-zero",
-            "rho-negative", "c44-nan", "c11-inf"])
+            "negative-n_max", "bool-steps", "bool-n_max", "scheme",
+            "rho-nan", "rho-inf", "rho-zero", "rho-negative", "c44-nan",
+            "c11-inf"])
     def test_config_refuses_what_a_route_fails_on(self, al_layer, method,
                                                   bad, match):
         # both routes refuse the same settings, with one message, before
         # either solves: a layer whose density is not positive and finite or
         # whose moduli are not finite, a gap past RadialProfile.piecewise's
-        # 1e-12, a step count or order cap that is not an integer in range,
-        # an unknown scheme
+        # 1e-12, a step count or order cap that is not an integer in range
+        # (a boolean is not one), an unknown scheme
         bad = dict(bad)
         gap = bad.pop("gap", 0.0)
         layer = bad.pop("layer", {})
