@@ -292,11 +292,12 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
         with np.errstate(all="ignore"):
             prods = _fused(mats)
             steep = _norm1(prods) > _GROWTH_CAP
+            replay = steep.any(axis=1)
             block, replays = [], []
             for k, p in enumerate(prods):
                 block.append(_mobius(w, p))
-                j = np.flatnonzero(steep[k])
-                if len(j):
+                if replay[k]:
+                    j = np.flatnonzero(steep[k])
                     wj, cj, sj = _stepwise(
                         w[j], mats[k * _GROUP_STEPS:ends[k] + 1, j])
                     block[-1][0][j] = wj
@@ -307,6 +308,8 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
             for k, j, cj, sj in replays:
                 cond[k, j], singular[k, j] = cj, sj
             zs = ws * to_z
+        # the block's propagators go before the stepper forms the next's
+        del mats, prods
         # (group, entry): failed in this group or before
         failed = np.logical_or.accumulate(singular)
         faults.fail(failed[-1], SingularMatrix("Moebius denominator singular"))

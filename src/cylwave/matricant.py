@@ -44,9 +44,14 @@ at every node, step and entry in one array (nodes, steps, entries, 2m,
 2m); a failed entry steps by the identity.  The march fuses each group of
 _GROUP_STEPS steps of a _segments piece, counted from the piece's start,
 into one propagator and one Moebius update (see cylwave.impedance), so a
-block holds whole groups: as many as _BLOCK_SAMPLES matrices at the nodes
-allow, but at least one.  A large stack's memory stays bounded, a small
-one pays the per-block overheads only a few times, and a group never
+block holds whole groups, at least one, and as many as its matrices
+allow.  A block whose kernel samples Q holds at most _BLOCK_SAMPLES
+samples (nodes x steps x entries).  A block formed from a layer's terms
+samples Q only for the guard, so it counts propagators (steps x entries),
+at most len(nodes) * _BLOCK_SAMPLES, and the guard samples its entries in
+chunks of whole steps of at most _BLOCK_SAMPLES matrices, at least one
+step.  A large stack's memory stays bounded, a one-ka solve (at most 23
+orders at 500 steps) steps each piece in one block, and a group never
 straddles two blocks, whatever the stack.  The march hands its gauge to
 the stepper, which builds the sampler with it; the guard and the kernels
 then see the gauged terms or samples, in float64 where they are real (see
@@ -92,9 +97,10 @@ _SQ3 = np.sqrt(3.0)
 # the march fuses each run of _GROUP_STEPS steps of a _segments piece, counted
 # from the piece's start, into one propagator (see cylwave.impedance)
 _GROUP_STEPS = 8
-# a block's sampled matrices (nodes x steps x entries): at most
-# _BLOCK_SAMPLES, which bounds a march's memory, unless the block needs more
-# to hold one group; a block holds whole groups
+# bounds a march's memory (see _blocks): the samples of Q (nodes x steps x
+# entries) of a block whose kernel takes them and of a call of the guard's
+# sampler; a block formed from a layer's terms holds len(nodes) times as
+# many propagators (steps x entries)
 _BLOCK_SAMPLES = 4096
 # a term bound h sqrt(|Q|_1 |Q|_inf) at most this proves every sample of
 # its entry below the guard's 20, with room for the rounding of both
@@ -293,15 +299,16 @@ def _term_kernel(letters: np.ndarray, nodes: tuple, p: int):
 
     Per call M = I + sum_w C_w W_w, in chunks of whole groups of at most
     _GROUP_STEPS * _BLOCK_SAMPLES coefficients, so a long block with many
-    words keeps its temporaries small.  The contraction runs the longer of
-    the chunk's steps and the table's columns innermost: a long march of
-    one entry has few columns (a 4000-step lp4 march at kz != 0, m = 3 is
-    7-12 % slower with the columns innermost), a stacked sweep few steps
-    per block (a 60-ka lp4 sweep is 20-40 % slower with the steps
-    innermost).  In either order numpy's einsum adds each element's
-    words' products one by one, as a loop over the words would, so a
-    step's propagator does not depend on its block, its chunk or its
-    entry's stack."""
+    words keeps its temporaries small.  The contraction writes straight
+    into the chunk's rows of M, the table's columns innermost, so no
+    temporary holds a one-block layer's propagators twice.  (The steps
+    innermost need such a temporary and its transposed copy; on a 2-core
+    box they were about 20 % faster with far more steps than columns, 16
+    columns and 20000 steps, and slower for a one-ka solve's blocks of 500
+    steps and 368 columns.)  numpy's einsum adds each element's words'
+    products one by one, as a loop over the words would, so a step's
+    propagator does not depend on its block, its chunk or its entry's
+    stack."""
     k, entries, size = letters.shape[:3]
     tables = [letters]
     for _ in range(p - 1):
@@ -318,10 +325,7 @@ def _term_kernel(letters: np.ndarray, nodes: tuple, p: int):
         m = np.empty((radii.shape[1], words.shape[1]))
         for i in range(0, len(m), chunk):
             coef = _series(_weights(h, radii[:, i:i + chunk], nodes, p, k), p)
-            if coef.shape[1] > words.shape[1]:
-                m[i:i + chunk] = np.einsum("wn,ws->ns", words, coef[kept]).T
-            else:
-                np.einsum("ws,wn->sn", coef[kept], words, out=m[i:i + chunk])
+            np.einsum("ws,wn->sn", coef[kept], words, out=m[i:i + chunk])
         if np.iscomplexobj(letters):
             m = m.view(complex)
         m = m.reshape(len(m), entries, size, size)
@@ -451,28 +455,34 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
 def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
             faults: EntryFaults, gauge=None):
     """Propagators of the steps of [r0, r0 + span] for every entry ctxs[j],
-    in blocks within a _segments piece of as many whole groups of
-    _GROUP_STEPS steps as _BLOCK_SAMPLES samples hold, but at least one, so
-    a piece's groups never straddle a block and only its last may be short:
-    per block the step-end radii and the propagators (steps, entries, s,
-    s).  A dyson scheme on a piecewise profile forms them from the layer's
-    letters (_term_kernel), building the word tables once per layer it
-    enters, and samples Q only for the guard, at the entries that the term
-    bound leaves to it; every other stepper samples Q at every node for
-    the kernel.  An entry with an error in faults is not guarded, and it
-    and an entry that trips the guard, once it has its StepTooLarge, step
-    by the identity and keep their index; the stepper stops once every
-    entry has failed.  With a gauge the sampler applies it, so the guard
-    and the kernels see Q * gauge, float64 where real."""
+    in blocks within a _segments piece of whole groups of _GROUP_STEPS
+    steps, so a piece's groups never straddle a block and only its last
+    may be short: per block the step-end radii and the propagators (steps,
+    entries, s, s).  A dyson scheme on a piecewise profile forms them from
+    the layer's letters (_term_kernel), building the word tables once per
+    layer it enters, in blocks of as many groups as len(nodes) *
+    _BLOCK_SAMPLES propagators hold, and samples Q only for the guard, at
+    the entries that the term bound leaves to it, in chunks of whole steps
+    of at most _BLOCK_SAMPLES samples; each sample's norm is its own, so
+    the chunks change no verdict.  Every other stepper samples Q at every
+    node for the kernel, in blocks of as many groups as _BLOCK_SAMPLES
+    samples hold.  A block holds at least one group and a chunk one step.
+    An entry with an error in faults is not guarded, and it and an entry
+    that trips the guard, once it has its StepTooLarge, step by the
+    identity and keep their index; the stepper stops once every entry has
+    failed.  With a gauge the sampler applies it, so the guard and the
+    kernels see Q * gauge, float64 where real."""
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
-    size = _GROUP_STEPS * max(
-        1, _BLOCK_SAMPLES // (len(nodes) * len(ctxs) * _GROUP_STEPS))
-    blocks = [(a + np.arange(i, min(i + size, n)) * h, h, layer)
-              for a, h, n, layer in _segments(profile, r0, span, steps)
-              for i in range(0, n, size)]
     sample = _q_sampler(profile, ctxs, gauge)
     bound = getattr(sample, "bound", None)
     letters = getattr(sample, "letters", None) if kernel is _dyson else None
+    # the propagators (steps x entries) a block may hold
+    held = (_BLOCK_SAMPLES * len(nodes) if letters is not None
+            else _BLOCK_SAMPLES // len(nodes))
+    size = _GROUP_STEPS * max(1, held // (len(ctxs) * _GROUP_STEPS))
+    blocks = [(a + np.arange(i, min(i + size, n)) * h, h, layer)
+              for a, h, n, layer in _segments(profile, r0, span, steps)
+              for i in range(0, n, size)]
     terms = None  # (layer, its _term_kernel)
     for r, h, layer in blocks:
         if not faults.ok.any():
@@ -484,16 +494,18 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
         if bound is not None:
             check = check & ~(h * bound(r[0], r[-1] + h, layer) <= _PROVEN)
         nrm = np.zeros((len(r), len(ctxs)))
-        if letters is not None:
-            if check.any():
-                nrm[:, check] = _guard(h, sample(radii, layer, check)).max(0)
-        else:
+        if letters is None:
             qs = sample(radii, layer)
             qs[:, :, ~faults.ok] = 0
             if check.all():
                 nrm = _guard(h, qs).max(axis=0)
             elif check.any():
                 nrm[:, check] = _guard(h, qs[:, :, check]).max(axis=0)
+        elif check.any():
+            chunk = max(1, _BLOCK_SAMPLES // (len(nodes) * check.sum()))
+            for i in range(0, len(r), chunk):
+                nrm[i:i + chunk, check] = _guard(
+                    h, sample(radii[:, i:i + chunk], layer, check)).max(0)
         over = nrm > 20.0
         tripped = over.any(axis=0)
         for i in np.flatnonzero(tripped):
@@ -506,6 +518,7 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
             mats = terms[1](h, radii)
             mats[:, ~faults.ok] = np.eye(mats.shape[-1])
             yield r + h, mats
+            del mats  # freed with the march's hold, before the next block
             continue
         qs[:, :, tripped] = 0
         # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent by 20, a
@@ -522,11 +535,11 @@ def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:
 
     Each call builds its own sampler, fault record and block stepper, and
     a dyson scheme its layer's word tables, so chaining it step by step
-    (m = 3, 200 steps) costs about 40 to 50 times a step of
-    matricant_global over the same span for a dyson scheme on a piecewise
-    profile, whose long blocks share those costs, 10 to 25 times for the
-    exp and magnus schemes, and 5 to 20 times on a smooth law, whose calls
-    per sample radius both pay.
+    (m = 3, kz != 0, 200 steps over two layers, on a 2-core box) costs
+    about 40 to 50 times a step of matricant_global over the same span
+    for a dyson scheme on a piecewise profile, whose one block per layer
+    shares those costs, 10 to 30 times for the exp and magnus schemes, and
+    3 to 20 times on a smooth law, whose calls per sample radius both pay.
     """
     if not h > 0:
         raise ValueError("step must be positive")

@@ -714,9 +714,13 @@ def test_entry_march_does_not_depend_on_its_stack(al, al_layer, scheme,
     # on any stack that holds it, which the (frequency, order) stacks of a
     # solve rely on.  Under the default sample budget the subsets march in
     # blocks of other lengths than the whole stack, so this covers block
-    # length too.  The higher orders' group products pass the growth cap,
-    # so some (group, entry) pairs take their steps one at a time and the
-    # others share the fused update
+    # length too: 161 entries are the fewest that cut lp4's layers of 100
+    # steps, whose propagators come from the terms, into two blocks each,
+    # and mg4 and exp2a, which sample Q at every node, block each subset,
+    # the last 81 entries among them, otherwise than the whole stack.  The
+    # higher orders' group products pass the growth cap, so some (group,
+    # entry) pairs take their steps one at a time and the others share the
+    # fused update
     replayed = []
     stepwise = impedance._stepwise
     monkeypatch.setattr(impedance, "_stepwise", lambda w, mats: (
@@ -724,7 +728,7 @@ def test_entry_march_does_not_depend_on_its_stack(al, al_layer, scheme,
     steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
     two = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
     ctxs = [cw.WaveContext(omega=w, n=n, m=2)
-            for w in (2.0, 5.0) for n in range(23)]
+            for w in (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0) for n in range(23)]
     z0s = [cw.ti_conditional_impedance(
         1, al_layer, cw.WaveContext(omega=c.omega, n=c.n, m=3), 0.5).z[:2, :2]
         for c in ctxs]
@@ -743,9 +747,9 @@ def test_entry_march_does_not_depend_on_its_stack(al, al_layer, scheme,
     for lengths in block_budgets:
         whole, errors, whole_blocks = march(every, lengths)
         # each layer's 100 steps are 12 groups of 8 and one of 4
-        assert len(ctxs) == 46 and len(whole) == 26
-        assert 0 < sum(replayed) < 26 * 46
-        for idx in (every[:10], every[10:], [17], every[::7]):
+        assert len(ctxs) == 161 and len(whole) == 26
+        assert 0 < sum(replayed) < 26 * 161
+        for idx in (every[:10], every[80:], [17], every[::7]):
             part, part_errors, blocks = march(idx, lengths)
             assert (blocks != whole_blocks) == (matricant._BLOCK_SAMPLES > 0)
             assert part_errors == [errors[i] for i in idx]

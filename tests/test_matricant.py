@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cylwave as cw
-from cylwave import matricant
+from cylwave import impedance, matricant
 from cylwave.errors import (DuplicatePoints, EntryFaults, MatricantOverflow,
                             OutOfSupport, StepTooLarge)
 from cylwave.matricant import _blocks, _bound, _guard, _segments
@@ -357,19 +357,25 @@ def test_global_equals_per_step_product_at_kz(al):
 
 
 @pytest.mark.parametrize("scheme, entries, steps, want", [
-    ("lp4", 1, 5000, [1024, 1024, 452]), ("lp4", 23, 300, [40, 40, 40, 30]),
-    ("lp4", 512, 60, [8, 8, 8, 6]), ("mg4", 1, 5000, [2048, 452])],
+    ("lp4", 1, 40000, [16384, 3616]), ("lp4", 23, 3000, [712, 712, 76]),
+    ("lp4", 512, 200, [32, 32, 32, 4]), ("mg4", 1, 5000, [2048, 452])],
     ids=["lp4-1", "lp4-23", "lp4-512", "mg4-1"])
 def test_blocks_fit_the_sample_budget(al, scheme, entries, steps, want):
     # the blocks of each _segments piece step its grid in order and never
     # cross into the next piece; a block holds whole groups of
-    # _GROUP_STEPS steps, at most _BLOCK_SAMPLES samples (nodes x steps x
-    # entries) unless it is one group or less, and all but a piece's last
-    # are as long as that rule allows
+    # _GROUP_STEPS steps, as many matrices as its budget allows unless it
+    # is one group or less, and all but a piece's last are as long as that
+    # rule allows.  mg4 samples Q: at most _BLOCK_SAMPLES samples (nodes x
+    # steps x entries).  lp4 forms its steps from the layer terms: at most
+    # 4 _BLOCK_SAMPLES propagators (steps x entries), so a one-ka solve
+    # (at most 23 entries) steps a layer of 500 steps in one block
     steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
     prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
     ctxs = [cw.WaveContext(omega=2.0, n=3, m=2)] * entries
-    samples = (4 if scheme == "lp4" else 2) * entries
+    # matrices per step, and a block's budget of them
+    samples, budget = ((entries, 4 * matricant._BLOCK_SAMPLES)
+                       if scheme == "lp4"
+                       else (2 * entries, matricant._BLOCK_SAMPLES))
     blocks = iter([radii for radii, _ in _blocks(
         prof, ctxs, 0.5, 0.5, steps, scheme, EntryFaults(entries))])
     pieces = _segments(prof, 0.5, 0.5, steps)
@@ -384,10 +390,10 @@ def test_blocks_fit_the_sample_budget(al, scheme, entries, steps, want):
         assert lengths == want
         group = matricant._GROUP_STEPS
         for k, size in enumerate(lengths):
-            assert size * samples <= matricant._BLOCK_SAMPLES or size <= group
+            assert size * samples <= budget or size <= group
             if k < len(lengths) - 1:
                 assert size % group == 0
-                assert (size + group) * samples > matricant._BLOCK_SAMPLES
+                assert (size + group) * samples > budget
     assert next(blocks, None) is None
 
 
@@ -457,8 +463,8 @@ def test_golden_solve_samples_q_only_where_terms_prove_nothing(
     # the dyson kernel forms its steps from the layer terms, so Q is
     # sampled only for the guard, for the (block, entry) pairs that the
     # term bound does not prove below it: in the golden solve the two
-    # highest orders near the inner surface, on two blocks, and at twice
-    # the steps none; a smooth law's march still samples every step
+    # highest orders, in the layer's one block, and at twice the steps
+    # none; a smooth law's march still samples every step
     calls = []
     sampler = matricant._q_sampler
 
@@ -474,7 +480,7 @@ def test_golden_solve_samples_q_only_where_terms_prove_nothing(
         return counted
 
     monkeypatch.setattr(matricant, "_q_sampler", counted_sampler)
-    for steps, sampled in ((500, [[16, 17], [17]]), (1000, [])):
+    for steps, sampled in ((500, [[16, 17]]), (1000, [])):
         calls.clear()
         cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=5.0,
                                                 scheme="lp4", steps=steps))
@@ -484,6 +490,61 @@ def test_golden_solve_samples_q_only_where_terms_prove_nothing(
     cw.matricant_global(smooth, cw.WaveContext(omega=5.0, n=2), 0.5, 1.0,
                         10, "lp4")
     assert calls == [[2]]
+
+
+def test_one_ka_solve_steps_its_layer_in_one_block(al_layer, block_budgets):
+    # a one-ka lp4 solve at ka in [1, 5] stacks at most 23 orders, whose
+    # 500 steps of the layer terms one block holds at the default budget;
+    # its B_n, sigma_tot and f(theta) are those of blocks of one group bit
+    # for bit
+    outs, blocks = [], []
+    for lengths in block_budgets:
+        outs.append([])
+        for ka in np.linspace(1.0, 5.0, 9):
+            res = cw.solve_scattering(cw.ScatteringConfig(
+                (al_layer,), ka=ka, scheme="lp4", steps=500))
+            outs[-1].append((np.array(res.b).tobytes(), res.sigma_tot,
+                             np.array(res.f_samples).tobytes()))
+        blocks.append(list(lengths))
+    assert set(blocks[0]) == {8, 4}
+    assert blocks[1] and set(blocks[1]) == {500}
+    assert outs[0] == outs[1]
+
+
+def test_guard_samples_fit_the_sample_budget(al_layer, monkeypatch):
+    # a sweep near ka = 12 at 200 steps stacks about 500 entries, whose lp4
+    # blocks of 32 steps leave most entries to the guard; it samples them
+    # in chunks of whole steps, more than one per block, no call taking
+    # more than _BLOCK_SAMPLES matrices
+    calls, stacks, blocks = [], [], []
+    sampler, stepper = matricant._q_sampler, matricant._blocks
+
+    def counted_sampler(profile, ctxs, gauge=None):
+        sample = sampler(profile, ctxs, gauge)
+        stacks.append(len(ctxs))
+
+        def counted(r, layer, *which):
+            q = sample(r, layer, *which)
+            calls.append(q.shape[:3])
+            return q
+
+        counted.__dict__.update(sample.__dict__)
+        return counted
+
+    def counted_blocks(*args, **kwargs):
+        for radii, mats in stepper(*args, **kwargs):
+            blocks.append(len(radii))
+            yield radii, mats
+
+    monkeypatch.setattr(matricant, "_q_sampler", counted_sampler)
+    monkeypatch.setattr(impedance, "_blocks", counted_blocks)
+    cw.solve_sweep(cw.ScatteringConfig((al_layer,), ka=12.0, scheme="lp4",
+                                       steps=200), np.linspace(11, 12, 18))
+    assert len(stacks) == 1 and 480 < stacks[0] <= 512
+    assert set(blocks) == {32, 8}
+    assert calls[0][2] > stacks[0] / 2
+    assert len(calls) > len(blocks)
+    assert max(np.prod(c) for c in calls) <= matricant._BLOCK_SAMPLES
 
 
 def test_golden_solve_term_steps_equal_sampled_steps(al_layer, monkeypatch):
