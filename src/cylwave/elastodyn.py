@@ -449,7 +449,8 @@ def _q_sampler(profile, ctxs, gauge=None):
 
     * ``sample.bound(lo, hi, layer)``, per context an upper bound on
       sqrt(|Q|_1 |Q|_inf) over the radii [lo, hi] of the layer, from the
-      norms of its terms, taken once;
+      norms of its terms, taken once; lo and hi may be arrays of equal
+      shape, which the bounds (*shape, len(ctxs)) then follow;
     * ``sample.letters(layer)``, the layer's terms as the letters of
       Q(r) = P0 / r + kz P1 + r P2, one array (letters, len(ctxs), 2m, 2m):
       P0, kz P1 and P2, or P0 and P2 where every kz is 0.
@@ -520,8 +521,10 @@ def _q_sampler(profile, ctxs, gauge=None):
         # coefficients, so convex, and its largest value on [lo, hi] is at
         # an end
         c = norms[layer]
-        return np.sqrt(np.maximum(*((c[:, 0] / x + c[:, 1] + x * c[:, 2])
-                                    .prod(axis=0) for x in (lo, hi))))
+        return np.sqrt(np.maximum(*(
+            (c[:, 0] / x + c[:, 1] + x * c[:, 2]).prod(axis=-2)
+            for x in (np.asarray(lo, float)[..., None, None],
+                      np.asarray(hi, float)[..., None, None]))))
 
     def letters(layer):
         p0, p1, p2 = layer_terms[layer]

@@ -16,31 +16,37 @@ The march is sequential in r only, and the package has one.  It advances a
 stack of entries (the (ka, n) entries of a scattering sweep, each with its
 own WaveContext, or the single entry of integrate_impedance or of the
 impedance-trace command) by the Moebius update on the propagators that
-cylwave.matricant's block stepper samples, guards and forms: one update per
-group of _GROUP_STEPS steps, counted from the start of each _segments piece
-(a piece's last group may be short), on the group's product, which batched
-matmul forms for every group and entry of a block at once.  A (group, entry)
-pair whose product has a 1-norm past _GROWTH_CAP takes the group's steps one
-at a time instead, so no update spans more growth than the cap; the choice
-is the entry's own, and an entry marches alike on any stack.  An entry past
-the step guard or with a singular Moebius denominator records its typed
-error in the caller's EntryFaults and then steps by the identity, keeping
-its index; integrate_impedance raises the error, a scattering solve only
-when the truncation walk of its ka reaches that order.
+cylwave.matricant's block stepper samples, guards and forms.  Batched matmul
+multiplies each group of _GROUP_STEPS steps, counted from the start of each
+_segments piece (a piece's last group may be short), for every group and
+entry of a block at once, and the groups of each run of _RUN_GROUPS, counted
+alike, into their prefix products.  One update of the run's starting w by
+every prefix product gives z at each group end of the run.  An entry leaves
+the run's update at the first group whose prefix product has a 1-norm past
+_GROWTH_CAP and takes the rest of the run one update per group, or one per
+step in a group whose own product passes the cap, so no update spans more
+growth than the cap; the choice is the entry's own, and an entry marches
+alike on any stack and in any blocks.  An entry past the step guard or with
+a singular Moebius denominator records its typed error in the caller's
+EntryFaults and then steps by the identity, keeping its index;
+integrate_impedance raises the error, a scattering solve only when the
+truncation walk of its ka reaches that order.
 
 The Moebius update is closed form, with no LAPACK call: for den = M1 + M2 w
 (m <= 3), w' = ((M3 + M4 w) adj(den)) * (1 / det(den)), the 2x2 adjugate
 from a reversed view, the 3x3 one from fixed index tables.  Each
 denominator's 1-norm condition number |den|_1 |adj(den)|_1 / |det(den)| is
 the pole test: above 1e14 the update is a PoleCrossing at its group's end,
-which the map passes finitely; a replayed group takes its steps' largest
-condition number.  A denominator is singular when det(den) or w' is not
-finite (det = 0 makes w' infinite).  The march runs a block's updates group
-by group, then takes the condition numbers, the singular mask, the
-crossings and z = w * t for the whole block in one pass, and yields the
-block's rows of z, one per group end, as they are; no later group writes
-them.  A failing entry's NaNs stay in its own rows, and it records no
-crossing from the group of its first singular denominator.
+which the map passes finitely.  Inside a run the test takes the group's own
+denominator, the run's at this group end times the inverse of the run's at
+the one before, so a crossing lands where one update per group puts it; a
+replayed group takes its steps' largest condition number.  A denominator is
+singular when det(den) or w' is not finite (det = 0 makes w' infinite).  The
+march runs a block's updates run by run, then takes the condition numbers,
+the singular mask, the crossings and z = w * t for the whole block in one
+pass, and yields the block's rows of z, one per group end, as they are; no
+later group writes them.  A failing entry's NaNs stay in its own rows, and
+it records no crossing from the group of its first singular denominator.
 
 The state carries fixed powers of i, so the march steps with the gauged
 samples D^-1 Q D, D = diag(i^p) with p = (0, 1, 1, 1, 0, 0) over (u_r, u_th,
@@ -65,12 +71,20 @@ from .matricant import _GROUP_STEPS, Matricant, _blocks, _segments
 from .numkernel import _demoted, _inverse_each, _norm1, mat_inverse
 
 _POLE_COND = 1e14
-# an entry whose group product has a 1-norm past this takes the group's steps
-# one at a time.  Marching uniform aluminium, steel and a soft solid from
-# r0 = 0.1 and 0.5 (omega 1-60, n 0-30, 4000 lp4 steps, groups of 8-4000
-# steps) against the closed form, products below 1e3 kept z within 2.3 times
-# the per-step march's error, and products of 1e4-1e6 reached 10-270 times
+# no Moebius update spans a product whose 1-norm passes this: an entry leaves
+# its run's update at the first prefix product past it, and takes a group
+# whose own product passes it one step at a time.  Marching uniform
+# aluminium, steel and a soft solid from r0 = 0.1 and 0.5 (omega 1-60,
+# n 0-30, 4000 lp4 steps, groups of 8-4000 steps) against the closed form,
+# products below 1e3 kept z within 2.3 times the per-step march's error, and
+# products of 1e4-1e6 reached 10-270 times
 _GROWTH_CAP = 1e3
+# the groups of a run, counted like them from each piece's start, whose
+# prefix products one Moebius call applies to the run's starting w.  In
+# 500-step lp4 solves of the aluminium cylinder the 32-step prefix products
+# peak at 903 for ka <= 4 and pass the cap only at ka 4.5-5, where 64-step
+# ones would reach 2890 already at ka = 3
+_RUN_GROUPS = 4
 
 
 @dataclass(frozen=True)
@@ -199,11 +213,21 @@ def _mobius(w: np.ndarray, m: np.ndarray) -> tuple:
 
 
 def _verdict(w: np.ndarray, den: np.ndarray, adj: np.ndarray,
-             det: np.ndarray) -> tuple:
+             det: np.ndarray, back=None) -> tuple:
     """The 1-norm condition number |den|_1 (|adj|_1 / |det|) of each Moebius
     denominator, and the mask of the singular ones: a determinant that is
-    not finite or a w' that is not finite, which det = 0 always gives."""
-    cond = _norm1(den) * (_norm1(adj) / np.abs(det))
+    not finite or a w' that is not finite, which det = 0 always gives.
+
+    With back, the (den, adj, det) of an earlier update of the same w, the
+    condition number is that of den den_back^-1, the denominator of the
+    update from that one's w' to this one's:
+    (|den adj_back|_1 / |det_back|) (|den_back adj|_1 / |det|)."""
+    if back is None:
+        cond = _norm1(den) * (_norm1(adj) / np.abs(det))
+    else:
+        den0, adj0, det0 = back
+        cond = ((_norm1(den @ adj0) / np.abs(det0))
+                * (_norm1(den0 @ adj) / np.abs(det)))
     return cond, ~(np.isfinite(det) & np.isfinite(w).all(axis=(-2, -1)))
 
 
@@ -267,49 +291,128 @@ def _stepwise(w: np.ndarray, mats: np.ndarray) -> tuple:
     return w, cond, singular
 
 
+def _after(row, x: np.ndarray) -> np.ndarray:
+    """x one row later, after row, or after a copy of its first row where
+    row is None."""
+    return np.concatenate([x[:1] if row is None else row[None], x])
+
+
 def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
            faults: EntryFaults):
     """March every entry (ctxs[j], z0s[j]) from r0 to r1 on the steps of
-    matricant._segments, one Moebius update per group of _GROUP_STEPS steps,
-    yielding after each group the radius of its end, the z of every entry
-    as one array and the group's (entry, PoleCrossing) records.  An entry
-    whose group product has a 1-norm past _GROWTH_CAP takes that group's
-    steps one at a time.  An entry with an error in faults starts from
-    z = 0; one past the step guard or with a singular Moebius denominator
-    gets that StepTooLarge or SingularMatrix in faults.  Either steps by the
-    identity (see matricant._blocks), records no crossing and its rows mean
-    nothing.  A block's updates run under one np.errstate and are yielded
-    after it, so the consumer keeps its own floating-point error
-    settings."""
+    matricant._segments, yielding after each group of _GROUP_STEPS steps
+    the radius of its end, the z of every entry as one array and the
+    group's (entry, PoleCrossing) records.
+
+    Groups, and runs of _RUN_GROUPS groups, are counted from each piece's
+    start.  An entry takes each group end of a run as one Moebius update of
+    the run's starting w by the run's prefix product, its group products so
+    far multiplied, while every prefix product of the run so far has a
+    1-norm within _GROWTH_CAP; from the first group past the cap it takes
+    the rest of the run one update per group, and a group whose own product
+    passes the cap one step at a time.  Per block the prefix products take
+    _RUN_GROUPS - 1 batched matmuls and each run one _mobius call; a run
+    that goes on into the next block carries its prefix product, fallen
+    mask and last update there, so no entry's bits depend on its block or
+    its stack.  Inside a run a group's condition number is that of its own
+    denominator, den_k den_(k-1)^-1 (see _verdict), so crossings land on
+    the group ends where one update per group puts them.
+
+    An entry with an error in faults starts from z = 0; one past the step
+    guard or with a singular Moebius denominator gets that StepTooLarge or
+    SingularMatrix in faults.  Either steps by the identity (see
+    matricant._blocks), records no crossing and its rows mean nothing.  A
+    block's updates run under one np.errstate and are yielded after it, so
+    the consumer keeps its own floating-point error settings."""
     z = np.array([_zmat(z0) for z0 in z0s])
     z[~faults.ok] = 0
     gauge, to_z = _gauge(z.shape[-1])
     w = _demoted(z * to_z.conj())
+    # the steps of the current piece before this block, the step counts of
+    # the pieces not yet stepped (taken after the first block, so that the
+    # stepper raises its own errors first), and what an open run carries
+    # into the next block: its last group's prefix product, fallen mask,
+    # condition number and (den, adj, det)
+    done, pieces, closed = 0, None, (None,) * 6
+    run = closed
     for radii, mats in _blocks(profile, ctxs, r0, r1 - r0, steps, scheme,
                                faults, gauge):
-        # the groups' last steps; only a piece's last group may be short
+        if pieces is None:
+            pieces = [n for _, _, n, _ in _segments(profile, r0, r1 - r0,
+                                                    steps)]
+        if done == pieces[0]:
+            del pieces[0]
+            done = 0
+        # the groups' last steps, only a piece's last group short, and each
+        # group's place in its run
         ends = np.r_[_GROUP_STEPS:len(radii):_GROUP_STEPS, len(radii)] - 1
+        place = (done // _GROUP_STEPS + np.arange(len(ends))) % _RUN_GROUPS
+        done += len(radii)
+        if place[0] == 0:
+            run = closed
         with np.errstate(all="ignore"):
             prods = _fused(mats)
-            steep = _norm1(prods) > _GROWTH_CAP
-            replay = steep.any(axis=1)
-            block, replays = [], []
-            for k, p in enumerate(prods):
-                block.append(_mobius(w, p))
-                if replay[k]:
-                    j = np.flatnonzero(steep[k])
-                    wj, cj, sj = _stepwise(
-                        w[j], mats[k * _GROUP_STEPS:ends[k] + 1, j])
-                    block[-1][0][j] = wj
-                    replays.append((k, j, cj, sj))
-                w = block[-1][0]
-            ws, dens, adjs, dets = map(np.array, zip(*block))
+            # the groups at place p = 1, 2, ... of their runs
+            inner = [slice((p - place[0]) % _RUN_GROUPS, None, _RUN_GROUPS)
+                     for p in range(1, _RUN_GROUPS)]
+            pre = _after(run[0], prods)
+            for at in inner:
+                pre[1:][at] = prods[at] @ pre[:-1][at]
+            pre = pre[1:]
+            fell = _after(run[1], _norm1(pre) > _GROWTH_CAP)
+            for at in inner:
+                fell[1:][at] |= fell[:-1][at]
+            fell = fell[1:]
+            falls = fell.any(axis=1).tolist()
+            outs, replays = [], []
+            cuts = sorted({0, len(ends),
+                           *np.flatnonzero(place == 0).tolist()})
+            for a, b in zip(cuts, cuts[1:]):
+                if place[a] == 0:
+                    start = w
+                out = _mobius(start, pre[a:b])
+                for k in range(a, b):
+                    if not falls[k]:
+                        continue
+                    # the group's own update from the w of the group before,
+                    # or its steps' where its product passes the cap
+                    j = np.flatnonzero(fell[k])
+                    prev = out[0][k - a - 1] if k > a else w
+                    steep = _norm1(prods[k, j]) > _GROWTH_CAP
+                    plain = j[~steep]
+                    if len(plain):
+                        for x, y in zip(out, _mobius(prev[plain],
+                                                     prods[k, plain])):
+                            x[k - a, plain] = y
+                    j = j[steep]
+                    if len(j):
+                        wj, cj, sj = _stepwise(
+                            prev[j], mats[k * _GROUP_STEPS:ends[k] + 1, j])
+                        out[0][k - a, j] = wj
+                        replays.append((k, j, cj, sj))
+                outs.append(out)
+                w = out[0][-1]
+            ws, dens, adjs, dets = (np.concatenate(x) for x in zip(*outs))
             cond, singular = _verdict(ws, dens, adjs, dets)
+            # inside a run cond_(k-1) cond_k bounds the condition number of
+            # a group's own denominator; it is formed only where that bound
+            # comes near _POLE_COND (in a one-ka solve it stays below 4)
+            near = (place > 0)[:, None] & ~fell & (
+                cond * _after(run[2], cond)[:-1] > 1e-4 * _POLE_COND)
+            carry = (pre[-1], fell[-1], cond[-1].copy(), dens[-1], adjs[-1],
+                     dets[-1])
+            if near.any():
+                k, j = np.nonzero(near)
+                back = [_after(r, x)[k, j]
+                        for r, x in zip(run[3:], (dens, adjs, dets))]
+                cond[k, j] = _verdict(ws[k, j], dens[k, j], adjs[k, j],
+                                      dets[k, j], back)[0]
             for k, j, cj, sj in replays:
                 cond[k, j], singular[k, j] = cj, sj
             zs = ws * to_z
+            run = carry
         # the block's propagators go before the stepper forms the next's
-        del mats, prods
+        del mats, prods, pre
         # (group, entry): failed in this group or before
         failed = np.logical_or.accumulate(singular)
         faults.fail(failed[-1], SingularMatrix("Moebius denominator singular"))
@@ -323,13 +426,15 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
 def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
                         r1: float, steps: int, scheme) -> ConditionalImpedance:
     """March z from r0 to r1 on steps equal within each layer, one Moebius
-    update per group of 8 steps.
+    update per run of 4 groups of 8 steps, each giving z at every group end
+    of its run.
 
-    A global matricant is never formed; each update's propagator spans a
-    group, about 8 (r1-r0)/steps, or one step where a group's growth passes
-    the cap, which is what keeps the growing solutions from swamping the
-    result.  PoleCrossing events, at group ends, accumulate on the returned
-    impedance.  This is the stacked march with a stack of one.
+    A global matricant is never formed; each update's propagator spans at
+    most a run, about 32 (r1-r0)/steps, and less where the run's growth
+    passes the cap: from there one group, or one step where a group's own
+    growth passes it, which is what keeps the growing solutions from
+    swamping the result.  PoleCrossing events, at group ends, accumulate on
+    the returned impedance.  This is the stacked march with a stack of one.
     """
     if not r0 < r1:
         raise ValueError("need r0 < r1")

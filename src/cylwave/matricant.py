@@ -43,34 +43,38 @@ propagators in one kernel call, from the layer's terms or from Q sampled
 at every node, step and entry in one array (nodes, steps, entries, 2m,
 2m); a failed entry steps by the identity.  The march fuses each group of
 _GROUP_STEPS steps of a _segments piece, counted from the piece's start,
-into one propagator and one Moebius update (see cylwave.impedance), so a
-block holds whole groups, at least one, and as many as its matrices
-allow.  A block whose kernel samples Q holds at most _BLOCK_SAMPLES
-samples (nodes x steps x entries).  A block formed from a layer's terms
-samples Q only for the guard, so it counts propagators (steps x entries),
-at most len(nodes) * _BLOCK_SAMPLES, and the guard samples its entries in
-chunks of whole steps of at most _BLOCK_SAMPLES matrices, at least one
-step.  A large stack's memory stays bounded, a one-ka solve (at most 23
-orders at 500 steps) steps each piece in one block, and a group never
-straddles two blocks, whatever the stack.  The march hands its gauge to
-the stepper, which builds the sampler with it; the guard and the kernels
-then see the gauged terms or samples, in float64 where they are real (see
-cylwave.impedance).  matricant_step and matricant_global are stacks of one
-that raise their entry's error, take Q ungauged, stay complex and multiply
-step by step.
+into one propagator, and each run of groups into prefix products that one
+Moebius call applies (see cylwave.impedance), so a block holds whole
+groups, at least one, and as many as its matrices allow; a run may go on
+into the next block.  A block whose kernel samples Q holds at most
+_BLOCK_SAMPLES samples (nodes x steps x entries).  A block formed from a
+layer's terms samples Q only for the guard, so it counts propagators
+(steps x entries), at most len(nodes) * _BLOCK_SAMPLES, and the guard
+samples its (group, entry) pairs in chunks of whole steps of at most
+_BLOCK_SAMPLES matrices, at least one step.  A large stack's memory stays
+bounded, a one-ka solve (at most 23 orders at 500 steps) steps each piece
+in one block, and a group never straddles two blocks, whatever the stack.
+The march hands its gauge to the stepper, which builds the sampler with it;
+the guard and the kernels then see the gauged terms or samples, in float64
+where they are real (see cylwave.impedance).  matricant_step and
+matricant_global are stacks of one that raise their entry's error, take Q
+ungauged, stay complex and multiply step by step.
 
 The guard's first test is h sqrt(|Q|_1 |Q|_inf) <= 20 per sample.  In a
 layer of a piecewise profile |Q(r)|_p is at most |P0|_p / r + |kz| |P1|_p +
 r |P2|_p for p = 1 and inf; the sampler takes these term norms once per
 layer and entry.  The product of the two bounds expands into r^-2..r^2 with
-nonnegative coefficients, so it is convex, and its largest value on a block
-lies at one of the block's end radii.  An entry whose bound there is at
-most 20 (1 - 1e-12), the margin covering round-off, passes every sample,
-and the guard, which would give it 0, does not see it; every other entry
-goes through the guard on its own samples, which are the only ones the
-terms' kernel takes, so the verdicts and texts are those of the guard on
-every sample.  A smooth law and the q_at hook have no layer terms, and the
-guard sees all their samples.
+nonnegative coefficients, so it is convex, and its largest value on a group
+of steps lies at one of the group's end radii.  A (group, entry) pair whose
+bound there is at most 20 (1 - 1e-12), the margin covering round-off,
+passes every sample, and the guard, which would give it 0, does not see it;
+every other pair goes through the guard on its own samples, which are the
+only ones the terms' kernel takes, so the verdicts and texts are those of
+the guard on every sample.  The bound over a block is at least its groups'
+and costs one evaluation, so it is taken first and per group only for the
+entries it leaves; in the golden ka = 5 lp4 solve those are one group of
+order 16 and nine of order 17, 320 samples.  A smooth law and the q_at hook
+have no layer terms, and the guard sees all their samples.
 
 No scheme needs derivatives of Q, but each interpolates Q within its step,
 so no step may contain a jump in Q.  _segments cuts each span at the
@@ -462,16 +466,17 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
     the layer's letters (_term_kernel), building the word tables once per
     layer it enters, in blocks of as many groups as len(nodes) *
     _BLOCK_SAMPLES propagators hold, and samples Q only for the guard, at
-    the entries that the term bound leaves to it, in chunks of whole steps
-    of at most _BLOCK_SAMPLES samples; each sample's norm is its own, so
-    the chunks change no verdict.  Every other stepper samples Q at every
-    node for the kernel, in blocks of as many groups as _BLOCK_SAMPLES
-    samples hold.  A block holds at least one group and a chunk one step.
-    An entry with an error in faults is not guarded, and it and an entry
-    that trips the guard, once it has its StepTooLarge, step by the
-    identity and keep their index; the stepper stops once every entry has
-    failed.  With a gauge the sampler applies it, so the guard and the
-    kernels see Q * gauge, float64 where real."""
+    the (group, entry) pairs that the term bound over each group leaves to
+    it, consecutive groups that leave the same entries together, in chunks
+    of whole steps of at most _BLOCK_SAMPLES samples; each sample's norm is
+    its own, so the chunks change no verdict.  Every other stepper samples
+    Q at every node for the kernel, in blocks of as many groups as
+    _BLOCK_SAMPLES samples hold.  A block holds at least one group and a
+    chunk one step.  An entry with an error in faults is not guarded, and
+    it and an entry that trips the guard, once it has its StepTooLarge,
+    step by the identity and keep their index; the stepper stops once every
+    entry has failed.  With a gauge the sampler applies it, so the guard
+    and the kernels see Q * gauge, float64 where real."""
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
     sample = _q_sampler(profile, ctxs, gauge)
     bound = getattr(sample, "bound", None)
@@ -502,10 +507,27 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
             elif check.any():
                 nrm[:, check] = _guard(h, qs[:, :, check]).max(axis=0)
         elif check.any():
-            chunk = max(1, _BLOCK_SAMPLES // (len(nodes) * check.sum()))
-            for i in range(0, len(r), chunk):
-                nrm[i:i + chunk, check] = _guard(
-                    h, sample(radii[:, i:i + chunk], layer, check)).max(0)
+            # the terms' kernel takes no samples: of those entries, each
+            # group samples the ones that the bound over its own radii
+            # leaves, consecutive groups that leave the same in one call
+            firsts = np.arange(0, len(r), _GROUP_STEPS)
+            left = np.broadcast_to(check, (len(firsts), len(check)))
+            if bound is not None:
+                lasts = np.append(firsts[1:], len(r)) - 1
+                left = left & ~(h * bound(r[firsts], r[lasts] + h, layer)
+                                <= _PROVEN)
+            cut = (np.flatnonzero((left[1:] != left[:-1]).any(axis=1))
+                   + 1).tolist()
+            for a, b in zip([0] + cut, cut + [len(left)]):
+                which = left[a]
+                if not which.any():
+                    continue
+                chunk = max(1, _BLOCK_SAMPLES // (len(nodes) * which.sum()))
+                end = min(b * _GROUP_STEPS, len(r))
+                for i in range(a * _GROUP_STEPS, end, chunk):
+                    j = min(i + chunk, end)
+                    nrm[i:j, which] = _guard(
+                        h, sample(radii[:, i:j], layer, which)).max(0)
         over = nrm > 20.0
         tripped = over.any(axis=0)
         for i in np.flatnonzero(tripped):

@@ -777,7 +777,7 @@ def test_term_proof_changes_no_verdict(al, m, kz, monkeypatch,
     sampler, guard = matricant._q_sampler, matricant._guard
     seen = []
     monkeypatch.setattr(matricant, "_guard", lambda h, q: (
-        seen.append(q.shape[2]) or guard(h, q)))
+        seen.append(q[..., 0, 0].size) or guard(h, q)))
 
     def unproven(prof, ctxs, g):
         sample = sampler(prof, ctxs, g)
@@ -812,9 +812,11 @@ def test_term_proof_changes_no_verdict(al, m, kz, monkeypatch,
 
 
 def _all_steps(monkeypatch):
-    """Make every group one step: the march of one Moebius update per step."""
+    """Make every group one step and every run one group: the march of one
+    Moebius update per step."""
     monkeypatch.setattr(matricant, "_GROUP_STEPS", 1)
     monkeypatch.setattr(impedance, "_GROUP_STEPS", 1)
+    monkeypatch.setattr(impedance, "_RUN_GROUPS", 1)
 
 
 def test_capped_groups_replay_their_steps(monkeypatch):
@@ -876,6 +878,176 @@ def test_growth_cap_keeps_the_all_step_accuracy(al_profile, al_layer, omega,
     assert sum(replayed) == steps
     _all_steps(monkeypatch)
     assert grouped <= 2 * error()
+
+
+def _counted_updates(monkeypatch):
+    """Count the march's Moebius calls: {"run": updates of a run's prefix
+    products, "group": a group's own update, "steps": groups taken step by
+    step}, leaving out the calls that _stepwise makes."""
+    counts, inside = dict.fromkeys(("run", "group", "steps"), 0), []
+    mobius, stepwise = impedance._mobius, impedance._stepwise
+
+    def counted_mobius(w, m):
+        if not inside:
+            counts["run" if m.ndim == 4 else "group"] += 1
+        return mobius(w, m)
+
+    def counted_stepwise(w, mats):
+        counts["steps"] += 1
+        inside.append(1)
+        try:
+            return stepwise(w, mats)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(impedance, "_mobius", counted_mobius)
+    monkeypatch.setattr(impedance, "_stepwise", counted_stepwise)
+    return counts
+
+
+@pytest.mark.parametrize("case", ["mixed", "two-layer"])
+def test_runs_carried_across_blocks(al, al_layer, case, monkeypatch):
+    # blocks of 8, 16 and 24 steps end inside runs of 4 groups, which carry
+    # their starting w, prefix products and fallen masks into the next
+    # block: every entry's crossings and error texts, and the z of every
+    # entry that ends ok, are those of the one-block march bit for bit.
+    # _Mixed's one run of 25 steps holds crossings and two singular
+    # denominators; on the two layers at 200 steps the highest orders'
+    # prefix products pass the growth cap inside runs, some of their
+    # groups steps one at a time, and omega = 10000 trips the step guard
+    # in the soft outer layer
+    if case == "mixed":
+        prof, (ctxs, z0s), span, steps, scheme = (
+            _Mixed(), _MIXED_ENTRIES, _MIXED_SPAN, 25, "exp2a")
+        # exp2a samples Q at one node: a block of k steps holds k x 4
+        # samples
+        sizes = {8: [8, 8, 8, 1], 16: [16, 9], 24: [24, 1], None: [25]}
+        per_step = len(ctxs)
+    else:
+        soft = cw.MaterialPoint(7.85, cw.isotropic_stiffness(5.44, 3.7))
+        prof = cw.RadialProfile.piecewise([(0.5, 0.75, al),
+                                           (0.75, 1.0, soft)])
+        ctxs = [cw.WaveContext(omega=8.0, n=n, m=2) for n in range(0, 41, 5)]
+        ctxs.append(cw.WaveContext(omega=10000.0, n=0, m=2))
+        z0s = [np.zeros((2, 2))] * len(ctxs)
+        span, steps, scheme = (0.5, 1.0), 200, "lp4"
+        # lp4 forms its steps from the layer terms: a block of k steps
+        # holds k x 10 propagators, and a budget b allows 4 b of them
+        sizes = {8: [8] * 12 + [4], 16: [16] * 6 + [4], 24: [24] * 4 + [4],
+                 None: [100]}
+        sizes = {k: v * 2 for k, v in sizes.items()}
+        per_step = len(ctxs) / 4
+    lengths = []
+    stepper = impedance._blocks
+
+    def counted(*args, **kwargs):
+        for radii, mats in stepper(*args, **kwargs):
+            lengths.append(len(radii))
+            yield radii, mats
+
+    monkeypatch.setattr(impedance, "_blocks", counted)
+    counts = _counted_updates(monkeypatch)
+
+    def march(size):
+        lengths.clear()
+        for key in counts:
+            counts[key] = 0
+        with monkeypatch.context() as patch:
+            if size is not None:
+                patch.setattr(matricant, "_BLOCK_SAMPLES",
+                              int(size * per_step))
+            faults = EntryFaults(len(ctxs))
+            out = [(r, z.copy(), [(j, ev.r, ev.cond) for j, ev in found])
+                   for r, z, found in _march(prof, ctxs, z0s, *span, steps,
+                                             scheme, faults)]
+        assert lengths == sizes[size]
+        return ([(r, z[faults.ok].tobytes(), found) for r, z, found in out],
+                [str(e) for e in faults.errors], dict(counts))
+
+    whole, errors, seen = march(None)
+    if case == "mixed":
+        assert sum(map(len, (found for _, _, found in whole))) > 0
+        assert [e.split(" ")[0] for e in errors] == [
+            "Moebius", "None", "None", "Moebius"]
+    else:
+        assert "exceeds 20" in errors[-1] and errors[:-1] == ["None"] * 9
+        assert seen["group"] > 0 and seen["steps"] > 0
+    for size in (8, 16, 24):
+        assert march(size)[:2] == (whole, errors)
+
+
+class _Growing(_Turn):
+    """Order 0 grows as e^(24 r) in both channels up to r = 0.675 and then
+    decays as e^(-24 r): on h = 1/64 from r = 0.3 a group's product is
+    diag(e^-3, e^-3, e^3, e^3) for the first three groups, its inverse
+    after, to round-off."""
+
+    def q_at(self, r, ctx):
+        if ctx.n == 0:
+            return np.diag([-24.0, -24.0, 24.0, 24.0]) * np.sign(0.675 - r)
+        return super().q_at(r, ctx)
+
+
+def test_run_falls_back_where_its_prefix_passes_the_cap(monkeypatch):
+    # 40 steps of h = 1/64 are 5 groups, a run of 4 and one of 1.  Order
+    # 0's prefix products have 1-norms of about e^3, e^6, e^9 and e^6: the
+    # run's third passes the growth cap, so the run's update gives its
+    # first two group ends, and from the third on, the fourth too though
+    # its prefix is back within the cap, it takes one update per group from
+    # the w before.  Order 1, which turns, takes the run's update at every
+    # group end, and the second run starts afresh from the run's update.
+    # The calls are the first run's, two group updates of order 0 and the
+    # second run's
+    ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(2)]
+    z0s = [np.diag([0.1j, -0.2j]), np.diag([-0.3j, 0.0])]
+    span = (0.3, 0.3 + 40 / 64)
+    blocks = []
+    stepper = impedance._blocks
+
+    def kept(*args, **kwargs):
+        for radii, mats in stepper(*args, **kwargs):
+            blocks.append(mats)
+            yield radii, mats
+
+    monkeypatch.setattr(impedance, "_blocks", kept)
+    calls = []
+    mobius = impedance._mobius
+    monkeypatch.setattr(impedance, "_mobius", lambda w, m: (
+        calls.append((len(w), m.shape[:-2])) or mobius(w, m)))
+    faults = EntryFaults(2)
+    got = [z.copy() for _, z, _ in _march(_Growing(), ctxs, z0s, *span, 40,
+                                          "exp2a", faults)]
+    assert faults.ok.all() and len(blocks) == 1 and len(got) == 5
+    assert calls == [(2, (4, 2)), (1, (1,)), (1, (1,)), (2, (1, 2))]
+    prods = impedance._fused(blocks[0])
+    prefix = [prods[0]]
+    for p in prods[1:4]:
+        prefix.append(p @ prefix[-1])
+    norms = impedance._norm1(np.array(prefix))[:, 0]
+    assert (norms < impedance._GROWTH_CAP).tolist() == [True, True, False,
+                                                        True]
+    _, to_z = _gauge(2)
+    w0 = np.array(z0s) * to_z.conj()
+    want = [mobius(w0, c)[0] for c in prefix]
+    w = want[1][:1]
+    for k in (2, 3):
+        w = mobius(w, prods[k, :1])[0]
+        want[k][0] = w[0]
+    want.append(mobius(want[3], prods[4])[0])
+    for zk, wk in zip(got, want):
+        assert np.array_equal(zk, wk * to_z)
+
+
+def test_golden_solve_takes_one_update_per_run(al_layer, monkeypatch):
+    # the golden ka = 5 lp4 solve's 63 groups of 8 steps are 16 runs: one
+    # Moebius call each, and one per group that an order takes on its own
+    # after its run's prefix passed the growth cap (one update per group,
+    # 63 calls, before runs)
+    counts = _counted_updates(monkeypatch)
+    cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=5.0,
+                                            scheme="lp4", steps=500))
+    assert counts["run"] == 16 and counts["steps"] == 0
+    assert counts["run"] + counts["group"] <= 19
 
 
 class TestInterfaces:

@@ -331,9 +331,10 @@ def test_global_equals_per_step_product_at_kz(al):
     # at kz != 0 the dyson schemes' terms have three letters, P0, kz P1 and
     # P2; the blocked composition is still the product of single steps,
     # bit for bit, in blocks of one group and of the default budget, and
-    # lp4's agrees with mg4's, which samples Q.  At 600 steps lp4's blocks
-    # of 300 steps hold more steps than its complex table has columns (72)
-    # and more than one chunk of coefficients (272 steps at 120 words)
+    # lp4's agrees with mg4's, which samples Q.  At 600 steps each of
+    # lp4's blocks of 300 steps holds more than one chunk of coefficients
+    # (272 steps at 120 words), so _term_kernel writes its rows of M in two
+    # contractions
     steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
     prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
     ctx = cw.WaveContext(omega=6.0, n=4, kz=1.3)
@@ -461,11 +462,12 @@ def test_golden_solve_guard_takes_no_svd(al_layer, monkeypatch):
 def test_golden_solve_samples_q_only_where_terms_prove_nothing(
         al_layer, monkeypatch):
     # the dyson kernel forms its steps from the layer terms, so Q is
-    # sampled only for the guard, for the (block, entry) pairs that the
-    # term bound does not prove below it: in the golden solve the two
-    # highest orders, in the layer's one block, and at twice the steps
-    # none; a smooth law's march still samples every step
-    calls = []
+    # sampled only for the guard, for the (group, entry) pairs that the
+    # term bound does not prove below it: in the golden solve the layer's
+    # first group of orders 16 and 17, then the next 8 groups of order 17
+    # alone, 320 samples, and at twice the steps none; a smooth law's
+    # march still samples every step
+    calls, samples = [], []
     sampler = matricant._q_sampler
 
     def counted_sampler(profile, ctxs, gauge=None):
@@ -474,17 +476,20 @@ def test_golden_solve_samples_q_only_where_terms_prove_nothing(
         def counted(r, layer, *which):
             rows = np.arange(len(ctxs))[which[0] if which else slice(None)]
             calls.append([ctxs[i].n for i in rows])
+            samples.append(np.size(r) * len(rows))
             return sample(r, layer, *which)
 
         counted.__dict__.update(sample.__dict__)
         return counted
 
     monkeypatch.setattr(matricant, "_q_sampler", counted_sampler)
-    for steps, sampled in ((500, [[16, 17]]), (1000, [])):
+    for steps, sampled, count in ((500, [[16, 17], [17]], 4 * 8 * (2 + 8)),
+                                  (1000, [], 0)):
         calls.clear()
+        samples.clear()
         cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=5.0,
                                                 scheme="lp4", steps=steps))
-        assert calls == sampled
+        assert calls == sampled and sum(samples) == count
     smooth = cw.RadialProfile.smooth(lambda r: al_layer.material(), 0.5,
                                      1.0)
     cw.matricant_global(smooth, cw.WaveContext(omega=5.0, n=2), 0.5, 1.0,

@@ -739,6 +739,8 @@ class TestGroupedMarch:
 
         grouped = distance()
         assert replayed
+        # one Moebius update per step: groups of one step, runs of one group
         monkeypatch.setattr(matricant, "_GROUP_STEPS", 1)
         monkeypatch.setattr(impedance, "_GROUP_STEPS", 1)
+        monkeypatch.setattr(impedance, "_RUN_GROUPS", 1)
         assert grouped <= 2 * distance()
