@@ -18,6 +18,18 @@ entries at its frequency only.  A table owns its EntryFaults record: the
 first evaluation of a (kind, argument) writes its DomainError and
 AccuracyLoss notes there once.  cyl_f and cyl_f_prime are tables of one
 entry, which raise or warn what it holds.
+
+At a real argument x >= 0, H1 and H2 are formed as J + iY and J - iY
+(Abramowitz & Stegun 9.1.3-4) from the table's J values there and one
+cephes yn call, in place of scipy's AMOS hankel1 or hankel2.  Re H1 is
+then J bit for bit and H2 is conj(H1).  Next to the J table of a {J, H1}
+basis an H1 table costs about a tenth of what hankel1 did: over the 29
+hankel1 calls of a 10-ka recursion sweep of a three-layer stack, yn takes
+0.37 ms and hankel1 3.70 ms (2-core box).  Over the validated range the
+result holds 1e-13 of |H|, as hankel1 does; past it both drift with x,
+and on n <= 300, x <= 2e4 the worst seen was 2.0e-11 (n = 284,
+x = 1.8e4, where hankel1 reads 7.7e-13; its own worst was 6.4e-12).  A
+complex argument keeps hankel1 and hankel2.
 """
 from __future__ import annotations
 
@@ -43,15 +55,41 @@ _RATIO_DEPTH = 40
 _SCIPY = {KIND_J: "jv", KIND_Y: "yv", KIND_H1: "hankel1", KIND_H2: "hankel2"}
 
 
-def _values(kind: int, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """f_orders[i](x[i]) in one scipy call."""
+def _real(kind: int, x: np.ndarray) -> bool:
+    """Whether scipy's real-argument path takes kind at all of x."""
     # scipy's real-argument paths are faster and exact for real x; its
     # complex path differs from them in the last digits.  A vector takes
     # the real path only if all of it can, as one k r over real omegas does;
-    # a zero, which fails its entries, does not move the others off it
-    real = not x.imag.any() and (kind == KIND_J or (x.real >= 0).all())
+    # a zero, which fails its entries, does not move the others off it.
+    # For H1 and H2 the real path is J +- iY (Tables._evaluated, _hankel)
+    return not x.imag.any() and (kind == KIND_J or (x.real >= 0).all())
+
+
+def _values(kind: int, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f_orders[i](x[i]) in one scipy call."""
     fn = getattr(special, _SCIPY[kind])
-    return np.asarray(fn(orders, x.real if real else x), dtype=complex)
+    return np.asarray(fn(orders, x.real if _real(kind, x) else x),
+                      dtype=complex)
+
+
+def _hankel(kind: int, j: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """H1 = J + iY or H2 = J - iY (Abramowitz & Stegun 9.1.3-4) from the
+    values j of J and y of Y at the same real (order, argument) pairs.  The
+    parts are written, not summed with 1j, so that the -inf of Y at 0 or
+    past overflow stays -inf rather than turning into nan."""
+    h = np.empty(np.shape(y), dtype=complex)
+    h.real = j.real
+    h.imag = y if kind == KIND_H1 else -y
+    return h
+
+
+def _prime(v: np.ndarray, i: np.ndarray, n0: np.ndarray) -> np.ndarray:
+    """f_n' = (f_(n-1) - f_(n+1))/2 of the orders at v[i], f_0' = -f_1 at
+    the positions n0 of i that hold order 0."""
+    with np.errstate(invalid="ignore"):
+        fp = 0.5 * (v[i - 1] - v[i + 1])
+    fp[n0] = -v[i[n0] + 1]
+    return fp
 
 
 def _j_ratio(n: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -73,7 +111,8 @@ class Tables:
     at frequency f[i]; an argument holds one value per frequency.  Each
     (kind, argument) costs one scipy call over the pairs (order, value) the
     entries need, orders min(n) - 1 to max(n) + 1 of each frequency's
-    entries, kept for reuse.  That first evaluation also writes into
+    entries, kept for reuse; H1 or H2 at a real argument costs a yn call
+    and the J table of that argument.  That first evaluation also writes into
     `faults`, once, the AccuracyLoss note of each entry outside the
     validated range and the DomainError of each entry whose argument is 0
     for a kind singular there; its values mean nothing."""
@@ -100,19 +139,34 @@ class Tables:
         self._n0 = np.flatnonzero(self.n == 0)
         self._high = self.n > _N_MAX
         self._cache = {}
+        self._noted = set()
         self.faults = EntryFaults(len(self.n))
 
     def _raw(self, kind: int, x: np.ndarray) -> np.ndarray:
-        """The values over the pairs of kind at the vector x."""
+        """The values over the pairs of kind at the vector x; the first
+        request of each (kind, x) writes its faults."""
         key = (kind, x.tobytes())
-        if key not in self._cache:
+        if key not in self._noted:
             if kind not in _SCIPY:
                 raise ValueError(f"unknown cylinder-function kind {kind!r}")
             if kind != KIND_J and not x.all():
                 self.faults.fail((x == 0)[self.f], DomainError(
                     f"kind {kind} is singular at x=0"))
             self._note(kind, x)
-            self._cache[key] = _values(kind, self._order, x[self._freq])
+            self._noted.add(key)
+        return self._evaluated(kind, x)
+
+    def _evaluated(self, kind: int, x: np.ndarray) -> np.ndarray:
+        """The values of _raw, evaluated once, writing no faults: H1 or H2
+        at a real x from the J values there and one yn call (_hankel)."""
+        key = (kind, x.tobytes())
+        if key not in self._cache:
+            xs = x[self._freq]
+            if kind in (KIND_H1, KIND_H2) and _real(kind, xs):
+                self._cache[key] = _hankel(kind, self._evaluated(KIND_J, x),
+                                           special.yn(self._order, xs.real))
+            else:
+                self._cache[key] = _values(kind, self._order, xs)
         return self._cache[key]
 
     def _note(self, kind: int, x: np.ndarray) -> None:
@@ -128,10 +182,7 @@ class Tables:
     def __call__(self, kind: int, x) -> tuple:
         """(f, f') of kind at x over the entries."""
         v, i = self._raw(kind, _vector(x)), self._i
-        with np.errstate(invalid="ignore"):
-            fp = 0.5 * (v[i - 1] - v[i + 1])
-        fp[self._n0] = -v[i[self._n0] + 1]
-        return v[i], fp
+        return v[i], _prime(v, i, self._n0)
 
     def log_derivative(self, kind: int, x) -> tuple:
         """(d, zero) with x f_n'/f_n = n + d; zero marks the entries where f

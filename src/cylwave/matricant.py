@@ -532,7 +532,7 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
         tripped = over.any(axis=0)
         for i in np.flatnonzero(tripped):
             faults.errors[i] = StepTooLarge(
-                f"||h*Q|| = {nrm[over[:, i], i][0]:.3g} exceeds 20 (exp "
+                f"||h*Q|| = {float(nrm[over[:, i], i][0])!r} exceeds 20 (exp "
                 "overflow guard); reduce the step or increase the step count")
         if letters is not None:
             if terms is None or terms[0] != layer:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .cylfun import KIND_H1, KIND_J
+from .cylfun import KIND_H1, KIND_J, _hankel, _prime
 from .elastodyn import RadialProfile, WaveContext, _contiguous, _positive
 from .errors import (DomainError, EntryFaults, InteriorPoint,
                      TangentialResonance)
@@ -287,12 +287,17 @@ def _estimate(ka: float, cap: int) -> int:
     the kind of Wiscombe (Appl. Opt. 19 (1980) 1505); the 100 is a
     margin, and no result rests on it (see the module docstring).  The
     scan goes past the default cap only if no stop lies below it; scipy
-    evaluates each order alone, so n_est is that of one scan to the cap."""
+    evaluates each order alone, so n_est is that of one scan to the cap.
+    A scan to top takes J and Y of orders 0..top + 1 in one scipy call
+    each, H_n = J_n + i Y_n and the derivatives from neighbouring orders."""
     for top in sorted({min(cap, _default_cap(ka)), cap}):
-        n = np.arange(top + 1)
+        n = np.arange(top + 2)
+        j = special.jv(n, ka)
+        h = _hankel(KIND_H1, j, special.yn(n, ka))
+        i = n[:-1]
         with np.errstate(all="ignore"):
-            b = np.maximum(np.abs(special.jv(n, ka) / special.hankel1(n, ka)),
-                           np.abs(special.jvp(n, ka) / special.h1vp(n, ka)))
+            b = np.maximum(np.abs(j[i] / h[i]), np.abs(
+                _prime(j, i, i[:1]) / _prime(h, i, i[:1])))
         stop = _stop(b, _B_TAIL / 100)
         if stop is not None:
             return stop

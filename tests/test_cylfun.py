@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cylwave import cyl_f, cyl_f_prime
-from cylwave.cylfun import KIND_H1, KIND_H2, KIND_J, KIND_Y
+from cylwave.cylfun import KIND_H1, KIND_H2, KIND_J, KIND_Y, Tables
 from cylwave.errors import AccuracyLoss, DomainError
 
 mpmath.mp.dps = 40
@@ -80,6 +80,46 @@ def test_hankel_combinations():
         y = cyl_f(KIND_Y, n, x)
         assert abs(cyl_f(KIND_H1, n, x) - (j + 1j * y)) < 1e-14 * abs(j + 1j * y)
         assert abs(cyl_f(KIND_H2, n, x) - (j - 1j * y)) < 1e-14 * abs(j - 1j * y)
+
+
+def test_real_hankel_tables_against_mpmath():
+    # at a real argument H1 and H2 are J + iY and J - iY, from the J table
+    # and one yn call: on a log grid of the validated range they hold 1e-13
+    # of |H|, and where Y passes double range its -inf stays in the
+    # imaginary part
+    ns = np.array([0, 1, 2, 3, 5, 8, 13, 21, 34, 60])
+    xs = np.logspace(-6, np.log10(200.0), 18)
+    table = Tables(np.tile(ns, len(xs)),
+                   np.repeat(np.arange(len(xs)), len(ns)))
+    j = table(KIND_J, xs)[0]
+    h1, h2 = table(KIND_H1, xs)[0], table(KIND_H2, xs)[0]
+    assert np.array_equal(h1.real, j.real) and not j.imag.any()
+    assert np.array_equal(h2, np.conj(h1))
+    past = 0
+    for kind, got in ((KIND_H1, h1), (KIND_H2, h2)):
+        for v, n, x in zip(got, table.n.tolist(), xs[table.f].tolist()):
+            ref = _MP_FUN[kind](n, mpmath.mpf(x))
+            if abs(ref) > np.finfo(float).max:
+                past += 1
+                assert v.imag == (-np.inf if kind == KIND_H1 else np.inf)
+            else:
+                assert abs(v - complex(ref)) <= 1e-13 * abs(ref), (kind, n, x)
+    assert 0 < past < len(j)
+
+
+def test_hankel_table_writes_only_its_own_notes():
+    # an H1 request evaluates the J values of its argument but writes only
+    # H1's notes; a later J request writes J's, each once
+    table = Tables([61])
+
+    def kinds():
+        return [note.split(",")[0] for note in table.faults.notes[0]]
+    table(KIND_H1, 10.0)
+    assert kinds() == ["cyl_f(kind=3"]
+    table(KIND_J, 10.0)
+    table(KIND_H1, 10.0)
+    table(KIND_J, 10.0)
+    assert kinds() == ["cyl_f(kind=3", "cyl_f(kind=1"]
 
 
 def test_wronskian():

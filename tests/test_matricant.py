@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -441,6 +442,18 @@ def test_step_guard(al_profile):
     # at kz = 0, h*|Q|_2 = 26.6 here while max|eig(hQ)| = 0.04
     ctx = cw.WaveContext(omega=8.0, n=19, m=2)
     cw.matricant_step(al_profile, ctx, 0.5, 1e-3, "lp4")
+
+
+@pytest.mark.parametrize("norm", [20.04, 20.0000001])
+def test_step_guard_names_a_norm_past_20(norm):
+    # the tripped norm is printed in full, so it never reads as the bound
+    # itself ("20 exceeds 20" under three significant digits)
+    with pytest.raises(StepTooLarge) as err:
+        cw.matricant_step(_ConstQ(norm * np.eye(4)), CTX, 1.0, 1.0, "ts1")
+    printed = re.fullmatch(r"\|\|h\*Q\|\| = (\S+) exceeds 20 \(exp overflow "
+                           r"guard\); reduce the step or increase the step "
+                           r"count", str(err.value)).group(1)
+    assert float(printed) == norm > 20.0
 
 
 def test_golden_solve_guard_takes_no_svd(al_layer, monkeypatch):

@@ -303,9 +303,12 @@ class TestLayerTwoPoint:
             return wrapper
 
         fake = types.SimpleNamespace(**{
-            name: counted(name) for name in ("jv", "yv", "hankel1",
+            name: counted(name) for name in ("jv", "yv", "yn", "hankel1",
                                              "hankel2")})
         monkeypatch.setattr(cylfun, "special", fake)
+        hankel, kinds = cylfun._hankel, []
+        monkeypatch.setattr(cylfun, "_hankel", lambda kind, j, y: (
+            kinds.append(kind) or hankel(kind, j, y)))
         layers = (cw.LayerTI(0.3, 0.6, al_layer.rho, al_layer.c11,
                              al_layer.c12, al_layer.c13, al_layer.c33,
                              al_layer.c44),
@@ -319,16 +322,18 @@ class TestLayerTwoPoint:
         assert all(np.array_equal(orders, np.arange(17))
                    for _, orders, _ in calls)
         assert all(np.all(x == x[0]) for _, _, x in calls)
-        # J and H1 at each layer's wavenumbers and radii, and at ka; never
-        # Y or H2, as the recursion route builds every layer from {J, H1}
+        # J and H1 at each layer's wavenumbers and radii, and at ka, H1 as
+        # J + iY from the J table and one yn call; never Y or H2, as the
+        # recursion route builds every layer from {J, H1}
         want = {4.0 + 0j}
         for lay in layers:
             want |= {k * r for k in _wavenumbers(lay, 4.0, 0.0)[:3]
                      for r in (lay.r_inner, lay.r_outer)}
         args = {name: {complex(x[0]) for kind, _, x in calls if kind == name}
-                for name in ("jv", "yv", "hankel1", "hankel2")}
-        assert args["jv"] == args["hankel1"] == want
-        assert not args["yv"] and not args["hankel2"]
+                for name in ("jv", "yv", "yn", "hankel1", "hankel2")}
+        assert args["jv"] == args["yn"] == want
+        assert not args["yv"] and not args["hankel1"] and not args["hankel2"]
+        assert kinds == [cylfun.KIND_H1] * len(want)
 
         # the 10 ka of a benchmark window on one stack: as many calls as
         # about one ka alone, where solving them one by one costs ten times
