@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (DecouplingError, DomainError, MaterialSingular,
                      OutOfSupport, SchemaError)
-from .numkernel import _demoted, _norm1
+from .numkernel import _demoted
 
 # reference fluid (water): 1000 kg/m^3, 1470 m/s
 RHO_W = 1000.0
@@ -443,14 +443,13 @@ def _q_sampler(profile, ctxs, gauge=None):
     to q_matrix's bit for bit.  A piecewise profile builds, gauges and
     demotes each layer's terms once, when the sampler is built; products
     with g are exact, so its samples are Q * g bit for bit, formed in
-    float64 for lossless orthotropic layers.  Its sampler takes a third
-    argument, ``which``, a mask or index of the contexts to sample, and has
-    two more functions of a layer, from those terms:
+    float64 for lossless orthotropic layers.  Its sampler has two more
+    functions of a layer, from those terms:
 
-    * ``sample.bound(lo, hi, layer)``, per context an upper bound on
-      sqrt(|Q|_1 |Q|_inf) over the radii [lo, hi] of the layer, from the
-      norms of its terms, taken once; lo and hi may be arrays of equal
-      shape, which the bounds (*shape, len(ctxs)) then follow;
+    * ``sample.bound(lo, hi, layer)``, per context an upper bound on the
+      step guard's |D^-1 Q D|_2 at every radius in [lo, hi] of the layer
+      (see cylwave.matricant), from the Frobenius norms of the terms' four
+      m x m blocks, taken once;
     * ``sample.letters(layer)``, the layer's terms as the letters of
       Q(r) = P0 / r + kz P1 + r P2, one array (letters, len(ctxs), 2m, 2m):
       P0, kz P1 and P2, or P0 and P2 where every kz is 0.
@@ -482,7 +481,7 @@ def _q_sampler(profile, ctxs, gauge=None):
         rho = np.array([mp.rho for mp in mps], dtype=float)
         return _ig_terms(c, rho, ctxs)[sub]
 
-    def q_of(terms, r, kz=kz):
+    def q_of(terms, r):
         rr = r[..., None, None, None]
         return (1 / rr) * (terms[0] + (kz * rr) * terms[1]
                            + (rr * rr) * terms[2])
@@ -505,26 +504,32 @@ def _q_sampler(profile, ctxs, gauge=None):
         terms[1] *= kz != 0
     layer_terms = [t if gauge is None else _demoted(t)
                    for t in terms.swapaxes(0, 1)]
-    # the 1- and inf-norms of each layer's terms (layers, 2, 3, len(ctxs)),
-    # P1's times |kz|; the gauge keeps every |entry|
-    norms = np.stack([_norm1(terms), _norm1(terms.swapaxes(-1, -2))])
-    norms[:, 1] *= np.abs(kz[:, 0, 0])
-    norms = norms.transpose(2, 0, 1, 3)
+    # the Frobenius norms of the m x m blocks [[1, 2], [3, 4]] of each
+    # layer's terms (layers, 3, 2, 2, len(ctxs)), P1's times |kz|; the
+    # gauge keeps every |entry|
+    norms = np.linalg.norm(terms.reshape(terms.shape[:-2] + (2, m, 2, m)),
+                           axis=(-3, -1))
+    norms[1] *= np.abs(kz)
+    norms = norms.transpose(1, 0, 3, 4, 2)
 
-    def sample(r, layer, which=slice(None)):
-        return q_of(layer_terms[layer][:, which],
-                    np.asarray(r, dtype=float), kz[which])
+    def sample(r, layer):
+        return q_of(layer_terms[layer], np.asarray(r, dtype=float))
 
     def bound(lo, hi, layer):
-        # |Q(r)|_p <= |P0|_p / r + |kz| |P1|_p + r |P2|_p for p = 1 and inf;
-        # the product of the two is a sum of r^-2 .. r^2 with nonnegative
-        # coefficients, so convex, and its largest value on [lo, hi] is at
-        # an end
+        # with the guard's s^2 = |Q3|_F / |Q2|_F, |D^-1 Q D|_F^2 is |Q1|^2 +
+        # |Q4|^2 + 2 |Q2| |Q3|, and |Q1|^2 + |Q4|^2 + |Q2|^2 where Q3 = 0
+        # and s = 1 (Q2 = P0's block / r = -i qh^-1 / r is never 0).  Both
+        # are at most F1^2 + F4^2 + F2^2 + 2 F2 F3, F_b = |P0_b| / r +
+        # |kz P1_b| + r |P2_b| >= |Q_b(r)|_F, a sum of r^-2 .. r^2 with
+        # nonnegative coefficients, so convex, and its largest value on
+        # [lo, hi] is at an end
         c = norms[layer]
-        return np.sqrt(np.maximum(*(
-            (c[:, 0] / x + c[:, 1] + x * c[:, 2]).prod(axis=-2)
-            for x in (np.asarray(lo, float)[..., None, None],
-                      np.asarray(hi, float)[..., None, None]))))
+
+        def square(r):
+            (f1, f2), (f3, f4) = c[0] / r + c[1] + r * c[2]
+            return f1 * f1 + f4 * f4 + f2 * f2 + 2 * f2 * f3
+
+        return np.sqrt(np.maximum(square(lo), square(hi)))
 
     def letters(layer):
         p0, p1, p2 = layer_terms[layer]

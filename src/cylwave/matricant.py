@@ -49,8 +49,8 @@ groups, at least one, and as many as its matrices allow; a run may go on
 into the next block.  A block whose kernel samples Q holds at most
 _BLOCK_SAMPLES samples (nodes x steps x entries).  A block formed from a
 layer's terms samples Q only for the guard, so it counts propagators
-(steps x entries), at most len(nodes) * _BLOCK_SAMPLES, and the guard
-samples its (group, entry) pairs in chunks of whole steps of at most
+(steps x entries), at most len(nodes) * _BLOCK_SAMPLES, and where the
+guard needs samples it takes them in chunks of whole steps of at most
 _BLOCK_SAMPLES matrices, at least one step.  A large stack's memory stays
 bounded, a one-ka solve (at most 23 orders at 500 steps) steps each piece
 in one block, and a group never straddles two blocks, whatever the stack.
@@ -60,21 +60,20 @@ where they are real (see cylwave.impedance).  matricant_step and
 matricant_global are stacks of one that raise their entry's error, take Q
 ungauged, stay complex and multiply step by step.
 
-The guard's first test is h sqrt(|Q|_1 |Q|_inf) <= 20 per sample.  In a
-layer of a piecewise profile |Q(r)|_p is at most |P0|_p / r + |kz| |P1|_p +
-r |P2|_p for p = 1 and inf; the sampler takes these term norms once per
-layer and entry.  The product of the two bounds expands into r^-2..r^2 with
-nonnegative coefficients, so it is convex, and its largest value on a group
-of steps lies at one of the group's end radii.  A (group, entry) pair whose
-bound there is at most 20 (1 - 1e-12), the margin covering round-off,
-passes every sample, and the guard, which would give it 0, does not see it;
-every other pair goes through the guard on its own samples, which are the
-only ones the terms' kernel takes, so the verdicts and texts are those of
-the guard on every sample.  The bound over a block is at least its groups'
-and costs one evaluation, so it is taken first and per group only for the
-entries it leaves; in the golden ka = 5 lp4 solve those are one group of
-order 16 and nine of order 17, 320 samples.  A smooth law and the q_at hook
-have no layer terms, and the guard sees all their samples.
+The guard refuses a step where h |D^-1 Q D|_2 passes 20 at a sample; D =
+diag(I, sI) with s^2 = |Q3|_F / |Q2|_F balances the off-diagonal blocks.
+In a layer of a piecewise profile the sampler bounds |D^-1 Q D|_2 from
+the Frobenius norms of the m x m blocks of P0, kz P1 and P2, taken once per
+layer and entry (see cylwave.elastodyn._q_sampler); the bound is convex in
+r, so its larger value at a block's end radii covers every step of the
+block.  An entry whose bound there, times h, is at most 20 (1 - 1e-12),
+the margin covering round-off, passes every sample, and the guard, which
+would give it 0, does not see it; every other entry goes through the
+guard on its own samples, which are the only ones the terms' kernel
+takes, so the verdicts and texts are those of the guard on every sample.
+On aluminium (r 0.5-1) at 500 steps the bound times h is 0.054-0.16 for
+ka 1-12, and only a march of about 5 steps passes 20.  A smooth law and
+the q_at hook have no layer terms, and the guard sees all their samples.
 
 No scheme needs derivatives of Q, but each interpolates Q within its step,
 so no step may contain a jump in Q.  _segments cuts each span at the
@@ -102,12 +101,12 @@ _SQ3 = np.sqrt(3.0)
 # from the piece's start, into one propagator (see cylwave.impedance)
 _GROUP_STEPS = 8
 # bounds a march's memory (see _blocks): the samples of Q (nodes x steps x
-# entries) of a block whose kernel takes them and of a call of the guard's
-# sampler; a block formed from a layer's terms holds len(nodes) times as
+# entries) of a block whose kernel takes them and of a chunk the guard
+# takes; a block formed from a layer's terms holds len(nodes) times as
 # many propagators (steps x entries)
 _BLOCK_SAMPLES = 4096
-# a term bound h sqrt(|Q|_1 |Q|_inf) at most this proves every sample of
-# its entry below the guard's 20, with room for the rounding of both
+# a term bound on h |D^-1 Q D|_2 at most this proves every sample of its
+# entry below the guard's 20, with room for the rounding of both
 _PROVEN = 20.0 * (1 - 1e-12)
 
 
@@ -465,17 +464,17 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
     entries, s, s).  A dyson scheme on a piecewise profile forms them from
     the layer's letters (_term_kernel), building the word tables once per
     layer it enters, in blocks of as many groups as len(nodes) *
-    _BLOCK_SAMPLES propagators hold, and samples Q only for the guard, at
-    the (group, entry) pairs that the term bound over each group leaves to
-    it, consecutive groups that leave the same entries together, in chunks
-    of whole steps of at most _BLOCK_SAMPLES samples; each sample's norm is
-    its own, so the chunks change no verdict.  Every other stepper samples
-    Q at every node for the kernel, in blocks of as many groups as
-    _BLOCK_SAMPLES samples hold.  A block holds at least one group and a
-    chunk one step.  An entry with an error in faults is not guarded, and
-    it and an entry that trips the guard, once it has its StepTooLarge,
-    step by the identity and keep their index; the stepper stops once every
-    entry has failed.  With a gauge the sampler applies it, so the guard
+    _BLOCK_SAMPLES propagators hold, and samples Q only for the guard.
+    Every other stepper samples Q at every node for the kernel, in blocks
+    of as many groups as _BLOCK_SAMPLES samples hold.  On a piecewise
+    profile the guard sees only the entries that the term bound over the
+    block does not prove below 20.  It takes chunks of whole steps of at
+    most _BLOCK_SAMPLES samples (nodes x steps x entries); each sample's
+    norm is its own, so the chunks change no verdict.  A block holds at
+    least one group and a chunk one step.  An entry with an error in faults
+    is not guarded, and it and an entry that trips the guard, once it has
+    its StepTooLarge, step by the identity and keep their index; the
+    stepper stops once every entry has failed.  With a gauge the sampler applies it, so the guard
     and the kernels see Q * gauge, float64 where real."""
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
     sample = _q_sampler(profile, ctxs, gauge)
@@ -485,6 +484,8 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
     held = (_BLOCK_SAMPLES * len(nodes) if letters is not None
             else _BLOCK_SAMPLES // len(nodes))
     size = _GROUP_STEPS * max(1, held // (len(ctxs) * _GROUP_STEPS))
+    # the steps of a chunk the guard takes
+    chunk = max(1, _BLOCK_SAMPLES // (len(nodes) * len(ctxs)))
     blocks = [(a + np.arange(i, min(i + size, n)) * h, h, layer)
               for a, h, n, layer in _segments(profile, r0, span, steps)
               for i in range(0, n, size)]
@@ -494,7 +495,7 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
             return
         radii = r + (np.array(nodes) * h)[:, None]
         # the guard sees the entries that the layer's terms do not prove
-        # below its first bound on the block; it gives the others 0
+        # below 20 on the block; it gives the others 0
         check = faults.ok
         if bound is not None:
             check = check & ~(h * bound(r[0], r[-1] + h, layer) <= _PROVEN)
@@ -502,32 +503,13 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
         if letters is None:
             qs = sample(radii, layer)
             qs[:, :, ~faults.ok] = 0
-            if check.all():
-                nrm = _guard(h, qs).max(axis=0)
-            elif check.any():
-                nrm[:, check] = _guard(h, qs[:, :, check]).max(axis=0)
-        elif check.any():
-            # the terms' kernel takes no samples: of those entries, each
-            # group samples the ones that the bound over its own radii
-            # leaves, consecutive groups that leave the same in one call
-            firsts = np.arange(0, len(r), _GROUP_STEPS)
-            left = np.broadcast_to(check, (len(firsts), len(check)))
-            if bound is not None:
-                lasts = np.append(firsts[1:], len(r)) - 1
-                left = left & ~(h * bound(r[firsts], r[lasts] + h, layer)
-                                <= _PROVEN)
-            cut = (np.flatnonzero((left[1:] != left[:-1]).any(axis=1))
-                   + 1).tolist()
-            for a, b in zip([0] + cut, cut + [len(left)]):
-                which = left[a]
-                if not which.any():
-                    continue
-                chunk = max(1, _BLOCK_SAMPLES // (len(nodes) * which.sum()))
-                end = min(b * _GROUP_STEPS, len(r))
-                for i in range(a * _GROUP_STEPS, end, chunk):
-                    j = min(i + chunk, end)
-                    nrm[i:j, which] = _guard(
-                        h, sample(radii[:, i:j], layer, which)).max(0)
+        if check.any():
+            # the guard takes chunks of whole steps; the terms' kernel
+            # takes no samples, so the guard's are taken here
+            for i in range(0, len(r), chunk):
+                q = (qs[:, i:i + chunk] if letters is None
+                     else sample(radii[:, i:i + chunk], layer))
+                nrm[i:i + chunk, check] = _guard(h, q[:, :, check]).max(0)
         over = nrm > 20.0
         tripped = over.any(axis=0)
         for i in np.flatnonzero(tripped):

@@ -762,8 +762,8 @@ def test_entry_march_does_not_depend_on_its_stack(al, al_layer, scheme,
 @pytest.mark.parametrize("m, kz", [(2, 0.0), (3, 0.9)])
 def test_term_proof_changes_no_verdict(al, m, kz, monkeypatch,
                                        block_budgets):
-    # a piecewise march guards only the entries that its layer's term norms
-    # do not prove below the guard's first bound over the block; without
+    # a piecewise march guards only the entries that its layer's term
+    # bound does not prove below the guard's 20 over the block; without
     # the proof the guard sees every entry.  Both must give the same
     # errors, texts, crossings and z bit for bit.  At 200 steps omega =
     # 10000 trips the guard in the soft outer layer, mid-span, and omega =

@@ -475,34 +475,30 @@ def test_golden_solve_guard_takes_no_svd(al_layer, monkeypatch):
 def test_golden_solve_samples_q_only_where_terms_prove_nothing(
         al_layer, monkeypatch):
     # the dyson kernel forms its steps from the layer terms, so Q is
-    # sampled only for the guard, for the (group, entry) pairs that the
-    # term bound does not prove below it: in the golden solve the layer's
-    # first group of orders 16 and 17, then the next 8 groups of order 17
-    # alone, 320 samples, and at twice the steps none; a smooth law's
-    # march still samples every step
-    calls, samples = [], []
+    # sampled only for the guard, for the entries that the term bound does
+    # not prove below it: none in the golden solve at 500 and 1000 steps
+    # or in a 200-point sweep over ka 0.1-10; a smooth law's march still
+    # samples every step
+    calls = []
     sampler = matricant._q_sampler
 
     def counted_sampler(profile, ctxs, gauge=None):
         sample = sampler(profile, ctxs, gauge)
 
-        def counted(r, layer, *which):
-            rows = np.arange(len(ctxs))[which[0] if which else slice(None)]
-            calls.append([ctxs[i].n for i in rows])
-            samples.append(np.size(r) * len(rows))
-            return sample(r, layer, *which)
+        def counted(r, layer):
+            calls.append([ctx.n for ctx in ctxs])
+            return sample(r, layer)
 
         counted.__dict__.update(sample.__dict__)
         return counted
 
     monkeypatch.setattr(matricant, "_q_sampler", counted_sampler)
-    for steps, sampled, count in ((500, [[16, 17], [17]], 4 * 8 * (2 + 8)),
-                                  (1000, [], 0)):
-        calls.clear()
-        samples.clear()
+    for steps in (500, 1000):
         cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=5.0,
                                                 scheme="lp4", steps=steps))
-        assert calls == sampled and sum(samples) == count
+    cw.solve_sweep(cw.ScatteringConfig((al_layer,), ka=1.0, scheme="lp4",
+                                       steps=500), np.linspace(0.1, 10, 200))
+    assert calls == []
     smooth = cw.RadialProfile.smooth(lambda r: al_layer.material(), 0.5,
                                      1.0)
     cw.matricant_global(smooth, cw.WaveContext(omega=5.0, n=2), 0.5, 1.0,
@@ -530,10 +526,11 @@ def test_one_ka_solve_steps_its_layer_in_one_block(al_layer, block_budgets):
 
 
 def test_guard_samples_fit_the_sample_budget(al_layer, monkeypatch):
-    # a sweep near ka = 12 at 200 steps stacks about 500 entries, whose lp4
-    # blocks of 32 steps leave most entries to the guard; it samples them
-    # in chunks of whole steps, more than one per block, no call taking
-    # more than _BLOCK_SAMPLES matrices
+    # a sweep over ka 18-20 at 5 steps stacks about 500 entries, of which
+    # the highest orders' term bound over the layer's one block passes 20,
+    # so the guard samples the block, in chunks of whole steps of every
+    # entry, more than one per block, no call taking more than
+    # _BLOCK_SAMPLES matrices
     calls, stacks, blocks = [], [], []
     sampler, stepper = matricant._q_sampler, matricant._blocks
 
@@ -541,8 +538,8 @@ def test_guard_samples_fit_the_sample_budget(al_layer, monkeypatch):
         sample = sampler(profile, ctxs, gauge)
         stacks.append(len(ctxs))
 
-        def counted(r, layer, *which):
-            q = sample(r, layer, *which)
+        def counted(r, layer):
+            q = sample(r, layer)
             calls.append(q.shape[:3])
             return q
 
@@ -556,21 +553,22 @@ def test_guard_samples_fit_the_sample_budget(al_layer, monkeypatch):
 
     monkeypatch.setattr(matricant, "_q_sampler", counted_sampler)
     monkeypatch.setattr(impedance, "_blocks", counted_blocks)
-    cw.solve_sweep(cw.ScatteringConfig((al_layer,), ka=12.0, scheme="lp4",
-                                       steps=200), np.linspace(11, 12, 18))
+    cw.solve_sweep(cw.ScatteringConfig((al_layer,), ka=20.0, scheme="lp4",
+                                       steps=5), np.linspace(18, 20, 13))
     assert len(stacks) == 1 and 480 < stacks[0] <= 512
-    assert set(blocks) == {32, 8}
-    assert calls[0][2] > stacks[0] / 2
+    assert blocks == [5]
+    assert all(c[2] == stacks[0] for c in calls)
+    assert sum(c[1] for c in calls) == 5
     assert len(calls) > len(blocks)
     assert max(np.prod(c) for c in calls) <= matricant._BLOCK_SAMPLES
 
 
 def test_golden_solve_term_steps_equal_sampled_steps(al_layer, monkeypatch):
-    # every block of the golden solve formed from the layer terms equals the
-    # sampled kernel's to round-off, within 1e-13 of each step's largest
-    # |M| entry; among them the steps of orders 16 and 17 near the inner
-    # surface, whose term bound is past the guard's 20 and which only its
-    # balanced norm admits
+    # every block formed from the layer terms equals the sampled kernel's
+    # to round-off, within 1e-13 of each step's largest |M| entry: the
+    # golden solve's, and at ka = 20 and 5 steps those of the highest
+    # orders, whose term bound is past the guard's 20 and which only the
+    # guard's own norm admits
     samplers, past = [], set()
     sampler, kernel = matricant._q_sampler, matricant._term_kernel
 
@@ -597,9 +595,12 @@ def test_golden_solve_term_steps_equal_sampled_steps(al_layer, monkeypatch):
 
     monkeypatch.setattr(matricant, "_q_sampler", kept_sampler)
     monkeypatch.setattr(matricant, "_term_kernel", checked_kernel)
-    cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=5.0,
-                                            scheme="lp4", steps=500))
-    assert past == {16, 17}
+    for ka, steps, orders in ((5.0, 500, set()),
+                             (20.0, 5, set(range(34, 39)))):
+        past.clear()
+        cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=ka,
+                                                scheme="lp4", steps=steps))
+        assert past == orders
 
 
 def test_ts1_step_on_interface_uses_outer_layer(al):

@@ -15,8 +15,7 @@ import cylwave as cw
 from cylwave.elastodyn import _q_sampler
 from cylwave.errors import AccuracyLoss, BasisDegenerate, CylwaveError
 from cylwave.impedance import _gauge
-from cylwave.matricant import (_PROVEN, _TABLE, _bound, _dyson, _guard,
-                               _term_kernel)
+from cylwave.matricant import _PROVEN, _TABLE, _dyson, _guard, _term_kernel
 
 
 @st.composite
@@ -89,68 +88,11 @@ def test_route_equivalence(case):
 
 
 @st.composite
-def layered_samples(draw):
-    """A piecewise profile of 1-3 TI layers over [r_in, 1], contexts that
-    share m (kz = 0 with m = 2, or any kz with m = 3), with or without the
-    march's gauge, a layer, a span [lo, hi] inside it and sample radii in
-    the span, its ends among them."""
-    r_in = draw(st.floats(0.05, 0.9))
-    weights = draw(st.lists(st.floats(0.2, 3.0), min_size=1, max_size=3))
-    edges = r_in + (1.0 - r_in) * np.cumsum([0] + weights) / sum(weights)
-    edges[-1] = 1.0
-    layers = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        c11 = draw(st.floats(1.0, 300.0))
-        c66 = draw(st.floats(0.05, 0.45)) * c11
-        c33 = draw(st.floats(1.0, 300.0))
-        c13 = draw(st.floats(-0.7, 0.7)) * math.sqrt((c11 - c66) * c33)
-        stiff = cw.ti_stiffness(c11, c11 - 2.0 * c66, c13, c33,
-                                draw(st.floats(0.05, 100.0)))
-        layers.append((float(lo), float(hi),
-                       cw.MaterialPoint(draw(st.floats(0.1, 20.0)), stiff)))
-    profile = cw.RadialProfile.piecewise(layers)
-    m = draw(st.sampled_from([2, 3]))
-    kz = 0.0 if m == 2 else draw(st.floats(-30.0, 30.0))
-    ctxs = [cw.WaveContext(omega=draw(st.floats(0.01, 200.0)),
-                           n=draw(st.integers(0, 80)), kz=kz, m=m)
-            for _ in range(draw(st.integers(1, 4)))]
-    gauge = _gauge(m)[0] if draw(st.booleans()) else None
-    layer = draw(st.integers(0, len(layers) - 1))
-    a, b = edges[layer], edges[layer + 1]
-    t0, t1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
-                                  max_size=2)))
-    lo, hi = a + t0 * (b - a), a + t1 * (b - a)
-    ts = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
-    radii = np.array([lo, hi] + [lo + t * (hi - lo) for t in ts])
-    return profile, ctxs, gauge, layer, lo, hi, radii.clip(lo, hi)
-
-
-@settings(max_examples=200, **_SETTINGS)
-@given(layered_samples())
-def test_term_bound_covers_every_sample(case):
-    # the march's guard skips an entry whose term bound over a block proves
-    # every sample below its first bound, h sqrt(|Q|_1 |Q|_inf) <= 20; the
-    # term bound must never be below a sample's, beyond round-off, and at
-    # the threshold every sample must pass the guard
-    profile, ctxs, gauge, layer, lo, hi, radii = case
-    sample = _q_sampler(profile, ctxs, gauge)
-    q = sample(radii, layer)
-    bound = sample.bound(lo, hi, layer)
-    assert (_bound(1.0, q) <= bound * (1 + 1e-13)).all()
-    h = _PROVEN / bound
-    assert (_bound(h, q) <= 20.0).all()
-    assert not _guard(h, q).any()
-
-
-@st.composite
-def layered_steps(draw):
+def layered_profiles(draw):
     """A piecewise profile over [r_in, 1] of 1-3 TI layers or of one layer
-    of 21 independent moduli, contexts that share m (m = 1 or 2 at kz = 0
-    for TI layers, m = 3 at kz = 0 or at kz drawn per context), with or
-    without the march's gauge, a dyson scheme, a layer and a run of steps
-    inside it: h |Q| up to about 4 by the layer's term bound, or past it,
-    up to 20 by the guard's balanced norm, where only the guard admits the
-    steps and P0 / r and r P2 may cancel inside Q."""
+    of 21 independent moduli, its edges, contexts that share m (m = 1 or 2
+    at kz = 0 for TI layers, m = 3 at kz = 0 or at kz drawn per context),
+    and with or without the march's gauge."""
     r_in = draw(st.floats(0.05, 0.9))
     full = draw(st.booleans())
     weights = draw(st.lists(st.floats(0.2, 3.0), min_size=1,
@@ -184,8 +126,61 @@ def layered_steps(draw):
                            m=m)
             for _ in range(draw(st.integers(1, 4)))]
     gauge = _gauge(m)[0] if draw(st.booleans()) else None
+    return profile, edges, ctxs, gauge
+
+
+def _balanced(q):
+    """|D^-1 Q D|_2 of each sample as the guard takes it, at a step so
+    long that neither of its bounds spares the norm."""
+    return _guard(1e9, q) / 1e9
+
+
+@st.composite
+def layered_samples(draw):
+    """A profile, contexts and gauge of layered_profiles, a layer, a span
+    [lo, hi] inside it and sample radii in the span, its ends among
+    them."""
+    profile, edges, ctxs, gauge = draw(layered_profiles())
+    layer = draw(st.integers(0, len(edges) - 2))
+    a, b = edges[layer], edges[layer + 1]
+    t0, t1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                  max_size=2)))
+    lo, hi = a + t0 * (b - a), a + t1 * (b - a)
+    ts = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    radii = np.array([lo, hi] + [lo + t * (hi - lo) for t in ts])
+    return profile, ctxs, gauge, layer, lo, hi, radii.clip(lo, hi)
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(layered_samples())
+def test_term_bound_covers_every_sample(case):
+    # the march's guard skips an entry whose term bound over a block,
+    # times h, is at most _PROVEN; the bound must never be below a
+    # sample's |D^-1 Q D|_2 as the guard takes it, nor below its own value
+    # at a radius of the span, beyond round-off, and at the threshold the
+    # guard must pass every sample.  (It may still take a norm there: its
+    # 1/inf bounds on D^-1 Q D can pass 20 where the Frobenius norms this
+    # bound sums do not.)
+    profile, ctxs, gauge, layer, lo, hi, radii = case
+    sample = _q_sampler(profile, ctxs, gauge)
+    q = sample(radii, layer)
+    bound = sample.bound(lo, hi, layer)
+    assert (_balanced(q) <= bound * (1 + 1e-13)).all()
+    for x in radii:
+        assert (sample.bound(x, x, layer) <= bound * (1 + 1e-13)).all()
+    for j, h in enumerate(_PROVEN / bound):
+        assert (_guard(h, q[:, j]) <= 20.0).all()
+
+
+@st.composite
+def layered_steps(draw):
+    """A profile, contexts and gauge of layered_profiles, a dyson scheme,
+    a layer and a run of steps inside it: h |D^-1 Q D| up to 4 by the
+    layer's term bound, or up to 19 by the guard's own norm at the
+    layer's ends, where P0 / r and r P2 may cancel inside Q."""
+    profile, edges, ctxs, gauge = draw(layered_profiles())
     scheme = draw(st.sampled_from(["ts1", "ts2", "lp2", "lp3", "lp4"]))
-    layer = draw(st.integers(0, len(layers) - 1))
+    layer = draw(st.integers(0, len(edges) - 2))
     a, b = edges[layer], edges[layer + 1]
     steps = draw(st.integers(1, 20))
     balanced = draw(st.booleans())
@@ -206,10 +201,7 @@ def test_term_kernel_equals_sampled_dyson(case):
     _, nodes, p = _TABLE[scheme]
     sample = _q_sampler(profile, ctxs, gauge)
     if balanced:
-        # the guard's h |D^-1 Q D|_2 at the layer's ends, h so large that
-        # neither of its bounds spares the norm
-        ends = sample(np.array([[a, b]]), layer)
-        norm = _guard(1e9, ends).max() / 1e9
+        norm = _balanced(sample(np.array([[a, b]]), layer)).max()
     else:
         norm = sample.bound(a, b, layer).max()
     h = min((b - a) / steps, reach / norm)
