@@ -182,9 +182,6 @@ def parse_config(argv) -> RunConfig:
     if n < 0:
         raise UsageError("--n must be >= 0")
     kz = _real(_pick(ns.kz, run_defaults, "kz", 0.0), "--kz")
-    if kz != 0.0 and command in ("scatter", "field"):
-        raise UsageError("--kz only applies to impedance-trace and "
-                         "convergence (scatter and field are at kz = 0)")
 
     lo, hi = profile.support
     r0 = _real(_pick(ns.r0, run_defaults, "r0", lo), "--r0")
@@ -193,6 +190,15 @@ def parse_config(argv) -> RunConfig:
         raise UsageError(
             f"need support min <= r0 < r1 <= support max, "
             f"got r0={r0}, r1={r1}, support [{lo}, {hi}]")
+    if command in ("scatter", "field"):
+        # the header records these, so a value the solve ignores is refused
+        for flag, value, default in (("--n", n, 0), ("--kz", kz, 0.0),
+                                     ("--r0", r0, lo), ("--r1", r1, hi)):
+            if value != default:
+                raise UsageError(
+                    f"{flag} only applies to impedance-trace and convergence "
+                    "(scatter and field solve every order at kz = 0 over the "
+                    "whole profile)")
 
     method = run_defaults.get("method", "integrate")
     if method not in ("integrate", "recursion"):

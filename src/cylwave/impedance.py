@@ -16,11 +16,13 @@ The march is sequential in r only, and the package has one.  It advances a
 stack of entries (the (ka, n) entries of a scattering sweep, each with its
 own WaveContext, or the single entry of integrate_impedance or of the
 impedance-trace command) by the Moebius update on the propagators that
-cylwave.matricant's block stepper samples, guards and forms.  Batched matmul
-multiplies each group of _GROUP_STEPS steps, counted from the start of each
-_segments piece (a piece's last group may be short), for every group and
-entry of a block at once, and the groups of each run of _RUN_GROUPS, counted
-alike, into their prefix products.  One update of the run's starting w by
+cylwave.matricant's block stepper samples, guards and forms.  Its blocks
+hold whole runs of _RUN_GROUPS groups of _GROUP_STEPS steps, counted from
+the start of each _segments piece, and only a piece's last run and group
+may be short, so every block starts a run and the march carries nothing
+but w from one block to the next.  Batched matmul multiplies each group's
+steps for every group and entry of a block at once, and the groups of each
+run into their prefix products.  One update of the run's starting w by
 every prefix product gives z at each group end of the run.  An entry leaves
 the run's update at the first group whose prefix product has a 1-norm past
 _GROWTH_CAP and takes the rest of the run one update per group, or one per
@@ -67,7 +69,8 @@ import numpy as np
 from .elastodyn import _q_sampler, _state_index
 from .errors import (DegenerateSpan, EntryFaults, PoleCrossing, ResonantInner,
                      SingularMatrix)
-from .matricant import _GROUP_STEPS, Matricant, _blocks, _segments
+from .matricant import (_GROUP_STEPS, _RUN_GROUPS, Matricant, _blocks,
+                        _segments)
 from .numkernel import _demoted, _inverse_each, _norm1, mat_inverse
 
 _POLE_COND = 1e14
@@ -79,12 +82,6 @@ _POLE_COND = 1e14
 # products below 1e3 kept z within 2.3 times the per-step march's error, and
 # products of 1e4-1e6 reached 10-270 times
 _GROWTH_CAP = 1e3
-# the groups of a run, counted like them from each piece's start, whose
-# prefix products one Moebius call applies to the run's starting w.  In
-# 500-step lp4 solves of the aluminium cylinder the 32-step prefix products
-# peak at 903 for ka <= 4 and pass the cap only at ka 4.5-5, where 64-step
-# ones would reach 2890 already at ka = 3
-_RUN_GROUPS = 4
 
 
 @dataclass(frozen=True)
@@ -291,12 +288,6 @@ def _stepwise(w: np.ndarray, mats: np.ndarray) -> tuple:
     return w, cond, singular
 
 
-def _after(row, x: np.ndarray) -> np.ndarray:
-    """x one row later, after row, or after a copy of its first row where
-    row is None."""
-    return np.concatenate([x[:1] if row is None else row[None], x])
-
-
 def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
            faults: EntryFaults):
     """March every entry (ctxs[j], z0s[j]) from r0 to r1 on the steps of
@@ -304,19 +295,18 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
     the radius of its end, the z of every entry as one array and the
     group's (entry, PoleCrossing) records.
 
-    Groups, and runs of _RUN_GROUPS groups, are counted from each piece's
-    start.  An entry takes each group end of a run as one Moebius update of
-    the run's starting w by the run's prefix product, its group products so
-    far multiplied, while every prefix product of the run so far has a
-    1-norm within _GROWTH_CAP; from the first group past the cap it takes
-    the rest of the run one update per group, and a group whose own product
-    passes the cap one step at a time.  Per block the prefix products take
-    _RUN_GROUPS - 1 batched matmuls and each run one _mobius call; a run
-    that goes on into the next block carries its prefix product, fallen
-    mask and last update there, so no entry's bits depend on its block or
-    its stack.  Inside a run a group's condition number is that of its own
-    denominator, den_k den_(k-1)^-1 (see _verdict), so crossings land on
-    the group ends where one update per group puts them.
+    Every block of matricant._blocks starts a run of _RUN_GROUPS groups, so
+    runs are counted from each block's start and the march carries nothing
+    but w from one block to the next.  An entry takes each group end of a
+    run as one Moebius update of the run's starting w by the run's prefix
+    product, its group products so far multiplied, while every prefix
+    product of the run so far has a 1-norm within _GROWTH_CAP; from the
+    first group past the cap it takes the rest of the run one update per
+    group, and a group whose own product passes the cap one step at a time.
+    Per block the prefix products take _RUN_GROUPS - 1 batched matmuls and
+    each run one _mobius call.  Inside a run a group's condition number is
+    that of its own denominator, den_k den_(k-1)^-1 (see _verdict), so
+    crossings land on the group ends where one update per group puts them.
 
     An entry with an error in faults starts from z = 0; one past the step
     guard or with a singular Moebius denominator gets that StepTooLarge or
@@ -328,50 +318,27 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
     z[~faults.ok] = 0
     gauge, to_z = _gauge(z.shape[-1])
     w = _demoted(z * to_z.conj())
-    # the steps of the current piece before this block, the step counts of
-    # the pieces not yet stepped (taken after the first block, so that the
-    # stepper raises its own errors first), and what an open run carries
-    # into the next block: its last group's prefix product, fallen mask,
-    # condition number and (den, adj, det)
-    done, pieces, closed = 0, None, (None,) * 6
-    run = closed
+    # the groups at place p = 1, 2, ... of their runs, and the groups
+    # before them
+    inner = [(slice(p, None, _RUN_GROUPS), slice(p - 1, -1, _RUN_GROUPS))
+             for p in range(1, _RUN_GROUPS)]
     for radii, mats in _blocks(profile, ctxs, r0, r1 - r0, steps, scheme,
                                faults, gauge):
-        if pieces is None:
-            pieces = [n for _, _, n, _ in _segments(profile, r0, r1 - r0,
-                                                    steps)]
-        if done == pieces[0]:
-            del pieces[0]
-            done = 0
-        # the groups' last steps, only a piece's last group short, and each
-        # group's place in its run
+        # the groups' last steps, only a piece's last group short
         ends = np.r_[_GROUP_STEPS:len(radii):_GROUP_STEPS, len(radii)] - 1
-        place = (done // _GROUP_STEPS + np.arange(len(ends))) % _RUN_GROUPS
-        done += len(radii)
-        if place[0] == 0:
-            run = closed
         with np.errstate(all="ignore"):
             prods = _fused(mats)
-            # the groups at place p = 1, 2, ... of their runs
-            inner = [slice((p - place[0]) % _RUN_GROUPS, None, _RUN_GROUPS)
-                     for p in range(1, _RUN_GROUPS)]
-            pre = _after(run[0], prods)
-            for at in inner:
-                pre[1:][at] = prods[at] @ pre[:-1][at]
-            pre = pre[1:]
-            fell = _after(run[1], _norm1(pre) > _GROWTH_CAP)
-            for at in inner:
-                fell[1:][at] |= fell[:-1][at]
-            fell = fell[1:]
+            pre = prods.copy()
+            for at, back in inner:
+                pre[at] = prods[at] @ pre[back]
+            fell = _norm1(pre) > _GROWTH_CAP
+            for at, back in inner:
+                fell[at] |= fell[back]
             falls = fell.any(axis=1).tolist()
             outs, replays = [], []
-            cuts = sorted({0, len(ends),
-                           *np.flatnonzero(place == 0).tolist()})
-            for a, b in zip(cuts, cuts[1:]):
-                if place[a] == 0:
-                    start = w
-                out = _mobius(start, pre[a:b])
-                for k in range(a, b):
+            for a in range(0, len(ends), _RUN_GROUPS):
+                out = _mobius(w, pre[a:a + _RUN_GROUPS])
+                for k in range(a, a + len(out[0])):
                     if not falls[k]:
                         continue
                     # the group's own update from the w of the group before,
@@ -397,20 +364,18 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
             # inside a run cond_(k-1) cond_k bounds the condition number of
             # a group's own denominator; it is formed only where that bound
             # comes near _POLE_COND (in a one-ka solve it stays below 4)
-            near = (place > 0)[:, None] & ~fell & (
-                cond * _after(run[2], cond)[:-1] > 1e-4 * _POLE_COND)
-            carry = (pre[-1], fell[-1], cond[-1].copy(), dens[-1], adjs[-1],
-                     dets[-1])
+            near = np.zeros_like(fell)
+            for at, back in inner:
+                near[at] = ~fell[at] & (cond[at] * cond[back]
+                                        > 1e-4 * _POLE_COND)
             if near.any():
                 k, j = np.nonzero(near)
-                back = [_after(r, x)[k, j]
-                        for r, x in zip(run[3:], (dens, adjs, dets))]
+                back = [x[k - 1, j] for x in (dens, adjs, dets)]
                 cond[k, j] = _verdict(ws[k, j], dens[k, j], adjs[k, j],
                                       dets[k, j], back)[0]
             for k, j, cj, sj in replays:
                 cond[k, j], singular[k, j] = cj, sj
             zs = ws * to_z
-            run = carry
         # the block's propagators go before the stepper forms the next's
         del mats, prods, pre
         # (group, entry): failed in this group or before
@@ -426,8 +391,8 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
 def integrate_impedance(profile, ctx, z0: ConditionalImpedance, r0: float,
                         r1: float, steps: int, scheme) -> ConditionalImpedance:
     """March z from r0 to r1 on steps equal within each layer, one Moebius
-    update per run of 4 groups of 8 steps, each giving z at every group end
-    of its run.
+    update per run of 4 groups of 8 steps, counted from each layer's first
+    step, each giving z at every group end of its run.
 
     A global matricant is never formed; each update's propagator spans at
     most a run, about 32 (r1-r0)/steps, and less where the run's growth

@@ -43,17 +43,19 @@ propagators in one kernel call, from the layer's terms or from Q sampled
 at every node, step and entry in one array (nodes, steps, entries, 2m,
 2m); a failed entry steps by the identity.  The march fuses each group of
 _GROUP_STEPS steps of a _segments piece, counted from the piece's start,
-into one propagator, and each run of groups into prefix products that one
-Moebius call applies (see cylwave.impedance), so a block holds whole
-groups, at least one, and as many as its matrices allow; a run may go on
-into the next block.  A block whose kernel samples Q holds at most
-_BLOCK_SAMPLES samples (nodes x steps x entries).  A block formed from a
-layer's terms samples Q only for the guard, so it counts propagators
-(steps x entries), at most len(nodes) * _BLOCK_SAMPLES, and where the
-guard needs samples it takes them in chunks of whole steps of at most
-_BLOCK_SAMPLES matrices, at least one step.  A large stack's memory stays
-bounded, a one-ka solve (at most 23 orders at 500 steps) steps each piece
-in one block, and a group never straddles two blocks, whatever the stack.
+into one propagator, and each run of _RUN_GROUPS groups into prefix
+products that one Moebius call applies (see cylwave.impedance), so a block
+holds whole runs, at least one, and as many as its matrices allow; only a
+piece's last block may end in a short run or group, and every block starts
+a run.  A block whose kernel samples Q holds at most _BLOCK_SAMPLES samples
+(nodes x steps x entries).  A block formed from a layer's terms samples Q
+only for the guard, so it counts propagators (steps x entries), at most
+len(nodes) * _BLOCK_SAMPLES, and where the guard needs samples it takes
+them in chunks of whole steps of at most _BLOCK_SAMPLES matrices, at least
+one step.  A one-ka solve (at most 23 orders at 500 steps) steps each piece
+in one block, and a run never straddles two blocks, whatever the stack.  A
+large stack's memory stays bounded by the budget or by one run of its
+entries, whichever is larger.
 The march hands its gauge to the stepper, which builds the sampler with it;
 the guard and the kernels then see the gauged terms or samples, in float64
 where they are real (see cylwave.impedance).  matricant_step and
@@ -97,13 +99,21 @@ from .errors import (DuplicatePoints, EntryFaults, MatricantOverflow,
 from .numkernel import _mat_exp, _norm1
 
 _SQ3 = np.sqrt(3.0)
-# the march fuses each run of _GROUP_STEPS steps of a _segments piece, counted
-# from the piece's start, into one propagator (see cylwave.impedance)
+# the march fuses each group of _GROUP_STEPS steps of a _segments piece,
+# counted from the piece's start, into one propagator (see cylwave.impedance)
 _GROUP_STEPS = 8
+# the groups of a run, counted like them from each piece's start, whose
+# prefix products one Moebius call applies to the run's starting w; a block
+# holds whole runs (see _blocks), so every block starts one.  In
+# 500-step lp4 solves of the aluminium cylinder the 32-step prefix products
+# peak at 903 for ka <= 4 and pass the cap only at ka 4.5-5, where 64-step
+# ones would reach 2890 already at ka = 3
+_RUN_GROUPS = 4
 # bounds a march's memory (see _blocks): the samples of Q (nodes x steps x
 # entries) of a block whose kernel takes them and of a chunk the guard
 # takes; a block formed from a layer's terms holds len(nodes) times as
-# many propagators (steps x entries)
+# many propagators (steps x entries).  A block holds at least one run of
+# every entry of the stack, which may exceed the budget
 _BLOCK_SAMPLES = 4096
 # a term bound on h |D^-1 Q D|_2 at most this proves every sample of its
 # entry below the guard's 20, with room for the rounding of both
@@ -458,24 +468,26 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
 def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
             faults: EntryFaults, gauge=None):
     """Propagators of the steps of [r0, r0 + span] for every entry ctxs[j],
-    in blocks within a _segments piece of whole groups of _GROUP_STEPS
-    steps, so a piece's groups never straddle a block and only its last
-    may be short: per block the step-end radii and the propagators (steps,
-    entries, s, s).  A dyson scheme on a piecewise profile forms them from
-    the layer's letters (_term_kernel), building the word tables once per
-    layer it enters, in blocks of as many groups as len(nodes) *
-    _BLOCK_SAMPLES propagators hold, and samples Q only for the guard.
-    Every other stepper samples Q at every node for the kernel, in blocks
-    of as many groups as _BLOCK_SAMPLES samples hold.  On a piecewise
-    profile the guard sees only the entries that the term bound over the
-    block does not prove below 20.  It takes chunks of whole steps of at
-    most _BLOCK_SAMPLES samples (nodes x steps x entries); each sample's
-    norm is its own, so the chunks change no verdict.  A block holds at
-    least one group and a chunk one step.  An entry with an error in faults
-    is not guarded, and it and an entry that trips the guard, once it has
-    its StepTooLarge, step by the identity and keep their index; the
-    stepper stops once every entry has failed.  With a gauge the sampler applies it, so the guard
-    and the kernels see Q * gauge, float64 where real."""
+    in blocks within a _segments piece of whole runs of _RUN_GROUPS groups
+    of _GROUP_STEPS steps, so a piece's runs never straddle a block and
+    only its last block may end in a short run or group: per block the
+    step-end radii and the propagators (steps, entries, s, s).  A dyson
+    scheme on a piecewise profile forms them from the layer's letters
+    (_term_kernel), building the word tables once per layer it enters, in
+    blocks of as many runs as len(nodes) * _BLOCK_SAMPLES propagators
+    hold, and samples Q only for the guard.  Every other stepper samples Q
+    at every node for the kernel, in blocks of as many runs as
+    _BLOCK_SAMPLES samples hold.  On a piecewise profile the guard sees
+    only the entries that the term bound over the block does not prove
+    below 20.  It takes chunks of whole steps of at most _BLOCK_SAMPLES
+    samples (nodes x steps x entries); each sample's norm is its own, so
+    the chunks change no verdict.  A block holds at least one run, which
+    may pass the budget, and a chunk one step.  An entry with an error in
+    faults is not guarded, and it and an entry that trips the guard, once
+    it has its StepTooLarge, step by the identity and keep their index;
+    the stepper stops once every entry has failed.  With a gauge the
+    sampler applies it, so the guard and the kernels see Q * gauge,
+    float64 where real."""
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
     sample = _q_sampler(profile, ctxs, gauge)
     bound = getattr(sample, "bound", None)
@@ -483,7 +495,8 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
     # the propagators (steps x entries) a block may hold
     held = (_BLOCK_SAMPLES * len(nodes) if letters is not None
             else _BLOCK_SAMPLES // len(nodes))
-    size = _GROUP_STEPS * max(1, held // (len(ctxs) * _GROUP_STEPS))
+    run = _GROUP_STEPS * _RUN_GROUPS
+    size = run * max(1, held // (len(ctxs) * run))
     # the steps of a chunk the guard takes
     chunk = max(1, _BLOCK_SAMPLES // (len(nodes) * len(ctxs)))
     blocks = [(a + np.arange(i, min(i + size, n)) * h, h, layer)

@@ -15,9 +15,9 @@ def al():
 def block_budgets(monkeypatch):
     """Runs a block-structure test's body at two sample budgets, each set in
     turn as matricant._BLOCK_SAMPLES while the test iterates: 0 first, which
-    forces blocks of one group, matricant._GROUP_STEPS steps, then the
-    default.  Each
-    pass yields a list that records the steps of every block formed in it."""
+    forces blocks of one run, matricant._RUN_GROUPS groups of
+    matricant._GROUP_STEPS steps (32 steps), then the default.  Each pass
+    yields a list that records the steps of every block formed in it."""
     stepper, lengths = matricant._blocks, []
 
     def counted(*args, **kwargs):

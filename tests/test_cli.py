@@ -151,6 +151,14 @@ class TestParseConfig:
         ["scatter", "--profile", "{p}", "--sweep", "1", "2", "3",
          "--kz", "-1e-300"],
         ["field", "--profile", "{p}", "--ka", "2", "--kz", "0.5"],
+        # and solve every order over the whole profile
+        ["scatter", "--profile", "{p}", "--ka", "2", "--n", "7"],
+        ["scatter", "--profile", "{p}", "--ka", "2", "--r0", "0.8"],
+        ["scatter", "--profile", "{p}", "--sweep", "1", "2", "3",
+         "--r1", "0.9"],
+        ["field", "--profile", "{p}", "--ka", "2", "--n", "1"],
+        ["field", "--profile", "{p}", "--ka", "2", "--r0", "0.6"],
+        ["field", "--profile", "{p}", "--ka", "2", "--r1", "0.9"],
         ["impedance-trace", "--profile", "{p}", "--ka", "1", "--r0", "nan"],
         ["impedance-trace", "--profile", "{p}", "--ka", "1", "--r1", "inf"],
         ["scatter", "--profile", "{p}", "--sweep", "1", "inf", "3"],
@@ -185,8 +193,11 @@ class TestParseConfig:
         # JSON integers past the float range
         {"ka": 10 ** 400}, {"ka": 1.0, "kz": 10 ** 400},
         {"ka": 1.0, "r1": -10 ** 400}, {"sweep": [1, 10 ** 400, 3]},
-        # scatter is at normal incidence
+        # scatter is at normal incidence, over every order and the whole
+        # profile
         {"ka": 1.0, "kz": 0.5}, {"sweep": [1, 2, 3], "kz": 2},
+        {"ka": 1.0, "n": 7}, {"ka": 1.0, "r0": 0.8},
+        {"sweep": [1, 2, 3], "r1": 0.9},
     ])
     def test_non_finite_run_object(self, tmp_path, run, capsys):
         # a wrong value is a UsageError naming its key, exit code 1

@@ -43,6 +43,8 @@ class _Turn:
 class _Mixed(_Turn):
     """Order 0 grows as e^(2000 r), order 3 shears, the others turn."""
 
+    support = (0.0, 2.0)
+
     def q_at(self, r, ctx):
         if ctx.n == 0:
             return np.diag([-1e3, -1e3, 1e3, 1e3])
@@ -60,7 +62,9 @@ _MIXED_ENTRIES = ([cw.WaveContext(omega=1.0, n=n, m=2) for n in range(4)],
                   [1e140 * np.eye(2, dtype=complex),
                    np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0]),
                    np.diag([-1.0, 0.0]) * _gauge(2)[1]])
-_MIXED_SPAN = (0.5, 0.5 + 25 / 64)
+# h = 1/64 over 100 steps: three runs of 32 steps and a short one
+_MIXED_STEPS = 100
+_MIXED_SPAN = (0.4, 0.4 + _MIXED_STEPS / 64)
 
 
 def _climbing_law(r):
@@ -439,9 +443,9 @@ class TestIntegrate:
 
 
     def test_guard_trips_mid_span(self, monkeypatch, block_budgets):
-        # in blocks of one group, 8 steps, order 0 passes the step guard
+        # in blocks of one run, 32 steps, order 0 passes the step guard
         # over the first, [0.5, 0.55], and trips it in the second; at the
-        # default budget the 16 steps are one block.  Order 1 crosses the
+        # default budget the 64 steps are one block.  Order 1 crosses the
         # pole of the turn, order 2 does not, and both must march as they
         # do alone
         class _LateTrip(_Turn):
@@ -456,36 +460,36 @@ class TestIntegrate:
         prof = _LateTrip()
         ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
         z0s = [np.zeros((2, 2), dtype=complex)] * 2 + [np.diag([-0.3j, 0.0])]
-        for lengths, blocks in zip(block_budgets, ([8, 8], [16])):
+        for lengths, blocks in zip(block_budgets, ([32, 32], [64])):
             built.clear()
             faults = EntryFaults(3)
             shapes, events = [], [[], [], []]
-            for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.6, 16,
+            for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.6, 64,
                                       "exp2a", faults):
                 shapes.append(z.shape)
                 for j, ev in found:
                     events[j].append(ev)
             assert lengths == blocks
             assert isinstance(faults.errors[0], StepTooLarge)
-            assert shapes == [(3, 2, 2)] * 2
+            assert shapes == [(3, 2, 2)] * 8
             assert built == [3]
             for j in (1, 2):
                 alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5,
-                                               0.6, 16, "exp2a")
+                                               0.6, 64, "exp2a")
                 assert np.array_equal(z[j], alone.z) and r == alone.r
                 assert [(e.r, e.cond) for e in events[j]] \
                     == [(e.r, e.cond) for e in alone.events]
             assert len(events[1]) == 2 and not events[2]
             with pytest.raises(StepTooLarge) as err:
-                cw.matricant_global(prof, ctxs[0], 0.5, 0.6, 16, "exp2a")
+                cw.matricant_global(prof, ctxs[0], 0.5, 0.6, 64, "exp2a")
             assert str(err.value) == str(faults.errors[0])
 
     def test_guard_trips_in_first_block(self, monkeypatch, block_budgets):
-        # order 0 trips the step guard in the first block: of four,
-        # (8, 8, 8, 1), in blocks of one group, and of one at the default
-        # budget.  The sampler is still built once, order 0 then steps by
-        # the identity from the z it had before that block, and the others
-        # march as they do alone
+        # order 0 trips the step guard in the first block: of two, (32,
+        # 18), in blocks of one run, and of one at the default budget.  The
+        # sampler is still built once, order 0 then steps by the identity
+        # from the z it had before that block, and the others march as they
+        # do alone
         class _EarlyTrip(_Turn):
             def q_at(self, r, ctx):
                 q = super().q_at(r, ctx)
@@ -498,11 +502,11 @@ class TestIntegrate:
         prof = _EarlyTrip()
         ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
         z0s = [np.diag([0.1j, 0.0])] * 2 + [np.diag([-0.3j, 0.0])]
-        for lengths, blocks in zip(block_budgets, ([8, 8, 8, 1], [25])):
+        for lengths, blocks in zip(block_budgets, ([32, 18], [50])):
             built.clear()
             faults = EntryFaults(3)
             zs, events = [], [[], [], []]
-            for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.75, 25,
+            for r, z, found in _march(prof, ctxs, z0s, 0.5, 0.75, 50,
                                       "exp2a", faults):
                 zs.append(z)
                 for j, ev in found:
@@ -510,12 +514,12 @@ class TestIntegrate:
             assert lengths == blocks
             assert isinstance(faults.errors[0], StepTooLarge)
             assert built == [3]
-            assert [zk.shape for zk in zs] == [(3, 2, 2)] * 4
+            assert [zk.shape for zk in zs] == [(3, 2, 2)] * 7
             assert all(np.array_equal(zk[0], z0s[0]) for zk in zs)
             assert not events[0]
             for j in (1, 2):
                 alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5,
-                                               0.75, 25, "exp2a")
+                                               0.75, 50, "exp2a")
                 assert np.array_equal(z[j], alone.z) and r == alone.r
                 assert [(e.r, e.cond) for e in events[j]] \
                     == [(e.r, e.cond) for e in alone.events]
@@ -523,63 +527,64 @@ class TestIntegrate:
     def test_failures_mid_block(self, block_budgets):
         # h = 1/64.  Order 0's w grows by e^31.25 per step from 1e140, far
         # past the growth cap per group, so it takes its steps one at a
-        # time; it overflows to inf at step 13, the fifth of group 2 (block
-        # 2 in blocks of one group, mid-block in the one block of the
-        # default budget), while its denominator stays finite, and fails
-        # there.  Order 3's first channel meets an exact pole at the end of
-        # group 1, where det(den) = 0 and the condition number is inf; it
-        # fails and records no PoleCrossing.  Orders 1 and 2 march the
-        # turn, order 1 across its poles, and must give what they give
-        # alone
+        # time; it overflows to inf at step 13, the fifth of group 2 (mid-
+        # block in the first of four blocks of one run and in the one
+        # block of the default budget), while its denominator stays
+        # finite, and fails there.  Order 3's first channel meets an exact
+        # pole at the end of group 1, where det(den) = 0 and the condition
+        # number is inf; it fails and records no PoleCrossing.  Orders 1
+        # and 2 march the turn, order 1 across its poles, and must give
+        # what they give alone
         prof = _Mixed()
         ctxs, z0s = _MIXED_ENTRIES
-        span = _MIXED_SPAN
-        for lengths, blocks in zip(block_budgets, ([8, 8, 8, 1], [25])):
+        span, steps = _MIXED_SPAN, _MIXED_STEPS
+        for lengths, blocks in zip(block_budgets,
+                                   ([32, 32, 32, 4], [steps])):
             faults = EntryFaults(4)
             events, zs = [[], [], [], []], []
-            for r, z, found in _march(prof, ctxs, z0s, *span, 25, "exp2a",
-                                      faults):
+            for r, z, found in _march(prof, ctxs, z0s, *span, steps,
+                                      "exp2a", faults):
                 zs.append(z)
                 for j, ev in found:
                     events[j].append(ev)
             assert lengths == blocks
             assert isinstance(faults.errors[0], SingularMatrix)
             assert isinstance(faults.errors[3], SingularMatrix)
-            assert [zk.shape for zk in zs] == [(4, 2, 2)] * 4
+            assert [zk.shape for zk in zs] == [(4, 2, 2)] * 13
             assert np.isfinite(zs[0][:3]).all()
             assert np.abs(zs[0][0]).max() > 1e248
             assert not np.isfinite(zs[1][0]).all()
             assert not np.isfinite(zs[0][3]).all()
             for j in (1, 2):
                 alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], *span,
-                                               25, "exp2a")
+                                               steps, "exp2a")
                 assert np.array_equal(z[j], alone.z) and r == alone.r
                 assert [(e.r, e.cond) for e in events[j]] \
                     == [(e.r, e.cond) for e in alone.events]
             assert events[1] and not (events[0] or events[2] or events[3])
 
     def test_yields_survive_later_steps(self, block_budgets):
-        # four blocks of steps (8, 8, 8, 1) in blocks of one group, one at
-        # the default budget, and no failure: what each group yields must
-        # not be a buffer that a later group writes over
+        # two blocks of steps (32, 18) in blocks of one run, one at the
+        # default budget, and no failure: what each group yields must not
+        # be a buffer that a later group or block writes over
         ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
         z0s = [np.zeros((2, 2), dtype=complex), np.diag([-0.3j, 0.0]),
                np.diag([0.2j, -0.1j])]
-        for lengths, blocks in zip(block_budgets, ([8, 8, 8, 1], [25])):
+        for lengths, blocks in zip(block_budgets, ([32, 18], [50])):
             faults = EntryFaults(3)
             kept, copies = [], []
-            for r, z, _ in _march(_Turn(), ctxs, z0s, 0.5, 0.75, 25,
+            for r, z, _ in _march(_Turn(), ctxs, z0s, 0.5, 0.75, 50,
                                   "exp2a", faults):
                 kept.append((r, z))
                 copies.append((r, z.copy()))
             assert lengths == blocks
-            assert faults.ok.all() and len(kept) == 4
+            assert faults.ok.all() and len(kept) == 7
             for (r, z), (r_c, z_c) in zip(kept, copies):
                 assert type(r) is float and r == r_c
                 assert z.shape == (3, 2, 2) and np.array_equal(z, z_c)
             # integrate_impedance keeps its own z, not a view of a block
             out = cw.integrate_impedance(_Turn(), ctxs[1], z0s[1], 0.5, 0.75,
-                                         25, "exp2a")
+                                         50, "exp2a")
             assert out.z.base is None
             assert np.array_equal(out.z, kept[-1][1][1])
 
@@ -608,7 +613,7 @@ class TestIntegrate:
 
     def test_guard_trip_keeps_the_block_samples(self, block_budgets):
         # the third order trips the step guard where the density climbs, in
-        # block 2 of blocks of one group and in the one block of the default
+        # block 2 of blocks of one run and in the one block of the default
         # budget; the others step on with the block's samples, so the law is
         # still called once per sample radius, and march as they do alone
         radii = []
@@ -617,8 +622,8 @@ class TestIntegrate:
         ctxs = _CLIMBING_CTXS
         z0s = [cw.ti_conditional_impedance(1, _climbing_law(0.5), ctx, 0.5).z
                for ctx in ctxs]
-        steps = 25
-        for lengths, blocks in zip(block_budgets, ([8, 8, 8, 1], [25])):
+        steps = 100
+        for lengths, blocks in zip(block_budgets, ([32, 32, 32, 4], [100])):
             radii.clear()
             faults = EntryFaults(3)
             shapes = []
@@ -629,7 +634,7 @@ class TestIntegrate:
             assert len(radii) == 2 * steps
             assert isinstance(faults.errors[2], StepTooLarge)
             assert faults.ok[:2].all()
-            assert shapes == [(3, 3, 3)] * 4
+            assert shapes == [(3, 3, 3)] * 13
             for j in (0, 1):
                 alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5,
                                                1.0, steps, "mg4")
@@ -666,10 +671,11 @@ class TestIntegrate:
 
 
 def test_outputs_do_not_depend_on_block_length(al, al_layer, block_budgets):
-    # every output is the same bit for bit in blocks of 10 steps and at the
+    # every output is the same bit for bit in blocks of one run and at the
     # default budget: each march's radii, crossings, error texts and the z
     # of the entries that end ok (a failed entry's rows mean nothing), the
-    # aluminium B_n and a global matricant with its overflow radius
+    # aluminium B_n and a global matricant with its overflow radius.  Each
+    # march and product spans more than one run
     def march(prof, ctxs, z0s, span, steps, scheme):
         faults = EntryFaults(len(ctxs))
         out = [(r, z.copy(), [(j, ev.r, ev.cond) for j, ev in found])
@@ -687,19 +693,20 @@ def test_outputs_do_not_depend_on_block_length(al, al_layer, block_budgets):
     for lengths in block_budgets:
         out = [
             march(_Turn(), [cw.WaveContext(omega=1.0, n=n, m=2)
-                            for n in range(3)], turn_z0s, (0.5, 0.75), 25,
+                            for n in range(3)], turn_z0s, (0.5, 0.75), 50,
                   "exp2a"),
-            march(_Mixed(), *_MIXED_ENTRIES, _MIXED_SPAN, 25, "exp2a"),
+            march(_Mixed(), *_MIXED_ENTRIES, _MIXED_SPAN, _MIXED_STEPS,
+                  "exp2a"),
             march(climbing, _CLIMBING_CTXS,
                   [cw.ti_conditional_impedance(1, _climbing_law(0.5), ctx,
                                                0.5).z
-                   for ctx in _CLIMBING_CTXS], (0.5, 1.0), 25, "mg4")]
+                   for ctx in _CLIMBING_CTXS], (0.5, 1.0), 100, "mg4")]
         for ka in (1.0, 2.5, 5.0):
             out.append(np.array(cw.solve_scattering(cw.ScatteringConfig(
                 (al_layer,), ka=ka, scheme="lp4")).b).tobytes())
         with pytest.warns(MatricantOverflow) as seen:
             m = cw.matricant_global(two, cw.WaveContext(omega=10.0, n=30),
-                                    0.5, 1.0, 57, "lp4")
+                                    0.5, 1.0, 73, "lp4")
         out.append((m.m.tobytes(), [str(w.message) for w in seen]))
         outs.append(out)
         blocks.append(list(lengths))
@@ -714,13 +721,13 @@ def test_entry_march_does_not_depend_on_its_stack(al, al_layer, scheme,
     # on any stack that holds it, which the (frequency, order) stacks of a
     # solve rely on.  Under the default sample budget the subsets march in
     # blocks of other lengths than the whole stack, so this covers block
-    # length too: 161 entries are the fewest that cut lp4's layers of 100
-    # steps, whose propagators come from the terms, into two blocks each,
-    # and mg4 and exp2a, which sample Q at every node, block each subset,
-    # the last 81 entries among them, otherwise than the whole stack.  The
-    # higher orders' group products pass the growth cap, so some (group,
-    # entry) pairs take their steps one at a time and the others share the
-    # fused update
+    # length too: 161 entries cut lp4's layers of 100 steps, whose
+    # propagators come from the terms, into blocks of 96 and 4 steps, and
+    # mg4 and exp2a, which sample Q at every node, into blocks of one run,
+    # while each subset, the last 32 entries among them, takes longer
+    # blocks.  The higher orders' group products pass the growth cap, so
+    # some (group, entry) pairs take their steps one at a time and the
+    # others share the fused update
     replayed = []
     stepwise = impedance._stepwise
     monkeypatch.setattr(impedance, "_stepwise", lambda w, mats: (
@@ -749,7 +756,9 @@ def test_entry_march_does_not_depend_on_its_stack(al, al_layer, scheme,
         # each layer's 100 steps are 12 groups of 8 and one of 4
         assert len(ctxs) == 161 and len(whole) == 26
         assert 0 < sum(replayed) < 26 * 161
-        for idx in (every[:10], every[80:], [17], every[::7]):
+        long = scheme == "lp4" and matricant._BLOCK_SAMPLES > 0
+        assert whole_blocks == ([96, 4] if long else [32, 32, 32, 4]) * 2
+        for idx in (every[:10], every[129:], [17], every[::7]):
             part, part_errors, blocks = march(idx, lengths)
             assert (blocks != whole_blocks) == (matricant._BLOCK_SAMPLES > 0)
             assert part_errors == [errors[i] for i in idx]
@@ -815,6 +824,7 @@ def _all_steps(monkeypatch):
     """Make every group one step and every run one group: the march of one
     Moebius update per step."""
     monkeypatch.setattr(matricant, "_GROUP_STEPS", 1)
+    monkeypatch.setattr(matricant, "_RUN_GROUPS", 1)
     monkeypatch.setattr(impedance, "_GROUP_STEPS", 1)
     monkeypatch.setattr(impedance, "_RUN_GROUPS", 1)
 
@@ -906,22 +916,23 @@ def _counted_updates(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["mixed", "two-layer"])
-def test_runs_carried_across_blocks(al, al_layer, case, monkeypatch):
-    # blocks of 8, 16 and 24 steps end inside runs of 4 groups, which carry
-    # their starting w, prefix products and fallen masks into the next
-    # block: every entry's crossings and error texts, and the z of every
-    # entry that ends ok, are those of the one-block march bit for bit.
-    # _Mixed's one run of 25 steps holds crossings and two singular
-    # denominators; on the two layers at 200 steps the highest orders'
-    # prefix products pass the growth cap inside runs, some of their
-    # groups steps one at a time, and omega = 10000 trips the step guard
-    # in the soft outer layer
+def test_outputs_do_not_depend_on_run_blocks(al, al_layer, case,
+                                             monkeypatch):
+    # in blocks of 32, 64 and 96 steps, one to three runs of 4 groups of 8
+    # steps, every entry's crossings and error texts, and the z of every
+    # entry that ends ok, are those of the one-block march bit for bit,
+    # and every block but a piece's last holds whole runs.  _Mixed's 100
+    # steps hold crossings and two singular denominators; on the two
+    # layers at 200 steps the highest orders' prefix products pass the
+    # growth cap inside runs, some of their groups steps one at a time,
+    # and omega = 10000 trips the step guard in the soft outer layer
     if case == "mixed":
         prof, (ctxs, z0s), span, steps, scheme = (
-            _Mixed(), _MIXED_ENTRIES, _MIXED_SPAN, 25, "exp2a")
+            _Mixed(), _MIXED_ENTRIES, _MIXED_SPAN, _MIXED_STEPS, "exp2a")
         # exp2a samples Q at one node: a block of k steps holds k x 4
         # samples
-        sizes = {8: [8, 8, 8, 1], 16: [16, 9], 24: [24, 1], None: [25]}
+        sizes = {32: [32, 32, 32, 4], 64: [64, 36], 96: [96, 4],
+                 None: [100]}
         per_step = len(ctxs)
     else:
         soft = cw.MaterialPoint(7.85, cw.isotropic_stiffness(5.44, 3.7))
@@ -933,7 +944,7 @@ def test_runs_carried_across_blocks(al, al_layer, case, monkeypatch):
         span, steps, scheme = (0.5, 1.0), 200, "lp4"
         # lp4 forms its steps from the layer terms: a block of k steps
         # holds k x 10 propagators, and a budget b allows 4 b of them
-        sizes = {8: [8] * 12 + [4], 16: [16] * 6 + [4], 24: [24] * 4 + [4],
+        sizes = {32: [32, 32, 32, 4], 64: [64, 36], 96: [96, 4],
                  None: [100]}
         sizes = {k: v * 2 for k, v in sizes.items()}
         per_step = len(ctxs) / 4
@@ -961,6 +972,14 @@ def test_runs_carried_across_blocks(al, al_layer, case, monkeypatch):
                    for r, z, found in _march(prof, ctxs, z0s, *span, steps,
                                              scheme, faults)]
         assert lengths == sizes[size]
+        blocks = iter(lengths)
+        run = matricant._GROUP_STEPS * matricant._RUN_GROUPS
+        for *_, n, _ in matricant._segments(prof, span[0], span[1] - span[0],
+                                            steps):
+            piece = [next(blocks)]
+            while sum(piece) < n:
+                piece.append(next(blocks))
+            assert all(k % run == 0 for k in piece[:-1])
         return ([(r, z[faults.ok].tobytes(), found) for r, z, found in out],
                 [str(e) for e in faults.errors], dict(counts))
 
@@ -972,7 +991,7 @@ def test_runs_carried_across_blocks(al, al_layer, case, monkeypatch):
     else:
         assert "exceeds 20" in errors[-1] and errors[:-1] == ["None"] * 9
         assert seen["group"] > 0 and seen["steps"] > 0
-    for size in (8, 16, 24):
+    for size in (32, 64, 96):
         assert march(size)[:2] == (whole, errors)
 
 

@@ -301,19 +301,18 @@ def test_overflow_warning_high_order(al_profile):
 def test_global_equals_per_step_product(al, block_budgets):
     # the blocked composition is the product of single steps over each
     # layer's grid, bit for bit, and warns at the same radius; in blocks of
-    # one group, 8 steps, 57 steps leave a partial last block in each
+    # one run, 32 steps, 73 steps leave a partial last block in each
     # layer, and at the default budget each layer is one block
     steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
     prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
     ctx = cw.WaveContext(omega=10.0, n=30)
-    for lengths, blocks in zip(block_budgets, ([8, 8, 8, 5, 8, 8, 8, 4],
-                                               [29, 28])):
-        for scheme, steps in (("exp2a", 57), ("lp4", 57), ("mg4", 20)):
+    for lengths, blocks in zip(block_budgets, ([32, 5, 32, 4], [37, 36])):
+        for scheme, steps in (("exp2a", 73), ("lp4", 73), ("mg4", 20)):
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
                 lengths.clear()
                 got = cw.matricant_global(prof, ctx, 0.5, 1.0, steps, scheme)
-            if steps == 57:
+            if steps == 73:
                 assert lengths == blocks
             want, warn_at = np.eye(6), None
             for a, h, n, _ in _segments(prof, 0.5, 0.5, steps):
@@ -359,18 +358,18 @@ def test_global_equals_per_step_product_at_kz(al):
 
 
 @pytest.mark.parametrize("scheme, entries, steps, want", [
-    ("lp4", 1, 40000, [16384, 3616]), ("lp4", 23, 3000, [712, 712, 76]),
+    ("lp4", 1, 40000, [16384, 3616]), ("lp4", 23, 3000, [704, 704, 92]),
     ("lp4", 512, 200, [32, 32, 32, 4]), ("mg4", 1, 5000, [2048, 452])],
     ids=["lp4-1", "lp4-23", "lp4-512", "mg4-1"])
 def test_blocks_fit_the_sample_budget(al, scheme, entries, steps, want):
     # the blocks of each _segments piece step its grid in order and never
-    # cross into the next piece; a block holds whole groups of
-    # _GROUP_STEPS steps, as many matrices as its budget allows unless it
-    # is one group or less, and all but a piece's last are as long as that
-    # rule allows.  mg4 samples Q: at most _BLOCK_SAMPLES samples (nodes x
-    # steps x entries).  lp4 forms its steps from the layer terms: at most
-    # 4 _BLOCK_SAMPLES propagators (steps x entries), so a one-ka solve
-    # (at most 23 entries) steps a layer of 500 steps in one block
+    # cross into the next piece; a block holds whole runs of _RUN_GROUPS
+    # groups of _GROUP_STEPS steps, as many matrices as its budget allows
+    # unless it is one run or less, and all but a piece's last are as long
+    # as that rule allows.  mg4 samples Q: at most _BLOCK_SAMPLES samples
+    # (nodes x steps x entries).  lp4 forms its steps from the layer terms:
+    # at most 4 _BLOCK_SAMPLES propagators (steps x entries), so a one-ka
+    # solve (at most 23 entries) steps a layer of 500 steps in one block
     steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
     prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
     ctxs = [cw.WaveContext(omega=2.0, n=3, m=2)] * entries
@@ -390,12 +389,12 @@ def test_blocks_fit_the_sample_budget(al, scheme, entries, steps, want):
             lengths.append(len(radii))
         assert ends == (a + np.arange(n) * h + h).tolist()
         assert lengths == want
-        group = matricant._GROUP_STEPS
+        run = matricant._GROUP_STEPS * matricant._RUN_GROUPS
         for k, size in enumerate(lengths):
-            assert size * samples <= budget or size <= group
+            assert size * samples <= budget or size <= run
             if k < len(lengths) - 1:
-                assert size % group == 0
-                assert (size + group) * samples > budget
+                assert size % run == 0
+                assert (size + run) * samples > budget
     assert next(blocks, None) is None
 
 
@@ -509,8 +508,8 @@ def test_golden_solve_samples_q_only_where_terms_prove_nothing(
 def test_one_ka_solve_steps_its_layer_in_one_block(al_layer, block_budgets):
     # a one-ka lp4 solve at ka in [1, 5] stacks at most 23 orders, whose
     # 500 steps of the layer terms one block holds at the default budget;
-    # its B_n, sigma_tot and f(theta) are those of blocks of one group bit
-    # for bit
+    # its B_n, sigma_tot and f(theta) are those of blocks of one run, 15 of
+    # 32 steps and one of 20, bit for bit
     outs, blocks = [], []
     for lengths in block_budgets:
         outs.append([])
@@ -520,7 +519,7 @@ def test_one_ka_solve_steps_its_layer_in_one_block(al_layer, block_budgets):
             outs[-1].append((np.array(res.b).tobytes(), res.sigma_tot,
                              np.array(res.f_samples).tobytes()))
         blocks.append(list(lengths))
-    assert set(blocks[0]) == {8, 4}
+    assert set(blocks[0]) == {32, 20}
     assert blocks[1] and set(blocks[1]) == {500}
     assert outs[0] == outs[1]
 

@@ -732,6 +732,7 @@ class TestGroupedMarch:
         grouped = distance()
         # one Moebius update per step: groups of one step, runs of one group
         monkeypatch.setattr(matricant, "_GROUP_STEPS", 1)
+        monkeypatch.setattr(matricant, "_RUN_GROUPS", 1)
         monkeypatch.setattr(impedance, "_GROUP_STEPS", 1)
         monkeypatch.setattr(impedance, "_RUN_GROUPS", 1)
         per_step = distance()
@@ -761,6 +762,7 @@ class TestGroupedMarch:
         assert replayed
         # one Moebius update per step: groups of one step, runs of one group
         monkeypatch.setattr(matricant, "_GROUP_STEPS", 1)
+        monkeypatch.setattr(matricant, "_RUN_GROUPS", 1)
         monkeypatch.setattr(impedance, "_GROUP_STEPS", 1)
         monkeypatch.setattr(impedance, "_RUN_GROUPS", 1)
         assert grouped <= 2 * distance()
