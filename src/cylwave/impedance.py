@@ -36,19 +36,19 @@ truncation walk of its ka reaches that order.
 
 The Moebius update is closed form, with no LAPACK call: for den = M1 + M2 w
 (m <= 3), w' = ((M3 + M4 w) adj(den)) * (1 / det(den)), the 2x2 adjugate
-from a reversed view, the 3x3 one from fixed index tables.  Each
-denominator's 1-norm condition number |den|_1 |adj(den)|_1 / |det(den)| is
-the pole test: above 1e14 the update is a PoleCrossing at its group's end,
-which the map passes finitely.  Inside a run the test takes the group's own
-denominator, the run's at this group end times the inverse of the run's at
-the one before, so a crossing lands where one update per group puts it; a
-replayed group takes its steps' largest condition number.  A denominator is
-singular when det(den) or w' is not finite (det = 0 makes w' infinite).  The
-march runs a block's updates run by run, then takes the condition numbers,
-the singular mask, the crossings and z = w * t for the whole block in one
-pass, and yields the block's rows of z, one per group end, as they are; no
-later group writes them.  A failing entry's NaNs stay in its own rows, and
-it records no crossing from the group of its first singular denominator.
+from a reversed view, the 3x3 one from fixed index tables.  The pole test
+is each group's own update from the w of the group end before, whichever
+update gave its z: its denominator's 1-norm condition number
+|den|_1 |adj(den)|_1 / |det(den)| above 1e14 is a PoleCrossing at the
+group's end, which the map passes finitely, and a replayed group takes its
+steps' largest condition number.  A denominator is singular when det(den)
+or w' is not finite (det = 0 makes w' infinite).  The march runs a block's
+updates run by run, then forms every group's own denominator in one
+batched call and takes the condition numbers, the singular mask, the
+crossings and z = w * t for the whole block in one pass, and yields the
+block's rows of z, one per group end, as they are; no later group writes
+them.  A failing entry's NaNs stay in its own rows, and it records no
+crossing from the group of its first singular denominator.
 
 The state carries fixed powers of i, so the march steps with the gauged
 samples D^-1 Q D, D = diag(i^p) with p = (0, 1, 1, 1, 0, 0) over (u_r, u_th,
@@ -210,21 +210,11 @@ def _mobius(w: np.ndarray, m: np.ndarray) -> tuple:
 
 
 def _verdict(w: np.ndarray, den: np.ndarray, adj: np.ndarray,
-             det: np.ndarray, back=None) -> tuple:
+             det: np.ndarray) -> tuple:
     """The 1-norm condition number |den|_1 (|adj|_1 / |det|) of each Moebius
     denominator, and the mask of the singular ones: a determinant that is
-    not finite or a w' that is not finite, which det = 0 always gives.
-
-    With back, the (den, adj, det) of an earlier update of the same w, the
-    condition number is that of den den_back^-1, the denominator of the
-    update from that one's w' to this one's:
-    (|den adj_back|_1 / |det_back|) (|den_back adj|_1 / |det|)."""
-    if back is None:
-        cond = _norm1(den) * (_norm1(adj) / np.abs(det))
-    else:
-        den0, adj0, det0 = back
-        cond = ((_norm1(den @ adj0) / np.abs(det0))
-                * (_norm1(den0 @ adj) / np.abs(det)))
+    not finite or a w' that is not finite, which det = 0 always gives."""
+    cond = _norm1(den) * (_norm1(adj) / np.abs(det))
     return cond, ~(np.isfinite(det) & np.isfinite(w).all(axis=(-2, -1)))
 
 
@@ -303,10 +293,10 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
     product of the run so far has a 1-norm within _GROWTH_CAP; from the
     first group past the cap it takes the rest of the run one update per
     group, and a group whose own product passes the cap one step at a time.
-    Per block the prefix products take _RUN_GROUPS - 1 batched matmuls and
-    each run one _mobius call.  Inside a run a group's condition number is
-    that of its own denominator, den_k den_(k-1)^-1 (see _verdict), so
-    crossings land on the group ends where one update per group puts them.
+    Per block the prefix products take _RUN_GROUPS - 1 batched matmuls,
+    each run one _mobius call, and the pole test one more: every group's
+    own update from the w before it, its block's starting w or the w at
+    the group end before, so the test does not depend on the runs.
 
     An entry with an error in faults starts from z = 0; one past the step
     guard or with a singular Moebius denominator gets that StepTooLarge or
@@ -335,47 +325,38 @@ def _march(profile, ctxs, z0s, r0: float, r1: float, steps: int, scheme,
             for at, back in inner:
                 fell[at] |= fell[back]
             falls = fell.any(axis=1).tolist()
-            outs, replays = [], []
+            outs, replays = [w[None]], []
             for a in range(0, len(ends), _RUN_GROUPS):
-                out = _mobius(w, pre[a:a + _RUN_GROUPS])
-                for k in range(a, a + len(out[0])):
+                out = _mobius(w, pre[a:a + _RUN_GROUPS])[0]
+                for k in range(a, a + len(out)):
                     if not falls[k]:
                         continue
                     # the group's own update from the w of the group before,
                     # or its steps' where its product passes the cap
                     j = np.flatnonzero(fell[k])
-                    prev = out[0][k - a - 1] if k > a else w
+                    prev = out[k - a - 1] if k > a else w
                     steep = _norm1(prods[k, j]) > _GROWTH_CAP
                     plain = j[~steep]
                     if len(plain):
-                        for x, y in zip(out, _mobius(prev[plain],
-                                                     prods[k, plain])):
-                            x[k - a, plain] = y
+                        out[k - a, plain] = _mobius(prev[plain],
+                                                    prods[k, plain])[0]
                     j = j[steep]
                     if len(j):
                         wj, cj, sj = _stepwise(
                             prev[j], mats[k * _GROUP_STEPS:ends[k] + 1, j])
-                        out[0][k - a, j] = wj
+                        out[k - a, j] = wj
                         replays.append((k, j, cj, sj))
                 outs.append(out)
-                w = out[0][-1]
-            ws, dens, adjs, dets = (np.concatenate(x) for x in zip(*outs))
-            cond, singular = _verdict(ws, dens, adjs, dets)
-            # inside a run cond_(k-1) cond_k bounds the condition number of
-            # a group's own denominator; it is formed only where that bound
-            # comes near _POLE_COND (in a one-ka solve it stays below 4)
-            near = np.zeros_like(fell)
-            for at, back in inner:
-                near[at] = ~fell[at] & (cond[at] * cond[back]
-                                        > 1e-4 * _POLE_COND)
-            if near.any():
-                k, j = np.nonzero(near)
-                back = [x[k - 1, j] for x in (dens, adjs, dets)]
-                cond[k, j] = _verdict(ws[k, j], dens[k, j], adjs[k, j],
-                                      dets[k, j], back)[0]
+                w = out[-1]
+            # the block's starting w and the w at every group end: each
+            # group's pole test is its own update from the w before it, of
+            # which only the denominator rows are formed
+            ws = np.concatenate(outs)
+            cond, singular = _verdict(ws[1:], *_mobius(
+                ws[:-1], prods[..., :ws.shape[-1], :])[1:])
             for k, j, cj, sj in replays:
                 cond[k, j], singular[k, j] = cj, sj
-            zs = ws * to_z
+            zs = ws[1:] * to_z
         # the block's propagators go before the stepper forms the next's
         del mats, prods, pre
         # (group, entry): failed in this group or before

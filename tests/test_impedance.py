@@ -893,12 +893,15 @@ def test_growth_cap_keeps_the_all_step_accuracy(al_profile, al_layer, omega,
 def _counted_updates(monkeypatch):
     """Count the march's Moebius calls: {"run": updates of a run's prefix
     products, "group": a group's own update, "steps": groups taken step by
-    step}, leaving out the calls that _stepwise makes."""
-    counts, inside = dict.fromkeys(("run", "group", "steps"), 0), []
+    step, "verdict": a block's pole test, every group's own update from the
+    w before it}, leaving out the calls that _stepwise makes."""
+    counts, inside = dict.fromkeys(("run", "group", "steps", "verdict"), 0), []
     mobius, stepwise = impedance._mobius, impedance._stepwise
 
     def counted_mobius(w, m):
-        if not inside:
+        if w.ndim == 4:
+            counts["verdict"] += 1
+        elif not inside:
             counts["run" if m.ndim == 4 else "group"] += 1
         return mobius(w, m)
 
@@ -1037,7 +1040,8 @@ def test_run_falls_back_where_its_prefix_passes_the_cap(monkeypatch):
     got = [z.copy() for _, z, _ in _march(_Growing(), ctxs, z0s, *span, 40,
                                           "exp2a", faults)]
     assert faults.ok.all() and len(blocks) == 1 and len(got) == 5
-    assert calls == [(2, (4, 2)), (1, (1,)), (1, (1,)), (2, (1, 2))]
+    assert calls == [(2, (4, 2)), (1, (1,)), (1, (1,)), (2, (1, 2)),
+                     (5, (5, 2))]
     prods = impedance._fused(blocks[0])
     prefix = [prods[0]]
     for p in prods[1:4]:
@@ -1057,16 +1061,71 @@ def test_run_falls_back_where_its_prefix_passes_the_cap(monkeypatch):
         assert np.array_equal(zk, wk * to_z)
 
 
+def test_crossing_reads_its_groups_own_update(monkeypatch):
+    # the turn meets a pole at every quarter turn, one per group of 8
+    # steps of h = 1/160, and so at every group end of both runs of the
+    # 64 steps from z0 = 0.  Each group end's crossing, in a run or at its
+    # start, is the condition number of the group's own update from the w
+    # of the group end before, bit for bit, not that of the run's update
+    blocks = []
+    stepper = impedance._blocks
+
+    def kept(*args, **kwargs):
+        for radii, mats in stepper(*args, **kwargs):
+            blocks.append(mats)
+            yield radii, mats
+
+    monkeypatch.setattr(impedance, "_blocks", kept)
+    ctx, faults = cw.WaveContext(omega=1.0, m=2), EntryFaults(1)
+    rows = [(r, z.copy(), found)
+            for r, z, found in _march(_Turn(), [ctx], [np.zeros((2, 2))],
+                                      0.5, 0.9, 64, "exp2a", faults)]
+    assert faults.ok.all() and len(blocks) == 1 and len(rows) == 8
+    assert all(found for _, _, found in rows)
+    prods = impedance._fused(blocks[0])
+    to_w = _gauge(2)[1].conj()
+    w = np.zeros((1, 2, 2))
+    in_run = 0
+    for k, (r, z, found) in enumerate(rows):
+        with np.errstate(all="ignore"):
+            cond = _verdict(*_mobius(w, prods[k]))[0]
+        want = [(0, r, cond[0])] if cond[0] > impedance._POLE_COND else []
+        assert [(j, ev.r, ev.cond) for j, ev in found] == want
+        in_run += bool(want) and k % matricant._RUN_GROUPS > 0
+        w = z * to_w
+    assert in_run >= 4
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a march records a PoleCrossing only where a group end lies on a pole, "
+    "so a pole passed between group ends goes unreported; reporting it is "
+    "ROADMAP item 4"))
+def test_march_reports_the_pole_that_the_naive_integration_meets(
+        al_layer, al_profile):
+    # criterion 4's case: the naive Runge-Kutta integration of the Riccati
+    # equation blows up at r = 0.81, where z passes a pole, and the march
+    # passes it without a record
+    ctx3 = cw.WaveContext(omega=10.0, n=0, m=3)
+    ctx = cw.WaveContext(omega=10.0, n=0, m=2)
+    z_in = cw.ti_conditional_impedance(1, al_layer, ctx3, 0.5).z[:2, :2]
+    trace = impedance.naive_riccati_integrate(al_profile, ctx, z_in, 0.5,
+                                              1.0, 500)
+    assert trace.blowup_radius == pytest.approx(0.81)
+    z = cw.integrate_impedance(al_profile, ctx, z_in, 0.5, 1.0, 500, "lp4")
+    assert z.events
+
+
 def test_golden_solve_takes_one_update_per_run(al_layer, monkeypatch):
-    # the golden ka = 5 lp4 solve's 63 groups of 8 steps are 16 runs: one
-    # Moebius call each, and one per group that an order takes on its own
-    # after its run's prefix passed the growth cap (one update per group,
-    # 63 calls, before runs)
+    # the golden ka = 5 lp4 solve's 63 groups of 8 steps are 16 runs in one
+    # block: one Moebius call per run, one per group that an order takes on
+    # its own after its run's prefix passed the growth cap (one update per
+    # group, 63 calls, before runs), and one pole test for the block
     counts = _counted_updates(monkeypatch)
     cw.solve_scattering(cw.ScatteringConfig((al_layer,), ka=5.0,
                                             scheme="lp4", steps=500))
     assert counts["run"] == 16 and counts["steps"] == 0
     assert counts["run"] + counts["group"] <= 19
+    assert counts["verdict"] == 1
 
 
 class TestInterfaces:
