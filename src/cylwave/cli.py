@@ -110,13 +110,13 @@ def _whole(value, flag: str, text: bool = False) -> int:
 
 
 def _real(value, flag: str) -> float:
-    """A real setting; it must be a finite number."""
+    """A real setting; it and its square must be finite numbers."""
     try:
         value = float(_numeric(value))
     except (TypeError, ValueError, OverflowError):
         value = math.nan
-    if not math.isfinite(value):
-        raise UsageError(f"{flag} must be a finite number")
+    if not math.isfinite(value * value):
+        raise UsageError(f"{flag} must be a finite number, its square too")
     return value
 
 
@@ -158,9 +158,9 @@ def parse_config(argv) -> RunConfig:
             cnt = _whole(cnt, "--sweep N", text)
         except (TypeError, ValueError, OverflowError):
             raise UsageError("--sweep expects MIN MAX N") from None
-        if not (0 < lo <= hi < math.inf) or cnt < 1:
-            raise UsageError(
-                "--sweep bounds must be positive and finite, N >= 1")
+        if not (0 < lo <= hi and hi * hi < math.inf) or cnt < 1:
+            raise UsageError("--sweep bounds must be positive and finite, "
+                             "with finite squares, and N >= 1")
         sweep = (lo, hi, cnt)
     if ka is None and sweep is None:
         raise UsageError("--ka (or --sweep for scatter) is required")

@@ -220,8 +220,9 @@ class WaveContext:
 
     def __post_init__(self):
         _positive(self.omega, "omega")
-        if not math.isfinite(self.kz):
-            raise ValueError("kz must be finite")
+        if not (math.isfinite(self.omega * self.omega)
+                and math.isfinite(self.kz * self.kz)):
+            raise ValueError("omega, kz and their squares must be finite")
         if not 0 <= self.n < math.inf or int(self.n) != self.n:
             raise ValueError("n must be a nonnegative integer")
         if self.m not in (1, 2, 3):

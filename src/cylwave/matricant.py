@@ -37,33 +37,34 @@ steps, like every exp and magnus step, come from the kernel on samples of
 Q at the nodes.
 
 One stepper forms every propagator of the package: the impedance march,
-matricant_step and matricant_global.  Per block of steps it runs the step
-guard, which gives each entry its own StepTooLarge, and forms the block's
-propagators in one kernel call, from the layer's terms or from Q sampled
-at every node, step and entry in one array (nodes, steps, entries, 2m,
-2m); a failed entry steps by the identity.  The march fuses each group of
-_GROUP_STEPS steps of a _segments piece, counted from the piece's start,
-into one propagator, and each run of _RUN_GROUPS groups into prefix
-products that one Moebius call applies (see cylwave.impedance), so a block
-holds whole runs, at least one, and as many as its matrices allow; only a
-piece's last block may end in a short run or group, and every block starts
-a run.  A block whose kernel samples Q holds at most _BLOCK_SAMPLES samples
-(nodes x steps x entries).  A block formed from a layer's terms samples Q
-only for the guard, so it counts propagators (steps x entries), at most
-len(nodes) * _BLOCK_SAMPLES, and where the guard needs samples it takes
-them in chunks of whole steps of at most _BLOCK_SAMPLES matrices, at least
-one step.  A one-ka solve (at most 23 orders at 500 steps) steps each piece
-in one block, and a run never straddles two blocks, whatever the stack.  A
-large stack's memory stays bounded by the budget or by one run of its
-entries, whichever is larger.
+matricant_step and matricant_global.  Per block of steps it samples Q in
+one loop over chunks of whole steps, each an array (nodes, steps, entries,
+2m, 2m) of at most _BLOCK_SAMPLES samples and at least one step; in each
+chunk the step guard gives each entry its own StepTooLarge, and an exp,
+magnus or sampled dyson kernel forms the chunk's propagators from the same
+samples.  The dyson kernel of a layer forms the whole block from the
+layer's terms after the loop, which then samples Q only for the guard and
+stops once no entry needs it.  A failed entry steps by the identity over
+the whole block.  The march fuses each group of _GROUP_STEPS steps of a
+_segments piece, counted from the piece's start, into one propagator, and
+each run of _RUN_GROUPS groups into prefix products that one Moebius call
+applies (see cylwave.impedance), so a block holds whole runs, at least
+one, and as many as len(nodes) * _BLOCK_SAMPLES propagators (steps x
+entries) allow, whatever the kernel; only a piece's last block may end in
+a short run or group, and every block starts a run.  A one-ka solve (at
+most 23 orders at 500 steps) steps each piece in one block, and a run
+never straddles two blocks, whatever the stack.  A large stack's samples
+stay within the budget, and its propagators within one run of its entries
+where that passes len(nodes) times the budget.
 The march hands its gauge to the stepper, which builds the sampler with it;
 the guard and the kernels then see the gauged terms or samples, in float64
 where they are real (see cylwave.impedance).  matricant_step and
 matricant_global are stacks of one that raise their entry's error, take Q
 ungauged, stay complex and multiply step by step.
 
-The guard refuses a step where h |D^-1 Q D|_2 passes 20 at a sample; D =
-diag(I, sI) with s^2 = |Q3|_F / |Q2|_F balances the off-diagonal blocks.
+The guard refuses a step where h |D^-1 Q D|_2 passes 20 at a sample, or
+where a sample is not finite; D = diag(I, sI) with s^2 = |Q3|_F / |Q2|_F
+balances the off-diagonal blocks.
 In a layer of a piecewise profile the sampler bounds |D^-1 Q D|_2 from
 the Frobenius norms of the m x m blocks of P0, kz P1 and P2, taken once per
 layer and entry (see cylwave.elastodyn._q_sampler); the bound is convex in
@@ -110,10 +111,9 @@ _GROUP_STEPS = 8
 # ones would reach 2890 already at ka = 3
 _RUN_GROUPS = 4
 # bounds a march's memory (see _blocks): the samples of Q (nodes x steps x
-# entries) of a block whose kernel takes them and of a chunk the guard
-# takes; a block formed from a layer's terms holds len(nodes) times as
-# many propagators (steps x entries).  A block holds at least one run of
-# every entry of the stack, which may exceed the budget
+# entries) of a chunk of whole steps, at least one, and a block's
+# propagators (steps x entries), at most len(nodes) times as many unless
+# one run of every entry of the stack is more
 _BLOCK_SAMPLES = 4096
 # a term bound on h |D^-1 Q D|_2 at most this proves every sample of its
 # entry below the guard's 20, with room for the rounding of both
@@ -444,12 +444,17 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
     # D = diag(I, sI) balances the off-diagonal blocks: at kz = 0 the U/V
     # scaling grows |Q|_2 as n^2 while the eigenvalues, which D keeps, stay
     # small.  The bound sqrt(|A|_1 |A|_inf) >= |A|_2, first of Q and then of
-    # D^-1 Q D, spares the SVD wherever it already shows the norm below 20
+    # D^-1 Q D, spares the SVD wherever it already shows the norm below 20.
+    # A matrix with a non-finite entry has a NaN or inf bound; it gets inf
+    # and no SVD
     nrm = np.zeros(q.shape[:-2])
-    over = _bound(h, q) > 20.0
+    over = ~(_bound(h, q) <= 20.0)
     if not over.any():
         return nrm
-    qo = q[over]
+    at, qo = np.flatnonzero(over), q[over]
+    finite = np.isfinite(qo).all(axis=(-2, -1))
+    nrm.flat[at[~finite]] = np.inf
+    at, qo = at[finite], qo[finite]
     k = q.shape[-1] // 2
     q2 = np.linalg.norm(qo[:, :k, k:], axis=(-2, -1))
     q3 = np.linalg.norm(qo[:, k:, :k], axis=(-2, -1))
@@ -460,7 +465,7 @@ def _guard(h: float, q: np.ndarray) -> np.ndarray:
     qb = qo * d[:, None, :] / d[:, :, None]
     still = _bound(h, qb) > 20.0
     if still.any():
-        nrm.flat[np.flatnonzero(over)[still]] = h * np.linalg.norm(
+        nrm.flat[at[still]] = h * np.linalg.norm(
             qb[still], 2, axis=(-2, -1))
     return nrm
 
@@ -471,33 +476,29 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
     in blocks within a _segments piece of whole runs of _RUN_GROUPS groups
     of _GROUP_STEPS steps, so a piece's runs never straddle a block and
     only its last block may end in a short run or group: per block the
-    step-end radii and the propagators (steps, entries, s, s).  A dyson
-    scheme on a piecewise profile forms them from the layer's letters
-    (_term_kernel), building the word tables once per layer it enters, in
-    blocks of as many runs as len(nodes) * _BLOCK_SAMPLES propagators
-    hold, and samples Q only for the guard.  Every other stepper samples Q
-    at every node for the kernel, in blocks of as many runs as
-    _BLOCK_SAMPLES samples hold.  On a piecewise profile the guard sees
-    only the entries that the term bound over the block does not prove
-    below 20.  It takes chunks of whole steps of at most _BLOCK_SAMPLES
-    samples (nodes x steps x entries); each sample's norm is its own, so
-    the chunks change no verdict.  A block holds at least one run, which
-    may pass the budget, and a chunk one step.  An entry with an error in
-    faults is not guarded, and it and an entry that trips the guard, once
-    it has its StepTooLarge, step by the identity and keep their index;
-    the stepper stops once every entry has failed.  With a gauge the
-    sampler applies it, so the guard and the kernels see Q * gauge,
-    float64 where real."""
+    step-end radii and the propagators (steps, entries, s, s).  A block
+    holds as many runs as len(nodes) * _BLOCK_SAMPLES propagators (steps x
+    entries) hold, and at least one.  Each block samples Q in chunks of
+    whole steps of at most _BLOCK_SAMPLES samples (nodes x steps x
+    entries), at least one step.  In each chunk the guard sees the entries
+    that the term bound over the block (on a piecewise profile) does not
+    prove below 20; each sample's norm is its own, so the chunks change no
+    verdict.  A sampled kernel then forms the chunk's propagators from the
+    same samples, those of failed entries zeroed.  A dyson scheme on a
+    piecewise profile forms the whole block from the layer's letters
+    (_term_kernel) instead, building the word tables once per layer it
+    enters, and samples only while an entry needs the guard.  An entry
+    with an error in faults is not guarded, and it and an entry that trips
+    the guard anywhere in the block, once it has its StepTooLarge, step by
+    the identity over the block and keep their index; the stepper stops
+    once every entry has failed.  With a gauge the sampler applies it, so
+    the guard and the kernels see Q * gauge, float64 where real."""
     kernel, nodes, order = _TABLE[get_scheme(scheme).tag]
     sample = _q_sampler(profile, ctxs, gauge)
     bound = getattr(sample, "bound", None)
     letters = getattr(sample, "letters", None) if kernel is _dyson else None
-    # the propagators (steps x entries) a block may hold
-    held = (_BLOCK_SAMPLES * len(nodes) if letters is not None
-            else _BLOCK_SAMPLES // len(nodes))
     run = _GROUP_STEPS * _RUN_GROUPS
-    size = run * max(1, held // (len(ctxs) * run))
-    # the steps of a chunk the guard takes
+    size = run * max(1, _BLOCK_SAMPLES * len(nodes) // (len(ctxs) * run))
     chunk = max(1, _BLOCK_SAMPLES // (len(nodes) * len(ctxs)))
     blocks = [(a + np.arange(i, min(i + size, n)) * h, h, layer)
               for a, h, n, layer in _segments(profile, r0, span, steps)
@@ -507,43 +508,40 @@ def _blocks(profile, ctxs, r0: float, span: float, steps: int, scheme,
         if not faults.ok.any():
             return
         radii = r + (np.array(nodes) * h)[:, None]
-        # the guard sees the entries that the layer's terms do not prove
-        # below 20 on the block; it gives the others 0
-        check = faults.ok
-        if bound is not None:
-            check = check & ~(h * bound(r[0], r[-1] + h, layer) <= _PROVEN)
-        nrm = np.zeros((len(r), len(ctxs)))
+        # the entries that the layer's terms prove below 20 on the block
+        proven = (h * bound(r[0], r[-1] + h, layer) <= _PROVEN
+                  if bound is not None else np.zeros(len(ctxs), bool))
+        mats = []
+        for i in range(0, len(r), chunk):
+            check = faults.ok & ~proven
+            if letters is not None and not check.any():
+                break
+            qs = sample(radii[:, i:i + chunk], layer)
+            nrm = _guard(h, qs[:, :, check]).max(0)
+            for j, col in zip(np.flatnonzero(check), nrm.T):
+                if (col > 20.0).any():
+                    faults.errors[j] = StepTooLarge(
+                        f"||h*Q|| = {float(col[col > 20.0][0])!r} exceeds 20 "
+                        "(exp overflow guard); reduce the step or increase "
+                        "the step count")
+            if letters is None:
+                # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent
+                # by 20, a Magnus one (nodes sharing D) by 20 + (sqrt(3)/6)
+                # 20^2 ~ 135, so mat_exp stays below e^135 max(s, 1/s),
+                # finite unless s > 1e249, and its Pade denominator is
+                # regular: no entry needs an Overflow path.
+                qs[:, :, ~faults.ok] = 0
+                mats.append(kernel(h, qs, nodes, order))
+            del qs  # no chunk's samples outlive it into the next
         if letters is None:
-            qs = sample(radii, layer)
-            qs[:, :, ~faults.ok] = 0
-        if check.any():
-            # the guard takes chunks of whole steps; the terms' kernel
-            # takes no samples, so the guard's are taken here
-            for i in range(0, len(r), chunk):
-                q = (qs[:, i:i + chunk] if letters is None
-                     else sample(radii[:, i:i + chunk], layer))
-                nrm[i:i + chunk, check] = _guard(h, q[:, :, check]).max(0)
-        over = nrm > 20.0
-        tripped = over.any(axis=0)
-        for i in np.flatnonzero(tripped):
-            faults.errors[i] = StepTooLarge(
-                f"||h*Q|| = {float(nrm[over[:, i], i][0])!r} exceeds 20 (exp "
-                "overflow guard); reduce the step or increase the step count")
-        if letters is not None:
+            mats = np.concatenate(mats)
+        else:
             if terms is None or terms[0] != layer:
                 terms = layer, _term_kernel(letters(layer), nodes, order)
             mats = terms[1](h, radii)
-            mats[:, ~faults.ok] = np.eye(mats.shape[-1])
-            yield r + h, mats
-            del mats  # freed with the march's hold, before the next block
-            continue
-        qs[:, :, tripped] = 0
-        # Past the guard h |D^-1 Q D|_2 <= 20 bounds an exp exponent by 20, a
-        # Magnus one (nodes sharing D) by 20 + (sqrt(3)/6) 20^2 ~ 135, so
-        # mat_exp stays below e^135 max(s, 1/s), finite unless s > 1e249, and
-        # its Pade denominator is regular: no entry needs an Overflow path.
-        yield r + h, kernel(h, qs, nodes, order)
-        del qs  # no block's samples outlive it into the next
+        mats[:, ~faults.ok] = np.eye(mats.shape[-1])
+        yield r + h, mats
+        del mats  # freed with the march's hold, before the next block
 
 
 def matricant_step(profile, ctx, r: float, h: float, scheme) -> Matricant:

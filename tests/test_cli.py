@@ -163,6 +163,13 @@ class TestParseConfig:
         ["impedance-trace", "--profile", "{p}", "--ka", "1", "--r1", "inf"],
         ["scatter", "--profile", "{p}", "--sweep", "1", "inf", "3"],
         ["scatter", "--profile", "{p}", "--sweep", "nan", "2", "3"],
+        # finite, but the wave equations take their squares
+        ["impedance-trace", "--profile", "{p}", "--ka", "2", "--kz", "1e160"],
+        ["impedance-trace", "--profile", "{p}", "--ka", "1e160"],
+        ["convergence", "--profile", "{p}", "--ka", "1e160"],
+        ["scatter", "--profile", "{p}", "--ka", "1e160"],
+        ["field", "--profile", "{p}", "--ka", "1e160"],
+        ["scatter", "--profile", "{p}", "--sweep", "1", "1e160", "3"],
     ])
     def test_usage_errors(self, al_json, argv):
         argv = [a.format(p=al_json) if "{p}" in a else a for a in argv]
@@ -190,8 +197,9 @@ class TestParseConfig:
         {"ka": 1.0, "r1": "1"}, {"ka": 1.0, "steps": "100"},
         {"ka": 1.0, "n": "3"}, {"ka": 1.0, "threads": "2"},
         {"sweep": ["1", 2, 3]}, {"sweep": [1, "2", 3]}, {"sweep": [1, 2, "3"]},
-        # JSON integers past the float range
+        # JSON integers past the float range, and numbers whose squares are
         {"ka": 10 ** 400}, {"ka": 1.0, "kz": 10 ** 400},
+        {"ka": 1e160}, {"ka": 1.0, "kz": -1e160}, {"sweep": [1, 1e160, 3]},
         {"ka": 1.0, "r1": -10 ** 400}, {"sweep": [1, 10 ** 400, 3]},
         # scatter is at normal incidence, over every order and the whole
         # profile

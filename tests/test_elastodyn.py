@@ -452,6 +452,12 @@ class TestWaveContext:
                           (1.0, -np.inf)):
             with pytest.raises(ValueError):
                 cw.WaveContext(omega=omega, kz=kz)
+        # Q takes omega^2 and kz^2: a finite value whose square is not is
+        # refused too, and a tiny one whose square underflows is kept
+        for omega, kz in ((1e160, 0.0), (1.0, 1e160), (1.0, -2e154)):
+            with pytest.raises(ValueError, match="squares must be finite"):
+                cw.WaveContext(omega=omega, kz=kz)
+        cw.WaveContext(omega=1e-200, kz=1e154)
 
     @pytest.mark.parametrize("n", [np.inf, np.nan, 1.5, -1])
     def test_order_must_be_a_nonnegative_integer(self, n):

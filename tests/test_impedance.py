@@ -441,6 +441,31 @@ class TestIntegrate:
         assert not (events[0] or events[1] or events[3])
         assert np.array_equal(z[2], alone.z) and r == alone.r
 
+    @pytest.mark.parametrize("scheme", cw.SCHEME_NAMES)
+    def test_non_finite_q_trips_the_guard(self, scheme):
+        # order 1's Q is NaN past r = 0.7: the step guard gives it the norm
+        # inf, so it fails with its own StepTooLarge instead of a matrix
+        # exponential of non-finite input or a singular denominator, and
+        # the others march as they do alone
+        class _Holed(_Turn):
+            def q_at(self, r, ctx):
+                q = super().q_at(r, ctx)
+                return q * np.nan if ctx.n == 1 and r > 0.7 else q
+
+        prof = _Holed()
+        ctxs = [cw.WaveContext(omega=1.0, n=n, m=2) for n in range(3)]
+        z0s = [np.zeros((2, 2), dtype=complex)] * 3
+        faults = EntryFaults(3)
+        for r, z, _ in _march(prof, ctxs, z0s, 0.5, 1.0, 40, scheme, faults):
+            pass
+        assert isinstance(faults.errors[1], StepTooLarge)
+        assert "= inf exceeds 20" in str(faults.errors[1])
+        assert faults.ok[[0, 2]].all()
+        for j in (0, 2):
+            alone = cw.integrate_impedance(prof, ctxs[j], z0s[j], 0.5, 1.0,
+                                           40, scheme)
+            assert np.array_equal(z[j], alone.z) and r == alone.r
+
 
     def test_guard_trips_mid_span(self, monkeypatch, block_budgets):
         # in blocks of one run, 32 steps, order 0 passes the step guard

@@ -359,24 +359,23 @@ def test_global_equals_per_step_product_at_kz(al):
 
 @pytest.mark.parametrize("scheme, entries, steps, want", [
     ("lp4", 1, 40000, [16384, 3616]), ("lp4", 23, 3000, [704, 704, 92]),
-    ("lp4", 512, 200, [32, 32, 32, 4]), ("mg4", 1, 5000, [2048, 452])],
+    ("lp4", 512, 200, [32, 32, 32, 4]), ("mg4", 1, 5000, [2500])],
     ids=["lp4-1", "lp4-23", "lp4-512", "mg4-1"])
 def test_blocks_fit_the_sample_budget(al, scheme, entries, steps, want):
     # the blocks of each _segments piece step its grid in order and never
     # cross into the next piece; a block holds whole runs of _RUN_GROUPS
-    # groups of _GROUP_STEPS steps, as many matrices as its budget allows
-    # unless it is one run or less, and all but a piece's last are as long
-    # as that rule allows.  mg4 samples Q: at most _BLOCK_SAMPLES samples
-    # (nodes x steps x entries).  lp4 forms its steps from the layer terms:
-    # at most 4 _BLOCK_SAMPLES propagators (steps x entries), so a one-ka
-    # solve (at most 23 entries) steps a layer of 500 steps in one block
+    # groups of _GROUP_STEPS steps, as many propagators (steps x entries)
+    # as len(nodes) * _BLOCK_SAMPLES allow unless it is one run or less,
+    # and all but a piece's last are as long as that rule allows, whether
+    # the kernel samples Q (mg4, 2 nodes) or forms the steps from the layer
+    # terms (lp4, 4 nodes); so a one-ka lp4 solve (at most 23 entries)
+    # steps a layer of 500 steps in one block
     steel = cw.MaterialPoint(7.85, cw.isotropic_stiffness(54.4, 37.0))
     prof = cw.RadialProfile.piecewise([(0.5, 0.75, al), (0.75, 1.0, steel)])
     ctxs = [cw.WaveContext(omega=2.0, n=3, m=2)] * entries
-    # matrices per step, and a block's budget of them
-    samples, budget = ((entries, 4 * matricant._BLOCK_SAMPLES)
-                       if scheme == "lp4"
-                       else (2 * entries, matricant._BLOCK_SAMPLES))
+    # propagators per step, and a block's budget of them
+    samples = entries
+    budget = len(matricant._TABLE[scheme][1]) * matricant._BLOCK_SAMPLES
     blocks = iter([radii for radii, _ in _blocks(
         prof, ctxs, 0.5, 0.5, steps, scheme, EntryFaults(entries))])
     pieces = _segments(prof, 0.5, 0.5, steps)
@@ -562,6 +561,46 @@ def test_guard_samples_fit_the_sample_budget(al_layer, monkeypatch):
     assert max(np.prod(c) for c in calls) <= matricant._BLOCK_SAMPLES
 
 
+@pytest.mark.parametrize("scheme", ["mg4", "exp2c"])
+def test_sampled_kernel_fits_the_sample_budget(al_layer, monkeypatch,
+                                               scheme):
+    # an mg4 (2 nodes) or exp2c (4 nodes) sweep over ka 8-12 at 200 steps
+    # stacks about 360 entries, so one run of 32 steps of every entry holds
+    # 23,000 or 46,000 samples; the sampler takes chunks of whole steps, and
+    # no array it returns and no call of the sampled kernel holds more than
+    # _BLOCK_SAMPLES samples (nodes x steps x entries)
+    calls, kernels, stacks = [], [], []
+    sampler = matricant._q_sampler
+    kernel, nodes, order = matricant._TABLE[scheme]
+
+    def counted_sampler(profile, ctxs, gauge=None):
+        sample = sampler(profile, ctxs, gauge)
+        stacks.append(len(ctxs))
+
+        def counted(r, layer):
+            q = sample(r, layer)
+            calls.append(q.shape[:3])
+            return q
+
+        counted.__dict__.update(sample.__dict__)
+        return counted
+
+    def counted_kernel(h, qs, *args):
+        kernels.append(qs.shape[:3])
+        return kernel(h, qs, *args)
+
+    monkeypatch.setattr(matricant, "_q_sampler", counted_sampler)
+    monkeypatch.setitem(matricant._TABLE, scheme,
+                        (counted_kernel, nodes, order))
+    cw.solve_sweep(cw.ScatteringConfig((al_layer,), ka=12.0, scheme=scheme,
+                                       steps=200), np.linspace(8, 12, 14))
+    assert len(stacks) == 1 and 350 < stacks[0] <= 512
+    assert kernels and all(c[0] == len(nodes) for c in kernels)
+    assert sum(c[1] for c in kernels) == 200
+    assert calls == kernels
+    assert max(np.prod(c) for c in calls) <= matricant._BLOCK_SAMPLES
+
+
 def test_golden_solve_term_steps_equal_sampled_steps(al_layer, monkeypatch):
     # every block formed from the layer terms equals the sampled kernel's
     # to round-off, within 1e-13 of each step's largest |M| entry: the
@@ -700,3 +739,19 @@ def test_guard_equals_reference(size, kind):
     assert (~first).any()  # passes the first bound
     assert (first & (got == 0)).any()  # passes the balanced one
     assert (got > 20.0).any()  # trips the guard
+
+
+def test_guard_gives_a_non_finite_sample_inf():
+    # a NaN or an inf anywhere in a matrix makes its norm inf, with no SVD
+    # of it, and leaves every other matrix's norm as it was
+    rng = np.random.default_rng(7)
+    q = rng.standard_normal((2, 5, 4, 4)) * 10.0
+    want = _guard(0.5, q)
+    q[0, 1, 2, 3] = np.nan
+    q[1, 4, 0, 0] = np.inf
+    q[1, 2] = np.nan
+    got = _guard(0.5, q)
+    holed = np.zeros(q.shape[:2], bool)
+    holed[0, 1] = holed[1, 4] = holed[1, 2] = True
+    assert (got[holed] == np.inf).all()
+    assert np.array_equal(got[~holed], want[~holed])
